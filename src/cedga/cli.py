@@ -2,8 +2,8 @@
 
 Exit codes: 0 when every check passes (a successful computation with an
 empty result still exits 0), 1 when violations or counterexamples were
-found, 2 on input errors (unreadable files, parse or semantic errors,
-refused bounds).
+found, 2 on input errors (unreadable or non-UTF-8 files, parse or semantic
+errors, invalid flag values, vacuous or refused bounds).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .augment import Augmentation, EnumerationBoundError, check_augmentation, \
 from .bridge import BoundingCochain, SupportError, check_squared_zero, \
     deformed_differential, derive_ce, mc_residual, verify_mc_aug_identity
 from .dga import ValidationReport
+from .field import check_characteristic
 from .pearly import (BoundsTooLargeError, ConfigError, TrajectorySearchBounds,
                      TreeSearchBounds, exhaustive_search, trajectory_ledger,
                      trajectory_verdict, tree_ledger, tree_verdict)
@@ -23,9 +24,9 @@ from .report import input_digest, make_report, report_json
 from .surgery import (PreconditionError, QuotientError, SurgeryAlgebra,
                       construct_surgery_augmentation, quotient_order_reversing,
                       validate_surgery_shape, verify_certificate)
-from .textio import (DgaDocument, DocumentError, parse_dga, parse_disk_counts,
-                     parse_strip_counts, parse_traj_config, parse_tree_config,
-                     parse_values, serialize_dga)
+from .textio import (DgaDocument, DocumentError, ParseIssue, parse_dga,
+                     parse_disk_counts, parse_strip_counts, parse_traj_config,
+                     parse_tree_config, parse_values, serialize_dga)
 
 OK, VIOLATIONS, INPUT_ERROR = 0, 1, 2
 
@@ -43,8 +44,14 @@ class _Runner:
         self.lines.append(line)
 
     def read(self, path: str) -> str:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError as exc:
+            # read() decodes the whole file at once, so exc.start is a file offset
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise DocumentError([ParseIssue(
+                line, f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}")]) from None
         self.texts.append(text)
         return text
 
@@ -109,6 +116,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_augment(args) -> int:
     runner = _Runner("augment", args.json)
+    if args.field is not None:
+        try:
+            check_characteristic(args.field)
+        except ValueError as exc:
+            return runner.input_error(str(exc))
     try:
         doc = _load_doc(runner, args.file, field=args.field)
     except _InputProblem as exc:
@@ -406,25 +418,27 @@ def _cmd_traj_check(args) -> int:
 
 def _cmd_search(args) -> int:
     runner = _Runner("search", args.json)
-    lo, hi = args.degree_lo, args.degree_hi
-    if lo > hi:
-        return runner.input_error(f"empty degree range [{lo}, {hi}]")
-    if args.mode == "trees":
-        bounds = TreeSearchBounds(max_disks=args.max_disks,
-                                  max_inputs_per_disk=args.max_inputs,
-                                  degree_range=(lo, hi),
-                                  max_configs=args.max_configs)
-    else:
-        bounds = TrajectorySearchBounds(max_strips=args.max_strips,
-                                        max_inputs_per_disk=args.max_inputs,
-                                        degree_range=(lo, hi),
-                                        max_configs=args.max_configs)
+    degree_range = (args.degree_lo, args.degree_hi)
+    try:
+        if args.mode == "trees":
+            bounds = TreeSearchBounds(max_disks=args.max_disks,
+                                      max_inputs_per_disk=args.max_inputs,
+                                      degree_range=degree_range,
+                                      max_configs=args.max_configs)
+        else:
+            bounds = TrajectorySearchBounds(max_strips=args.max_strips,
+                                            max_inputs_per_disk=args.max_inputs,
+                                            degree_range=degree_range,
+                                            max_configs=args.max_configs)
+    except ValueError as exc:
+        return runner.input_error(str(exc))
     try:
         result = exhaustive_search(bounds)
     except BoundsTooLargeError as exc:
         return runner.input_error(str(exc))
     runner.say(f"mode {result.mode}: estimated {result.estimated_configs} "
-               f"configurations, enumerated {result.enumerated}")
+               f"sum tuples, enumerated {result.enumerated}, "
+               f"{result.in_window} in degree window")
     runner.say(f"telescope failures: {result.telescope_failures}; "
                f"materialized cross-checks: {result.materialized}")
     runner.say(f"counterexamples: {len(result.counterexamples)}")

@@ -13,6 +13,8 @@ counterexamples inside stated bounds.
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
@@ -408,6 +410,21 @@ def trajectory_verdict(traj: BrokenTrajectoryConfig) -> TrajectoryVerdict:
 # -- exhaustive searches ------------------------------------------------------
 
 
+def _check_bounds(bounds, positive: tuple[str, ...], nonnegative: tuple[str, ...]):
+    """Reject bounds that would search nothing or cannot be searched."""
+    for name in positive:
+        value = getattr(bounds, name)
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    for name in nonnegative:
+        value = getattr(bounds, name)
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+    lo, hi = bounds.degree_range
+    if lo > hi:
+        raise ValueError(f"empty degree range [{lo}, {hi}]")
+
+
 @dataclass(frozen=True)
 class TreeSearchBounds:
     max_disks: int = 4
@@ -415,6 +432,10 @@ class TreeSearchBounds:
     degree_range: tuple[int, int] = (-3, 4)
     max_configs: int = 50_000_000
     materialize_stride: int = 20_000
+
+    def __post_init__(self):
+        _check_bounds(self, ("max_disks", "materialize_stride"),
+                      ("max_inputs_per_disk",))
 
 
 @dataclass(frozen=True)
@@ -428,13 +449,23 @@ class TrajectorySearchBounds:
     max_configs: int = 50_000_000
     materialize_stride: int = 20_000
 
+    def __post_init__(self):
+        _check_bounds(self, ("max_strips", "materialize_stride"),
+                      ("max_marked_per_strip", "max_total_marked",
+                       "max_attached_disks", "max_inputs_per_disk"))
+
 
 @dataclass
 class CounterexampleReport:
+    """``enumerated`` counts sum tuples (every one is accounted for, most
+    by pruning); ``in_window`` counts those whose derived degrees all lie in
+    the degree range, each of which was checked individually."""
+
     mode: str
     bounds: dict
     estimated_configs: int
     enumerated: int = 0
+    in_window: int = 0
     telescope_failures: int = 0
     materialized: int = 0
     counterexamples: list = field(default_factory=list)
@@ -457,6 +488,16 @@ def _distribute(total: int, count: int, lo: int, hi: int) -> list[int]:
     return vals
 
 
+def _place_values(radices: list[int]) -> list[int]:
+    """Mixed-radix place values, first digit most significant: the rank of
+    a tuple in ``itertools.product`` order is the dot product of its digits
+    with these."""
+    weights = [1] * len(radices)
+    for j in range(len(radices) - 1, 0, -1):
+        weights[j - 1] = weights[j] * radices[j]
+    return weights
+
+
 def _tree_structures(max_disks: int, max_inputs: int):
     """All rooted-tree shapes with external slot counts.  Disk 0 is the
     root; parents precede children, which enumerates every shape up to the
@@ -475,15 +516,9 @@ def _tree_structures(max_disks: int, max_inputs: int):
 
 def _estimate_trees(bounds: TreeSearchBounds) -> int:
     lo, hi = bounds.degree_range
-    span = hi - lo
-    total = 0
-    for _, _, _, extras in _tree_structures(bounds.max_disks,
-                                            bounds.max_inputs_per_disk):
-        prod = 1
-        for e in extras:
-            prod *= span * e + 1
-        total += prod
-    return total
+    return sum(math.prod((hi - lo) * e + 1 for e in extras)
+               for _, _, _, extras in _tree_structures(bounds.max_disks,
+                                                       bounds.max_inputs_per_disk))
 
 
 def _materialize_tree(m, parents, child_counts, extras, sums, out_degs, lo, hi
@@ -514,47 +549,69 @@ def _materialize_tree(m, parents, child_counts, extras, sums, out_degs, lo, hi
 
 
 def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
+    """Depth-first over the per-disk external-degree sums, disk m-1 first
+    and the root last.  out_degs[i] depends only on the sums in i's
+    subtree, whose disks carry larger indices, so it is known as soon as
+    sums[i] is chosen; values putting it outside [lo, hi] are skipped
+    together with every tuple below them."""
     lo, hi = bounds.degree_range
+    stride = bounds.materialize_stride
     estimate = _estimate_trees(bounds)
     if estimate > bounds.max_configs:
         raise BoundsTooLargeError(estimate, bounds.max_configs)
     report = CounterexampleReport("trees", asdict(bounds), estimate)
+    found: list[tuple[int, dict]] = []
     for m, parents, child_counts, extras in _tree_structures(
             bounds.max_disks, bounds.max_inputs_per_disk):
         children: dict[int, list[int]] = {}
         for child in range(1, m):
             children.setdefault(parents[child - 1], []).append(child)
-        sum_ranges = [range(lo * e, hi * e + 1) for e in extras]
         k = sum(extras)
-        for sums in itertools.product(*sum_ranges):
-            report.enumerated += 1
-            out_degs = [0] * m
-            in_range = True
-            for i in range(m - 1, -1, -1):
-                n_i = child_counts[i] + extras[i]
-                out_degs[i] = (2 - n_i + sums[i]
-                               + sum(out_degs[c] for c in children.get(i, ())))
-                if not lo <= out_degs[i] <= hi:
-                    in_range = False
-                    break
-            if not in_range:
-                continue
-            lhs = out_degs[0] - sum(sums)
-            rhs = m + 1 - k
-            if lhs != rhs:
-                report.telescope_failures += 1
-            if lhs == 2 - k and m >= 2:
-                tree = _materialize_tree(m, parents, child_counts, extras,
-                                         sums, out_degs, lo, hi)
-                report.counterexamples.append({
-                    "disks": m, "externals": k, "lhs": lhs,
-                    "ledger": asdict(tree_ledger(tree))})
-            elif report.enumerated % bounds.materialize_stride == 0:
-                tree = _materialize_tree(m, parents, child_counts, extras,
-                                         sums, out_degs, lo, hi)
-                report.materialized += 1
-                if not tree_ledger(tree).telescoped:
+        rhs = m + 1 - k
+        radices = [(hi - lo) * e + 1 for e in extras]
+        weights = _place_values(radices)
+        # 1-based position of this structure's first tuple in the unpruned
+        # enumeration, the order in which materialize_stride is counted
+        first_index = report.enumerated + 1
+        sums = [0] * m
+        out_degs = [0] * m
+
+        def walk(i: int, rank: int, total: int) -> None:
+            fixed = (2 - child_counts[i] - extras[i]
+                     + sum(out_degs[c] for c in children.get(i, ())))
+            first = lo * extras[i]
+            weight = weights[i]
+            window = range(max(first, lo - fixed), min(hi * extras[i], hi - fixed) + 1)
+            if i:
+                for s in window:
+                    sums[i] = s
+                    out_degs[i] = fixed + s
+                    walk(i - 1, rank + (s - first) * weight, total + s)
+                return
+            report.in_window += len(window)
+            for s in window:
+                index = first_index + rank + (s - first) * weight
+                lhs = fixed + s - (total + s)
+                if lhs != rhs:
                     report.telescope_failures += 1
+                if lhs == 2 - k and m >= 2:
+                    sums[0], out_degs[0] = s, fixed + s
+                    tree = _materialize_tree(m, parents, child_counts, extras,
+                                             sums, out_degs, lo, hi)
+                    found.append((index, {
+                        "disks": m, "externals": k, "lhs": lhs,
+                        "ledger": asdict(tree_ledger(tree))}))
+                elif index % stride == 0:
+                    sums[0], out_degs[0] = s, fixed + s
+                    tree = _materialize_tree(m, parents, child_counts, extras,
+                                             sums, out_degs, lo, hi)
+                    report.materialized += 1
+                    if not tree_ledger(tree).telescoped:
+                        report.telescope_failures += 1
+
+        walk(m - 1, 0, 0)
+        report.enumerated += math.prod(radices)
+    report.counterexamples = [entry for _, entry in sorted(found, key=lambda f: f[0])]
     return report
 
 
@@ -578,24 +635,31 @@ def _traj_structures(bounds: TrajectorySearchBounds):
                         yield K, marks, attached, disk_inputs
 
 
+def _traj_digits(marks, attached, disk_inputs, lo, hi):
+    """The digits of a structure's sum tuples in ``itertools.product``
+    order: the input chord degree, one bare sum per nonempty side of each
+    strip, one output degree per attached disk.  Returns the bare groups as
+    (strip, side, bare count) and each digit's range start and radix."""
+    attach_set = set(attached)
+    bare_groups = []
+    for s, (nb, nt) in enumerate(marks):
+        for side, n in (("bottom", nb), ("top", nt)):
+            if n:
+                bare = sum(1 for pos in range(n) if (s, side, pos) not in attach_set)
+                bare_groups.append((s, side, bare))
+    starts = [lo] + [lo * bare for _, _, bare in bare_groups]
+    radices = [hi - lo + 1] + [(hi - lo) * bare + 1 for _, _, bare in bare_groups]
+    for n in disk_inputs:
+        start = max(lo, 2 - n + lo * n)
+        starts.append(start)
+        radices.append(max(0, min(hi, 2 - n + hi * n) - start + 1))
+    return bare_groups, starts, radices
+
+
 def _estimate_trajectories(bounds: TrajectorySearchBounds) -> int:
     lo, hi = bounds.degree_range
-    span = hi - lo
-    total = 0
-    for K, marks, attached, disk_inputs in _traj_structures(bounds):
-        attach_set = set(attached)
-        prod = span + 1  # input chord degree
-        for s, (nb, nt) in enumerate(marks):
-            for side, n in (("bottom", nb), ("top", nt)):
-                if n:
-                    bare = sum(1 for pos in range(n)
-                               if (s, side, pos) not in attach_set)
-                    prod *= span * bare + 1
-        for n in disk_inputs:
-            d_lo, d_hi = 2 - n + lo * n, 2 - n + hi * n
-            prod *= min(hi, d_hi) - max(lo, d_lo) + 1
-        total += prod
-    return total
+    return sum(math.prod(_traj_digits(marks, attached, disk_inputs, lo, hi)[2])
+               for _, marks, attached, disk_inputs in _traj_structures(bounds))
 
 
 def _materialize_trajectory(K, marks, attached, disk_inputs, c_in_deg,
@@ -650,84 +714,122 @@ def _materialize_trajectory(K, marks, attached, disk_inputs, c_in_deg,
                                   tuple(top_attach))
 
 
+def _strip_options(s, marks, attached, disk_inputs, bare_groups, starts, radices,
+                   weights):
+    """Every joint value of strip s's own digits (its bare sums, then the
+    outputs of the disks attached to it) as (chord delta, external-degree
+    contribution, rank contribution, (bare sums, disk outputs)), sorted by
+    chord delta."""
+    variables = [(j, None) for j, (strip, _, _) in enumerate(bare_groups, start=1)
+                 if strip == s]
+    variables += [(j, n) for j, (point, n) in enumerate(zip(attached, disk_inputs),
+                                                        start=1 + len(bare_groups))
+                  if point[0] == s]
+    nb, nt = marks[s]
+    options = []
+    for digits in itertools.product(*[range(radices[j]) for j, _ in variables]):
+        delta = 1 - nb - nt
+        ext = rank = 0
+        bare_vals, disk_vals = [], []
+        for digit, (j, n) in zip(digits, variables):
+            value = starts[j] + digit
+            delta += value
+            rank += digit * weights[j]
+            if n is None:
+                ext += value
+                bare_vals.append(value)
+            else:
+                ext += value - 2 + n
+                disk_vals.append(value)
+        options.append((delta, ext, rank, (tuple(bare_vals), tuple(disk_vals))))
+    options.sort(key=lambda option: option[0])
+    return [option[0] for option in options], options
+
+
 def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport:
+    """Depth-first over the input chord degree and then strip by strip, each
+    strip choosing all of its own variables at once.  The chord after strip
+    s depends only on the choices so far, so the options putting it outside
+    [lo, hi] are skipped together with every tuple below them."""
     lo, hi = bounds.degree_range
+    stride = bounds.materialize_stride
     estimate = _estimate_trajectories(bounds)
     if estimate > bounds.max_configs:
         raise BoundsTooLargeError(estimate, bounds.max_configs)
     report = CounterexampleReport("trajectories", asdict(bounds), estimate)
+    found: list[tuple[int, dict]] = []
     for K, marks, attached, disk_inputs in _traj_structures(bounds):
-        attach_set = set(attached)
-        bare_ranges = []
-        for s, (nb, nt) in enumerate(marks):
-            for side, n in (("bottom", nb), ("top", nt)):
-                bare = sum(1 for pos in range(n) if (s, side, pos) not in attach_set)
-                if n:
-                    bare_ranges.append((s, side, bare, range(lo * bare, hi * bare + 1)))
-        bare_groups = [(s, side, bare) for (s, side, bare, _r) in bare_ranges]
-        disk_ranges = []
-        for n in disk_inputs:
-            d_lo, d_hi = 2 - n + lo * n, 2 - n + hi * n
-            disk_ranges.append(range(max(lo, d_lo), min(hi, d_hi) + 1))
-        marked_counts = [nb + nt for nb, nt in marks]
-        total_marked = sum(marked_counts)
+        bare_groups, starts, radices = _traj_digits(marks, attached, disk_inputs, lo, hi)
+        weights = _place_values(radices)
+        strips = [_strip_options(s, marks, attached, disk_inputs, bare_groups,
+                                 starts, radices, weights) for s in range(K)]
         a_count = len(attached)
         M = K + a_count
-        k_plus_l = (total_marked - a_count) + sum(disk_inputs)
-        for c_in_deg in range(lo, hi + 1):
-            for bare_sums in itertools.product(*[r for (_, _, _, r) in bare_ranges]):
-                for disk_outs in itertools.product(*disk_ranges):
-                    report.enumerated += 1
-                    # chord chain degrees, strip by strip
-                    per_strip_sum = {}
-                    idx = 0
-                    for (s, side, bare, _r) in bare_ranges:
-                        per_strip_sum[s] = per_strip_sum.get(s, 0) + bare_sums[idx]
-                        idx += 1
-                    for (point, out_deg) in zip(attached, disk_outs):
-                        per_strip_sum[point[0]] = per_strip_sum.get(point[0], 0) + out_deg
-                    chord = c_in_deg
-                    in_range = True
-                    for s in range(K):
-                        chord = chord + 1 - marked_counts[s] + per_strip_sum.get(s, 0)
-                        if not lo <= chord <= hi:
-                            in_range = False
-                            break
-                    if not in_range:
-                        continue
-                    ext_sum = (sum(bare_sums)
-                               + sum(out - 2 + n for out, n in zip(disk_outs, disk_inputs)))
-                    lhs = chord - c_in_deg - ext_sum
-                    rhs = M - k_plus_l
-                    if lhs != rhs:
+        k_plus_l = sum(nb + nt for nb, nt in marks) - a_count + sum(disk_inputs)
+        rhs = M - k_plus_l
+        first_index = report.enumerated + 1
+        chosen = [None] * K
+
+        def materialize(c_in):
+            return _materialize_trajectory(
+                K, marks, attached, disk_inputs, c_in, bare_groups,
+                [v for bare_vals, _ in chosen for v in bare_vals],
+                [v for _, disk_vals in chosen for v in disk_vals], lo, hi)
+
+        def walk(s: int, c_in: int, chord: int, ext: int, rank: int) -> None:
+            deltas, options = strips[s]
+            window = options[bisect_left(deltas, lo - chord):
+                             bisect_right(deltas, hi - chord)]
+            if s < K - 1:
+                for delta, e, r, values in window:
+                    chosen[s] = values
+                    walk(s + 1, c_in, chord + delta, ext + e, rank + r)
+                return
+            report.in_window += len(window)
+            for delta, e, r, values in window:
+                index = first_index + rank + r
+                lhs = chord + delta - c_in - (ext + e)
+                if lhs != rhs:
+                    report.telescope_failures += 1
+                if lhs == 1 - k_plus_l and M >= 2:
+                    chosen[s] = values
+                    found.append((index, {
+                        "strips": K, "attached": a_count,
+                        "ledger": asdict(trajectory_ledger(materialize(c_in)))}))
+                elif index % stride == 0:
+                    chosen[s] = values
+                    report.materialized += 1
+                    if not trajectory_ledger(materialize(c_in)).telescoped:
                         report.telescope_failures += 1
-                    if lhs == 1 - k_plus_l and M >= 2:
-                        traj = _materialize_trajectory(
-                            K, marks, attached, disk_inputs, c_in_deg,
-                            bare_groups, bare_sums, disk_outs, lo, hi)
-                        report.counterexamples.append({
-                            "strips": K, "attached": a_count,
-                            "ledger": asdict(trajectory_ledger(traj))})
-                    elif report.enumerated % bounds.materialize_stride == 0:
-                        traj = _materialize_trajectory(
-                            K, marks, attached, disk_inputs, c_in_deg,
-                            bare_groups, bare_sums, disk_outs, lo, hi)
-                        report.materialized += 1
-                        if not trajectory_ledger(traj).telescoped:
-                            report.telescope_failures += 1
+
+        for c_in in range(lo, hi + 1):
+            walk(0, c_in, c_in, 0, (c_in - lo) * weights[0])
+        report.enumerated += math.prod(radices)
+    report.counterexamples = [entry for _, entry in sorted(found, key=lambda f: f[0])]
     return report
 
 
 def exhaustive_search(bounds) -> CounterexampleReport:
-    """Enumerate every configuration inside the bounds and report any that
-    satisfies all hypotheses with two or more components.
+    """Account for every configuration inside the bounds and report any
+    that satisfies all hypotheses with two or more components.
 
     Degree assignments are enumerated through per-group sums: every checked
     quantity (per-component rigidity, derived degrees, the ledgers, the
     global constraint) depends on external degrees only through those sums,
     and each sum value in range is realizable, so the reduction is complete
-    for the counterexample question.  A sampled stride of configurations is
-    additionally materialized and pushed through the full ledger objects.
+    for the counterexample question.
+
+    The sum tuples are walked depth-first with prefix pruning: a derived
+    degree (a disk output, or a chord of the chain) is fixed as soon as the
+    sums it depends on are, and a value putting it outside the degree range
+    is skipped together with every tuple below it.  ``enumerated`` still
+    advances by each structure's full tuple count, so it equals
+    ``estimated_configs``; ``in_window`` counts the tuples that survive.
+    Each of those is checked on its own: ledger lhs against rhs, the
+    counterexample test, and a deterministic sample (every tuple whose
+    1-based position in the unpruned enumeration is a multiple of
+    ``materialize_stride``) is materialized and pushed through the full
+    ledger objects.
     """
     if isinstance(bounds, TreeSearchBounds):
         return _search_trees(bounds)

@@ -173,9 +173,13 @@ def test_criterion_4_tree_search():
         max_disks=4, max_inputs_per_disk=3, degree_range=(-3, 4)))
     elapsed = time.monotonic() - start
     assert report.enumerated == report.estimated_configs
+    # counts agreed with the brute-force walk over every sum tuple
+    assert (report.enumerated, report.in_window, report.materialized) == (
+        2_608_154, 313_228, 15)
     assert report.telescope_failures == 0
     assert report.materialized > 0
-    _line(4, f"tree search: {report.enumerated} rigid configurations, "
+    _line(4, f"tree search: {report.enumerated} sum tuples, "
+             f"{report.in_window} in window, "
              f"{len(report.counterexamples)} counterexamples, "
              f"telescoping exact, in {elapsed:.1f}s",
           not report.counterexamples and elapsed < 120)
@@ -187,9 +191,12 @@ def test_criterion_5_trajectory_search():
         max_strips=3, max_attached_disks=2, degree_range=(-3, 4)))
     elapsed = time.monotonic() - start
     assert report.enumerated == report.estimated_configs
+    assert (report.enumerated, report.in_window, report.materialized) == (
+        4_211_384, 1_995_121, 79)
     assert report.telescope_failures == 0
     assert report.materialized > 0
-    _line(5, f"trajectory search: {report.enumerated} rigid configurations, "
+    _line(5, f"trajectory search: {report.enumerated} sum tuples, "
+             f"{report.in_window} in window, "
              f"{len(report.counterexamples)} counterexamples, "
              f"telescoping exact, in {elapsed:.1f}s",
           not report.counterexamples and elapsed < 120)

@@ -135,10 +135,41 @@ def test_search_cli_refusal():
     assert code == 2 and "exceed" in out
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--mode", "trees", "--max-disks", "0"], "max_disks must be at least 1"),
+    (["--mode", "trees", "--max-disks", "-1"], "max_disks must be at least 1"),
+    (["--mode", "trajectories", "--max-strips", "0"], "max_strips must be at least 1"),
+    (["--mode", "trees", "--max-inputs", "-1"], "max_inputs_per_disk must be nonnegative"),
+    (["--mode", "trees", "--degree-lo", "2", "--degree-hi", "1"], "empty degree range"),
+])
+def test_search_cli_rejects_vacuous_bounds(flags, message):
+    code, out = run_cli(["search", *flags])
+    assert code == 2 and f"error: {message}" in out
+    assert "counterexamples" not in out
+
+
+def test_augment_invalid_field_is_input_error(corpus_dir):
+    code, out = run_cli(["augment", "--field", "4", str(corpus_dir / "ce_trivial.txt")])
+    assert code == 2
+    assert out.strip() == "error: field characteristic must be a prime <= 97, got 4"
+
+
+@pytest.mark.parametrize("command", [["validate"], ["ce-lift"], ["tree-check"],
+                                     ["mc-check", "--cochain", "ALSO"]])
+def test_non_utf8_input_is_input_error(tmp_path, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"field 2\n" + b"# padding\n" * 5000 + b"gen x 0 1/2 reeb \xff\n")
+    argv = [str(bad) if arg == "ALSO" else arg for arg in command]
+    code, out = run_cli([argv[0], str(bad), *argv[1:]])
+    assert code == 2
+    assert out.strip() == "error: line 5002: invalid UTF-8 byte 0xff"
+
+
 def test_search_cli_small():
     code, out = run_cli(["search", "--mode", "trajectories", "--max-strips", "1",
                          "--degree-lo", "-1", "--degree-hi", "2"])
     assert code == 0 and "counterexamples: 0" in out
+    assert "in degree window" in out
 
 
 def test_corpus_runner_all_pass():

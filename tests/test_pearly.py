@@ -1,15 +1,20 @@
 """Disk-tree and broken-trajectory ledgers, verdicts, and searches."""
 
 import itertools
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cedga import (BoundsTooLargeError, BrokenTrajectoryConfig, ConfigError,
-                   DiskComponent, Generator, GeneratorKind, PearlyTreeConfig,
-                   StripComponent, TrajectorySearchBounds, TreeSearchBounds,
-                   exhaustive_search, trajectory_ledger, trajectory_verdict,
-                   tree_ledger, tree_verdict)
+                   CounterexampleReport, DiskComponent, Generator, GeneratorKind,
+                   PearlyTreeConfig, StripComponent, TrajectorySearchBounds,
+                   TreeSearchBounds, exhaustive_search, trajectory_ledger,
+                   trajectory_verdict, tree_ledger, tree_verdict)
+from cedga.pearly import (_estimate_trajectories, _estimate_trees,
+                          _materialize_trajectory, _materialize_tree,
+                          _traj_structures, _tree_structures)
 
 DP = GeneratorKind.DOUBLE_POINT_POS
 MIXED = GeneratorKind.MIXED_CHORD
@@ -291,3 +296,192 @@ def test_telescoping_on_randomized_larger_trajectories():
         traj = BrokenTrajectoryConfig(tuple(strips), tuple(bottom_attach))
         ledger = trajectory_ledger(traj)
         assert ledger.telescoped and ledger.K == K
+
+
+# -- brute-force oracle for the pruned searches ---------------------------------
+#
+# These loops walk every sum tuple in ``itertools.product`` order and test the
+# degree window tuple by tuple.  The pruned searches must produce field-for-field
+# the same report, including which tuples are materialized.
+
+
+def brute_force_trees(bounds):
+    lo, hi = bounds.degree_range
+    report = CounterexampleReport("trees", asdict(bounds), _estimate_trees(bounds))
+    for m, parents, child_counts, extras in _tree_structures(
+            bounds.max_disks, bounds.max_inputs_per_disk):
+        children = {}
+        for child in range(1, m):
+            children.setdefault(parents[child - 1], []).append(child)
+        sum_ranges = [range(lo * e, hi * e + 1) for e in extras]
+        k = sum(extras)
+        for sums in itertools.product(*sum_ranges):
+            report.enumerated += 1
+            out_degs = [0] * m
+            in_range = True
+            for i in range(m - 1, -1, -1):
+                n_i = child_counts[i] + extras[i]
+                out_degs[i] = (2 - n_i + sums[i]
+                               + sum(out_degs[c] for c in children.get(i, ())))
+                if not lo <= out_degs[i] <= hi:
+                    in_range = False
+                    break
+            if not in_range:
+                continue
+            report.in_window += 1
+            lhs = out_degs[0] - sum(sums)
+            if lhs != m + 1 - k:
+                report.telescope_failures += 1
+            if lhs == 2 - k and m >= 2:
+                tree = _materialize_tree(m, parents, child_counts, extras,
+                                         sums, out_degs, lo, hi)
+                report.counterexamples.append({
+                    "disks": m, "externals": k, "lhs": lhs,
+                    "ledger": asdict(tree_ledger(tree))})
+            elif report.enumerated % bounds.materialize_stride == 0:
+                tree = _materialize_tree(m, parents, child_counts, extras,
+                                         sums, out_degs, lo, hi)
+                report.materialized += 1
+                if not tree_ledger(tree).telescoped:
+                    report.telescope_failures += 1
+    return report
+
+
+def brute_force_trajectories(bounds):
+    lo, hi = bounds.degree_range
+    report = CounterexampleReport("trajectories", asdict(bounds),
+                                  _estimate_trajectories(bounds))
+    for K, marks, attached, disk_inputs in _traj_structures(bounds):
+        attach_set = set(attached)
+        bare_ranges = []
+        for s, (nb, nt) in enumerate(marks):
+            for side, n in (("bottom", nb), ("top", nt)):
+                bare = sum(1 for pos in range(n) if (s, side, pos) not in attach_set)
+                if n:
+                    bare_ranges.append((s, side, bare, range(lo * bare, hi * bare + 1)))
+        bare_groups = [(s, side, bare) for (s, side, bare, _r) in bare_ranges]
+        disk_ranges = []
+        for n in disk_inputs:
+            d_lo, d_hi = 2 - n + lo * n, 2 - n + hi * n
+            disk_ranges.append(range(max(lo, d_lo), min(hi, d_hi) + 1))
+        marked_counts = [nb + nt for nb, nt in marks]
+        a_count = len(attached)
+        M = K + a_count
+        k_plus_l = (sum(marked_counts) - a_count) + sum(disk_inputs)
+        for c_in_deg in range(lo, hi + 1):
+            for bare_sums in itertools.product(*[r for (_, _, _, r) in bare_ranges]):
+                for disk_outs in itertools.product(*disk_ranges):
+                    report.enumerated += 1
+                    per_strip_sum = {}
+                    for (s, _side, _bare, _r), value in zip(bare_ranges, bare_sums):
+                        per_strip_sum[s] = per_strip_sum.get(s, 0) + value
+                    for point, out_deg in zip(attached, disk_outs):
+                        per_strip_sum[point[0]] = per_strip_sum.get(point[0], 0) + out_deg
+                    chord = c_in_deg
+                    in_range = True
+                    for s in range(K):
+                        chord = chord + 1 - marked_counts[s] + per_strip_sum.get(s, 0)
+                        if not lo <= chord <= hi:
+                            in_range = False
+                            break
+                    if not in_range:
+                        continue
+                    report.in_window += 1
+                    ext_sum = (sum(bare_sums)
+                               + sum(out - 2 + n for out, n in zip(disk_outs, disk_inputs)))
+                    lhs = chord - c_in_deg - ext_sum
+                    if lhs != M - k_plus_l:
+                        report.telescope_failures += 1
+                    if lhs == 1 - k_plus_l and M >= 2:
+                        traj = _materialize_trajectory(
+                            K, marks, attached, disk_inputs, c_in_deg,
+                            bare_groups, bare_sums, disk_outs, lo, hi)
+                        report.counterexamples.append({
+                            "strips": K, "attached": a_count,
+                            "ledger": asdict(trajectory_ledger(traj))})
+                    elif report.enumerated % bounds.materialize_stride == 0:
+                        traj = _materialize_trajectory(
+                            K, marks, attached, disk_inputs, c_in_deg,
+                            bare_groups, bare_sums, disk_outs, lo, hi)
+                        report.materialized += 1
+                        if not trajectory_ledger(traj).telescoped:
+                            report.telescope_failures += 1
+    return report
+
+
+def assert_matches_oracle(bounds):
+    oracle = (brute_force_trees if isinstance(bounds, TreeSearchBounds)
+              else brute_force_trajectories)(bounds)
+    report = exhaustive_search(bounds)
+    assert asdict(report) == asdict(oracle)
+    assert report.enumerated == report.estimated_configs
+    return report
+
+
+DEGREE_RANGES = [(0, 0), (2, 2), (3, 3), (-1, 1), (-2, 2), (-1, 3), (1, 4)]
+
+
+@pytest.mark.parametrize("degree_range", DEGREE_RANGES)
+@pytest.mark.parametrize("max_disks,max_inputs", [(1, 3), (2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_tree_search_matches_oracle(max_disks, max_inputs, degree_range, stride):
+    assert_matches_oracle(TreeSearchBounds(
+        max_disks=max_disks, max_inputs_per_disk=max_inputs,
+        degree_range=degree_range, materialize_stride=stride))
+
+
+@pytest.mark.parametrize("degree_range", DEGREE_RANGES)
+@pytest.mark.parametrize("strips,marked,total,attached,inputs",
+                         [(1, 2, 2, 2, 2), (2, 1, 2, 1, 2), (2, 2, 3, 1, 1),
+                          (3, 1, 2, 2, 1)])
+@pytest.mark.parametrize("stride", [1, 5])
+def test_trajectory_search_matches_oracle(strips, marked, total, attached, inputs,
+                                          degree_range, stride):
+    assert_matches_oracle(TrajectorySearchBounds(
+        max_strips=strips, max_marked_per_strip=marked, max_total_marked=total,
+        max_attached_disks=attached, max_inputs_per_disk=inputs,
+        degree_range=degree_range, materialize_stride=stride))
+
+
+small_range = st.tuples(st.integers(-3, 3), st.integers(0, 3)).map(
+    lambda pair: (pair[0], pair[0] + pair[1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(max_disks=st.integers(1, 3), max_inputs=st.integers(0, 2),
+       degree_range=small_range, stride=st.integers(1, 40))
+def test_tree_search_matches_oracle_random(max_disks, max_inputs, degree_range, stride):
+    assert_matches_oracle(TreeSearchBounds(
+        max_disks=max_disks, max_inputs_per_disk=max_inputs,
+        degree_range=degree_range, materialize_stride=stride))
+
+
+@settings(max_examples=40, deadline=None)
+@given(strips=st.integers(1, 2), marked=st.integers(0, 2), total=st.integers(0, 3),
+       attached=st.integers(0, 2), inputs=st.integers(0, 2),
+       degree_range=small_range, stride=st.integers(1, 40))
+def test_trajectory_search_matches_oracle_random(strips, marked, total, attached,
+                                                 inputs, degree_range, stride):
+    assert_matches_oracle(TrajectorySearchBounds(
+        max_strips=strips, max_marked_per_strip=marked, max_total_marked=total,
+        max_attached_disks=attached, max_inputs_per_disk=inputs,
+        degree_range=degree_range, materialize_stride=stride))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TreeSearchBounds(max_disks=0),
+    lambda: TreeSearchBounds(max_disks=-1),
+    lambda: TreeSearchBounds(max_inputs_per_disk=-1),
+    lambda: TreeSearchBounds(materialize_stride=0),
+    lambda: TreeSearchBounds(degree_range=(1, 0)),
+    lambda: TrajectorySearchBounds(max_strips=0),
+    lambda: TrajectorySearchBounds(max_marked_per_strip=-1),
+    lambda: TrajectorySearchBounds(max_total_marked=-1),
+    lambda: TrajectorySearchBounds(max_attached_disks=-1),
+    lambda: TrajectorySearchBounds(max_inputs_per_disk=-1),
+    lambda: TrajectorySearchBounds(materialize_stride=0),
+    lambda: TrajectorySearchBounds(degree_range=(2, -2)),
+])
+def test_search_bounds_reject_vacuous_or_invalid(make):
+    with pytest.raises(ValueError):
+        make()
