@@ -1,10 +1,12 @@
 """Augmentations: unital multiplicative scalar assignments on generators.
 
 An augmentation stores only its nonzero values; every unlisted generator is
-implicitly sent to 0 and the empty word always evaluates to 1.  Enumeration
-is a depth-first search over the degree-0 generators with incremental
-constraint evaluation, pruning a branch as soon as a fully determined
-constraint fails.
+implicitly sent to 0 and the empty word always evaluates to 1.  Words are
+evaluated by ``poly.evaluate_terms``, the one implementation of "coeff times
+the product of the letter values mod p".  Enumeration is a depth-first search
+over the degree-0 generators that evaluates each differential with that same
+kernel as soon as its last variable is set, pruning the branch when it is
+nonzero.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Mapping
 
 from .dga import Dga, ValidationReport
 from .field import check_characteristic, require_same_field
-from .poly import NcPoly, format_poly
+from .poly import NcPoly, evaluate_terms, format_poly
 
 
 class EnumerationBoundError(ValueError):
@@ -30,6 +32,9 @@ class Augmentation:
         self.p = p
         self.values: dict[str, int] = {}
         for name, value in (values or {}).items():
+            if not isinstance(value, int):
+                raise TypeError(f"value of {name!r} must be an int, "
+                                f"got {type(value).__name__}")
             v = value % p
             if v:
                 self.values[name] = v
@@ -45,17 +50,7 @@ class Augmentation:
         """Sum over terms of coeff * product of letter values; the empty word
         contributes its coefficient."""
         require_same_field(self.p, q.p)
-        total = 0
-        for word, coeff in q.terms.items():
-            prod = coeff
-            for letter in word:
-                v = self.values.get(letter, 0)
-                if not v:
-                    prod = 0
-                    break
-                prod = prod * v % self.p
-            total += prod
-        return total % self.p
+        return evaluate_terms(q.terms.items(), self.values, self.p)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Augmentation)
@@ -99,27 +94,20 @@ def _constraints_by_depth(dga: Dga, names: list[str]):
 
     Words containing a nonzero-degree letter evaluate to 0 identically and
     are dropped.  Returns (by_depth, infeasible) where by_depth[d] holds the
-    constraints whose last variable (in the fixed ordering) is d.
+    constraints, as (word, coeff) pairs, whose last variable (in the fixed
+    ordering) is names[d].
     """
     index = {name: i for i, name in enumerate(names)}
-    degree_zero = set(names)
-    by_depth: dict[int, list[tuple[int, list[tuple[int, tuple[int, ...]]]]]] = {}
-    for gname, poly in dga.nonzero_differentials().items():
-        constant = 0
-        terms: list[tuple[int, tuple[int, ...]]] = []
-        for word, coeff in poly.terms.items():
-            if all(letter in degree_zero for letter in word):
-                if word:
-                    terms.append((coeff, tuple(index[l] for l in word)))
-                else:
-                    constant += coeff
-        constant %= dga.p
-        if not terms:
-            if constant:
-                return None, True  # constraint 0 = constant is unsatisfiable
+    by_depth: dict[int, list[list[tuple[tuple[str, ...], int]]]] = {}
+    for poly in dga.nonzero_differentials().values():
+        terms = [(word, coeff) for word, coeff in poly.terms.items()
+                 if all(letter in index for letter in word)]
+        ready = max((index[letter] for word, _ in terms for letter in word), default=None)
+        if ready is None:
+            if terms:
+                return None, True  # constraint 0 = nonzero constant is unsatisfiable
             continue
-        ready = max(max(idxs) for _, idxs in terms)
-        by_depth.setdefault(ready, []).append((constant, terms))
+        by_depth.setdefault(ready, []).append(terms)
     return by_depth, False
 
 
@@ -136,32 +124,18 @@ def enumerate_augmentations(dga: Dga, max_degree_zero: int = 24) -> list[Augment
         return []
     p = dga.p
     n = len(names)
-    values = [0] * n
+    values: dict[str, int] = {}
     found: list[Augmentation] = []
 
     def walk(depth: int) -> None:
         if depth == n:
-            found.append(Augmentation(p, {names[i]: values[i] for i in range(n)}))
+            found.append(Augmentation(p, values))
             return
+        name = names[depth]
         ready = by_depth.get(depth, ())
         for v in range(p):
-            values[depth] = v
-            satisfied = True
-            for constant, terms in ready:
-                total = constant
-                for coeff, idxs in terms:
-                    prod = coeff
-                    for i in idxs:
-                        vi = values[i]
-                        if not vi:
-                            prod = 0
-                            break
-                        prod = prod * vi % p
-                    total += prod
-                if total % p:
-                    satisfied = False
-                    break
-            if satisfied:
+            values[name] = v
+            if not any(evaluate_terms(terms, values, p) for terms in ready):
                 walk(depth + 1)
 
     walk(0)

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 from .augment import Augmentation
 from .dga import Dga, Generator, GeneratorKind, ValidationReport
 from .field import check_characteristic, require_same_field
-from .poly import NcPoly
+from .poly import NcPoly, evaluate_terms
 
 
 class SupportError(ValueError):
@@ -111,6 +111,9 @@ class BoundingCochain:
         self.p = p
         self.coefficients: dict[str, int] = {}
         for name, value in (coefficients or {}).items():
+            if not isinstance(value, int):
+                raise TypeError(f"coefficient of {name!r} must be an int, "
+                                f"got {type(value).__name__}")
             v = value % p
             if v:
                 self.coefficients[name] = v
@@ -160,7 +163,11 @@ def derive_ce(table: DiskCountTable) -> Dga:
 def _weighted_series(table: DiskCountTable, weights: Mapping[str, int],
                      output: str) -> int:
     """The finite series sum over entries at one output of
-    count * product of input weights (missing weight = 0)."""
+    count * product of input weights (missing weight = 0).
+
+    This loop deliberately does not call ``poly.evaluate_terms``: it reads
+    the raw table, so that ``verify_mc_aug_identity`` compares it against
+    the kernel-evaluated derived differential along independent code paths."""
     total = 0
     p = table.p
     for (out, word), coeff in table.counts.items():
@@ -365,20 +372,10 @@ def deformed_differential(table: StripCountTable, b0: BoundingCochain,
     p = table.p
     acc: dict[tuple[str, str], int] = {}
     for (c_out, c_in, bw, tw), coeff in table.counts.items():
-        weight = coeff
-        for name in bw:
-            v = b0.coefficient(name)
-            if not v:
-                weight = 0
-                break
-            weight = weight * v % p
-        if weight:
-            for name in tw:
-                v = b1.coefficient(name)
-                if not v:
-                    weight = 0
-                    break
-                weight = weight * v % p
+        # b0 weighs the bottom word and b1 the top word; a name may sit on
+        # both sides, so the two cochains cannot be merged into one mapping
+        weight = evaluate_terms(((bw, coeff),), b0.coefficients, p)
+        weight = evaluate_terms(((tw, weight),), b1.coefficients, p)
         if weight:
             key = (c_out, c_in)
             acc[key] = (acc.get(key, 0) + weight) % p

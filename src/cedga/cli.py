@@ -9,6 +9,7 @@ errors, invalid flag values, vacuous or refused bounds).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .augment import Augmentation, EnumerationBoundError, check_augmentation, \
@@ -31,6 +32,10 @@ from .textio import (DgaDocument, DocumentError, ParseIssue, parse_dga,
 OK, VIOLATIONS, INPUT_ERROR = 0, 1, 2
 
 
+class _InputProblem(Exception):
+    """A file could not be read or parsed; main reports it with exit 2."""
+
+
 class _Runner:
     """Collects human-readable lines and the machine report for one command."""
 
@@ -43,17 +48,24 @@ class _Runner:
     def say(self, line: str) -> None:
         self.lines.append(line)
 
-    def read(self, path: str) -> str:
+    def load(self, path: str, parse, *args):
+        """Read ``path`` and return ``parse(text, *args)``; a file that cannot
+        be read or parsed raises _InputProblem (exit 2)."""
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except UnicodeDecodeError as exc:
             # read() decodes the whole file at once, so exc.start is a file offset
             line = exc.object.count(b"\n", 0, exc.start) + 1
-            raise DocumentError([ParseIssue(
-                line, f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}")]) from None
+            raise _InputProblem(str(ParseIssue(
+                line, f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}"))) from None
+        except OSError as exc:
+            raise _InputProblem(str(exc)) from exc
         self.texts.append(text)
-        return text
+        try:
+            return parse(text, *args)
+        except DocumentError as exc:
+            raise _InputProblem(str(exc)) from exc
 
     def finish(self, status: str, payload: dict, code: int) -> int:
         report = make_report(self.command, input_digest(*self.texts), status, payload)
@@ -77,32 +89,11 @@ def _violation_lines(runner: _Runner, report: ValidationReport) -> None:
         runner.say(f"  {violation}")
 
 
-def _report_payload(report: ValidationReport) -> list[dict]:
-    return report.as_dicts()
-
-
-def _load_doc(runner: _Runner, path: str, field: int | None = None):
-    try:
-        return parse_dga(runner.read(path), field_override=field)
-    except OSError as exc:
-        raise _InputProblem(str(exc)) from exc
-    except DocumentError as exc:
-        raise _InputProblem("\n".join(str(i) for i in exc.issues)) from exc
-
-
-class _InputProblem(Exception):
-    pass
-
-
 # -- subcommands ----------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
-    runner = _Runner("validate", args.json)
-    try:
-        doc = _load_doc(runner, args.file)
-    except _InputProblem as exc:
-        return runner.input_error(str(exc))
+def _cmd_validate(args, runner: _Runner) -> int:
+    doc = runner.load(args.file, parse_dga)
     report = doc.dga.validate_all()
     runner.say(f"{args.file}: {len(doc.dga.generators)} generators, "
                f"{len(doc.dga.nonzero_differentials())} nonzero differentials")
@@ -111,20 +102,16 @@ def _cmd_validate(args) -> int:
         return runner.finish("ok", {"violations": []}, OK)
     runner.say(f"{len(report)} violation(s):")
     _violation_lines(runner, report)
-    return runner.finish("violations", {"violations": _report_payload(report)}, VIOLATIONS)
+    return runner.finish("violations", {"violations": report.as_dicts()}, VIOLATIONS)
 
 
-def _cmd_augment(args) -> int:
-    runner = _Runner("augment", args.json)
+def _cmd_augment(args, runner: _Runner) -> int:
     if args.field is not None:
         try:
             check_characteristic(args.field)
         except ValueError as exc:
             return runner.input_error(str(exc))
-    try:
-        doc = _load_doc(runner, args.file, field=args.field)
-    except _InputProblem as exc:
-        return runner.input_error(str(exc))
+    doc = runner.load(args.file, parse_dga, args.field)
     try:
         found = enumerate_augmentations(doc.dga, max_degree_zero=args.limit)
     except EnumerationBoundError as exc:
@@ -143,14 +130,8 @@ def _cmd_augment(args) -> int:
     return runner.finish("ok", payload, OK)
 
 
-def _cmd_ce_lift(args) -> int:
-    runner = _Runner("ce-lift", args.json)
-    try:
-        table = parse_disk_counts(runner.read(args.file))
-    except OSError as exc:
-        return runner.input_error(str(exc))
-    except DocumentError as exc:
-        return runner.input_error("\n".join(str(i) for i in exc.issues))
+def _cmd_ce_lift(args, runner: _Runner) -> int:
+    table = runner.load(args.file, parse_disk_counts)
     dga = derive_ce(table)
     text = serialize_dga(dga)
     if args.output:
@@ -168,15 +149,9 @@ def _cmd_ce_lift(args) -> int:
     return runner.finish("ok", payload, OK)
 
 
-def _cmd_mc_check(args) -> int:
-    runner = _Runner("mc-check", args.json)
-    try:
-        table = parse_disk_counts(runner.read(args.file))
-        values = parse_values(runner.read(args.cochain), table.p)
-    except OSError as exc:
-        return runner.input_error(str(exc))
-    except DocumentError as exc:
-        return runner.input_error("\n".join(str(i) for i in exc.issues))
+def _cmd_mc_check(args, runner: _Runner) -> int:
+    table = runner.load(args.file, parse_disk_counts)
+    values = runner.load(args.cochain, parse_values, table.p)
     cochain = BoundingCochain(table.p, values)
     try:
         residual = mc_residual(table, cochain)
@@ -203,16 +178,10 @@ def _cmd_mc_check(args) -> int:
     return runner.finish("violations", payload, VIOLATIONS)
 
 
-def _cmd_deform(args) -> int:
-    runner = _Runner("deform", args.json)
-    try:
-        table = parse_strip_counts(runner.read(args.file))
-        v0 = parse_values(runner.read(args.cochain0), table.p)
-        v1 = parse_values(runner.read(args.cochain1), table.p)
-    except OSError as exc:
-        return runner.input_error(str(exc))
-    except DocumentError as exc:
-        return runner.input_error("\n".join(str(i) for i in exc.issues))
+def _cmd_deform(args, runner: _Runner) -> int:
+    table = runner.load(args.file, parse_strip_counts)
+    v0 = runner.load(args.cochain0, parse_values, table.p)
+    v1 = runner.load(args.cochain1, parse_values, table.p)
     b0 = BoundingCochain(table.p, v0)
     b1 = BoundingCochain(table.p, v1)
     try:
@@ -228,7 +197,7 @@ def _cmd_deform(args) -> int:
     payload = {
         "entries": [{"out": o, "in": i, "coeff": c} for o, i, c in entries],
         "squared_zero": squared.ok,
-        "violations": _report_payload(squared),
+        "violations": squared.as_dicts(),
     }
     if squared.ok:
         runner.say("twisted differential squares to zero")
@@ -238,17 +207,9 @@ def _cmd_deform(args) -> int:
     return runner.finish("violations", payload, VIOLATIONS)
 
 
-def _cmd_surgery(args) -> int:
-    runner = _Runner("surgery", args.json)
-    try:
-        doc = _load_doc(runner, args.file)
-        base_values = parse_values(runner.read(args.base_aug), doc.dga.p)
-    except _InputProblem as exc:
-        return runner.input_error(str(exc))
-    except OSError as exc:
-        return runner.input_error(str(exc))
-    except DocumentError as exc:
-        return runner.input_error("\n".join(str(i) for i in exc.issues))
+def _cmd_surgery(args, runner: _Runner) -> int:
+    doc = runner.load(args.file, parse_dga)
+    base_values = runner.load(args.base_aug, parse_values, doc.dga.p)
     dga = doc.dga
     if doc.marked:
         try:
@@ -257,7 +218,7 @@ def _cmd_surgery(args) -> int:
             runner.say("order-reversing marking is not differential-closed:")
             _violation_lines(runner, exc.report)
             return runner.finish("violations",
-                                 {"violations": _report_payload(exc.report)}, VIOLATIONS)
+                                 {"violations": exc.report.as_dicts()}, VIOLATIONS)
         runner.say(f"quotiented {len(doc.marked)} order-reversing chord(s)")
     k = sum(1 for role in doc.roles.values() if role.type == "a")
     try:
@@ -270,14 +231,14 @@ def _cmd_surgery(args) -> int:
         runner.say(f"{len(shape)} structural violation(s):")
         _violation_lines(runner, shape)
         return runner.finish("violations",
-                             {"violations": _report_payload(shape)}, VIOLATIONS)
+                             {"violations": shape.as_dicts()}, VIOLATIONS)
     eb = Augmentation(dga.p, base_values)
     base_check = check_augmentation(algebra.base_ce(), eb)
     if not base_check.ok:
         runner.say("base augmentation is invalid:")
         _violation_lines(runner, base_check)
         return runner.finish("violations",
-                             {"violations": _report_payload(base_check)}, VIOLATIONS)
+                             {"violations": base_check.as_dicts()}, VIOLATIONS)
     try:
         certificate = construct_surgery_augmentation(algebra, eb,
                                                      order_reversing=doc.marked)
@@ -295,7 +256,7 @@ def _cmd_surgery(args) -> int:
         "k": k,
         "augmentation": {n: v for n, v in sorted(values.items()) if v},
         "flags": list(certificate.flags),
-        "violations": _report_payload(recheck),
+        "violations": recheck.as_dicts(),
     }
     if recheck.ok and not certificate.flags:
         runner.say("certificate verified: all conditions hold and the "
@@ -306,19 +267,15 @@ def _cmd_surgery(args) -> int:
     return runner.finish("violations", payload, VIOLATIONS)
 
 
-def _cmd_quotient(args) -> int:
-    runner = _Runner("quotient", args.json)
-    try:
-        doc = _load_doc(runner, args.file)
-    except _InputProblem as exc:
-        return runner.input_error(str(exc))
+def _cmd_quotient(args, runner: _Runner) -> int:
+    doc = runner.load(args.file, parse_dga)
     try:
         quotient = quotient_order_reversing(doc.dga, doc.marked)
     except QuotientError as exc:
         runner.say("marking does not generate a differential-closed ideal:")
         _violation_lines(runner, exc.report)
         return runner.finish("violations",
-                             {"violations": _report_payload(exc.report)}, VIOLATIONS)
+                             {"violations": exc.report.as_dicts()}, VIOLATIONS)
     text = serialize_dga(DgaDocument(quotient, (), dict(doc.roles)))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -331,14 +288,8 @@ def _cmd_quotient(args) -> int:
     return runner.finish("ok", payload, OK)
 
 
-def _cmd_tree_check(args) -> int:
-    runner = _Runner("tree-check", args.json)
-    try:
-        tree = parse_tree_config(runner.read(args.file))
-    except OSError as exc:
-        return runner.input_error(str(exc))
-    except DocumentError as exc:
-        return runner.input_error("\n".join(str(i) for i in exc.issues))
+def _cmd_tree_check(args, runner: _Runner) -> int:
+    tree = runner.load(args.file, parse_tree_config)
     try:
         ledger = tree_ledger(tree)
     except ConfigError as exc:
@@ -375,14 +326,8 @@ def _cmd_tree_check(args) -> int:
     return runner.finish("ok" if code == OK else "violations", payload, code)
 
 
-def _cmd_traj_check(args) -> int:
-    runner = _Runner("traj-check", args.json)
-    try:
-        traj = parse_traj_config(runner.read(args.file))
-    except OSError as exc:
-        return runner.input_error(str(exc))
-    except DocumentError as exc:
-        return runner.input_error("\n".join(str(i) for i in exc.issues))
+def _cmd_traj_check(args, runner: _Runner) -> int:
+    traj = runner.load(args.file, parse_traj_config)
     try:
         ledger = trajectory_ledger(traj)
     except ConfigError as exc:
@@ -416,8 +361,7 @@ def _cmd_traj_check(args) -> int:
     return runner.finish("ok" if code == OK else "violations", payload, code)
 
 
-def _cmd_search(args) -> int:
-    runner = _Runner("search", args.json)
+def _cmd_search(args, runner: _Runner) -> int:
     degree_range = (args.degree_lo, args.degree_hi)
     try:
         if args.mode == "trees":
@@ -456,10 +400,46 @@ def _cmd_search(args) -> int:
     return runner.finish("violations", payload, VIOLATIONS)
 
 
-def _cmd_corpus(args) -> int:
-    from . import corpus
-    runner = _Runner("corpus", args.json)
-    results = corpus.run_corpus()
+def run_corpus() -> list[dict]:
+    """Run every corpus case through the CLI, capturing stdout, and compare
+    the exit code and a diagnostic fragment against expectations."""
+    # Imported here, not at module level, so that no other subcommand pays
+    # for them: cedga.corpus pulls in importlib.resources, which imports
+    # tempfile; under `python -S -X importtime` that is ~15 ms of every CLI
+    # start on a 2-vCPU machine with Python 3.11.
+    import contextlib
+    import io
+    import tempfile
+
+    from .corpus import CASES, FILES, corpus_text
+
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in FILES:
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as handle:
+                handle.write(corpus_text(name))
+        for name, argv, expected_exit, fragment in CASES:
+            resolved = [os.path.join(tmp, a) if a in FILES else a for a in argv]
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                code = main(resolved)
+            text = buffer.getvalue()
+            passed = code == expected_exit and fragment in text
+            entry = {
+                "name": name,
+                "exit": code,
+                "expected_exit": expected_exit,
+                "fragment": fragment,
+                "passed": passed,
+            }
+            if not passed:
+                entry["detail"] = text.strip().splitlines()[-1] if text.strip() else ""
+            results.append(entry)
+    return results
+
+
+def _cmd_corpus(args, runner: _Runner) -> int:
+    results = run_corpus()
     failures = 0
     for case in results:
         status = "PASS" if case["passed"] else "FAIL"
@@ -552,7 +532,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "max_inputs", None) is None and args.command == "search":
         args.max_inputs = 3 if args.mode == "trees" else 2
-    return args.func(args)
+    runner = _Runner(args.command, args.json)
+    try:
+        return args.func(args, runner)
+    except _InputProblem as exc:
+        return runner.input_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,12 +1,10 @@
 """Bundled example corpus: canonical documents, fault-injected variants, and
-the expected CLI behavior for each (exit code plus a diagnostic fragment)."""
+the expected CLI behavior for each (exit code plus a diagnostic fragment).
+
+This package holds data only; ``cedga.cli.run_corpus`` runs the cases."""
 
 from __future__ import annotations
 
-import contextlib
-import io
-import os
-import tempfile
 from importlib import resources
 
 FILES = [
@@ -93,32 +91,3 @@ ROUND_TRIP = [
 def corpus_text(name: str) -> str:
     return (resources.files(__package__) / name).read_text(encoding="utf-8")
 
-
-def run_corpus() -> list[dict]:
-    """Run every corpus case through the CLI, capturing stdout, and compare
-    the exit code and a diagnostic fragment against expectations."""
-    from .cli_bridge import cli_main
-
-    results = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in FILES:
-            with open(os.path.join(tmp, name), "w", encoding="utf-8") as handle:
-                handle.write(corpus_text(name))
-        for name, argv, expected_exit, fragment in CASES:
-            resolved = [os.path.join(tmp, a) if a in FILES else a for a in argv]
-            buffer = io.StringIO()
-            with contextlib.redirect_stdout(buffer):
-                code = cli_main(resolved)
-            text = buffer.getvalue()
-            passed = code == expected_exit and fragment in text
-            entry = {
-                "name": name,
-                "exit": code,
-                "expected_exit": expected_exit,
-                "fragment": fragment,
-                "passed": passed,
-            }
-            if not passed:
-                entry["detail"] = text.strip().splitlines()[-1] if text.strip() else ""
-            results.append(entry)
-    return results

@@ -28,6 +28,9 @@ class NcPoly:
         canonical: dict[Word, int] = {}
         if terms:
             for word, coeff in terms.items():
+                if not isinstance(coeff, int):
+                    raise TypeError(f"coefficient of {word!r} must be an int, "
+                                    f"got {type(coeff).__name__}")
                 c = coeff % p
                 if c:
                     canonical[tuple(word)] = c
@@ -125,6 +128,23 @@ class NcPoly:
 
     def __repr__(self) -> str:
         return f"NcPoly({self.p}, {format_poly(self)!r})"
+
+
+def evaluate_terms(terms: Iterable[tuple[Word, int]], values: Mapping[str, int],
+                   p: int) -> int:
+    """Sum over ``(word, coeff)`` pairs of coeff * product of the letters'
+    values, mod p.  A letter with no value counts as 0; the empty word
+    contributes its coefficient."""
+    total = 0
+    for word, coeff in terms:
+        for letter in word:
+            v = values.get(letter, 0)
+            if not v:
+                break
+            coeff = coeff * v % p
+        else:
+            total += coeff
+    return total % p
 
 
 def format_poly(poly: NcPoly) -> str:

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 from .augment import Augmentation, check_augmentation
 from .dga import Dga, Generator, GeneratorKind, ValidationReport
-from .poly import NcPoly, format_poly
+from .poly import NcPoly, evaluate_terms, format_poly
 
 
 class PreconditionError(ValueError):
@@ -391,20 +391,6 @@ class SurgeryCertificate:
         return self.verification.ok and self.conditions.ok and not self.flags
 
 
-def _eval_with(values: Mapping[str, int], poly: NcPoly, p: int) -> int:
-    total = 0
-    for word, coeff in poly.terms.items():
-        prod = coeff
-        for letter in word:
-            v = values.get(letter, 0)
-            if not v:
-                prod = 0
-                break
-            prod = prod * v % p
-        total += prod
-    return total % p
-
-
 def _check_conditions(S: SurgeryAlgebra, eps: Augmentation, eb: Augmentation,
                       order_reversing: Iterable[str]) -> ValidationReport:
     report = ValidationReport()
@@ -461,11 +447,11 @@ def construct_surgery_augmentation(S: SurgeryAlgebra, eb: Augmentation,
     for i in range(S.k - 1, 0, -1):
         for (j, m) in S.pairs_for_source(i):
             alpha, w = _split_hook_differential(S, S.b_name(i, j, m), None)
-            total = -_eval_with(values, alpha, p)
+            total = -evaluate_terms(alpha.terms.items(), values, p)
             for (h, l), wpoly in sorted(w.items()):
                 cv = values.get(S.c_name(i, h, l), 0)
                 if cv:
-                    total -= _eval_with(values, wpoly, p) * cv
+                    total -= evaluate_terms(wpoly.terms.items(), values, p) * cv
             total %= p
             cname = S.c_name(i, j, m)
             cdeg = S.dga.generator(cname).degree

@@ -68,6 +68,10 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _gen_line(gen: Generator) -> str:
+    return f"gen {gen.name} {gen.degree} {format_rational(gen.action)} {gen.kind.value}"
+
+
 class _DocReader:
     """Shared bookkeeping: header lines, generator lines, issue collection."""
 
@@ -293,9 +297,7 @@ def serialize_dga(doc: DgaDocument | Dga) -> str:
         doc = DgaDocument(doc)
     dga = doc.dga
     lines = [f"field {dga.p}", f"ddeg {dga.d_degree}"]
-    for name, gen in dga.generators.items():
-        lines.append(f"gen {name} {gen.degree} {format_rational(gen.action)} "
-                     f"{gen.kind.value}")
+    lines.extend(_gen_line(gen) for gen in dga.generators.values())
     for name in dga.generators:
         role = doc.roles.get(name)
         if role is not None:
@@ -340,16 +342,14 @@ def parse_disk_counts(text: str, field_override: int | None = None) -> DiskCount
 
 def serialize_disk_counts(table: DiskCountTable) -> str:
     lines = [f"field {table.p}"]
-    for name, gen in table.double_points.items():
-        lines.append(f"gen {name} {gen.degree} {format_rational(gen.action)} "
-                     f"{gen.kind.value}")
+    lines.extend(_gen_line(gen) for gen in table.double_points.values())
     for (out, inputs), coeff in sorted(table.counts.items()):
         middle = (" " + " ".join(inputs)) if inputs else ""
         lines.append(f"count {out}{middle} = {coeff}")
     return "\n".join(lines) + "\n"
 
 
-def _split_marked_groups(tokens, lineno, reader):
+def _split_marked_groups(tokens):
     """Split `... [bottom: names] [top: names]` into (head, bottom, top)."""
     head: list[str] = []
     bottom: list[str] = []
@@ -379,7 +379,7 @@ def parse_strip_counts(text: str, field_override: int | None = None) -> StripCou
                                      "[top: <names>] = <coeff>")
                 continue
             coeff = int(body[-1])
-            head, bottom, top = _split_marked_groups(body[:-2], lineno, reader)
+            head, bottom, top = _split_marked_groups(body[:-2])
             if len(head) != 2:
                 reader.issue(lineno, "strip entries need exactly two chords")
                 continue
@@ -422,9 +422,7 @@ def parse_strip_counts(text: str, field_override: int | None = None) -> StripCou
 def serialize_strip_counts(table: StripCountTable) -> str:
     lines = [f"field {table.p}"]
     for group in (table.chords, table.dp_bottom, table.dp_top):
-        for name, gen in group.items():
-            lines.append(f"gen {name} {gen.degree} {format_rational(gen.action)} "
-                         f"{gen.kind.value}")
+        lines.extend(_gen_line(gen) for gen in group.values())
     for (c_out, c_in, bottom, top), coeff in sorted(table.counts.items()):
         parts = [f"strip {c_out} {c_in}"]
         if bottom:
@@ -517,8 +515,7 @@ def serialize_tree_config(tree: PearlyTreeConfig) -> str:
     for gen in tree.all_generators():
         if gen.name not in seen:
             seen[gen.name] = gen
-            lines.append(f"gen {gen.name} {gen.degree} "
-                         f"{format_rational(gen.action)} {gen.kind.value}")
+            lines.append(_gen_line(gen))
     for disk in tree.disks:
         names = " ".join(g.name for g in (disk.output,) + disk.inputs)
         lines.append(f"disk {names}")
@@ -536,7 +533,7 @@ def parse_traj_config(text: str) -> BrokenTrajectoryConfig:
         if reader.read_field(lineno, args) or reader.read_gen(lineno, args):
             continue
         if args[0] == "strip":
-            head, bottom, top = _split_marked_groups(args[1:], lineno, reader)
+            head, bottom, top = _split_marked_groups(args[1:])
             if len(head) != 2:
                 reader.issue(lineno, "usage: strip <out> <in> [bottom: <names>] "
                                      "[top: <names>]")
@@ -604,8 +601,7 @@ def serialize_traj_config(traj: BrokenTrajectoryConfig) -> str:
     def declare(gen: Generator):
         if gen.name not in seen:
             seen[gen.name] = gen
-            lines.append(f"gen {gen.name} {gen.degree} "
-                         f"{format_rational(gen.action)} {gen.kind.value}")
+            lines.append(_gen_line(gen))
 
     disks = [d for _, _, d in traj.bottom_disks + traj.top_disks]
     for strip in traj.strips:

@@ -18,7 +18,8 @@ from cedga import (Augmentation, BoundingCochain, Dga, DiskCountTable,
                    enumerate_augmentations, eps_from_b, exhaustive_search,
                    mc_residual, random_surgery_instance, validate_surgery_shape,
                    verify_certificate, verify_mc_aug_identity)
-from cedga.corpus import CASES, ROUND_TRIP, corpus_text, run_corpus
+from cedga.cli import run_corpus
+from cedga.corpus import CASES, ROUND_TRIP, corpus_text
 from cedga.textio import (parse_disk_counts, parse_dga, parse_strip_counts,
                           parse_traj_config, parse_tree_config, parse_values,
                           serialize_dga, serialize_disk_counts,

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +29,11 @@ def test_evaluate_examples():
     e2 = Augmentation(2, {"x1": 1, "x2": 0})
     q2 = NcPoly.from_pairs(2, [(1, ("x1", "x2")), (1, ("x1",))])
     assert e2.evaluate(q2) == 1
+
+
+def test_non_int_value_rejected():
+    with pytest.raises(TypeError):
+        Augmentation(2, {"x": Fraction(1, 2)})
 
 
 def test_check_augmentation_closed_generators():

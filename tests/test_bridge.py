@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import cedga.augment
 from cedga import (Augmentation, BoundingCochain, DiskCountTable, Generator,
                    GeneratorKind, StripCountTable, SupportError, b_from_eps,
                    check_augmentation, check_squared_zero, deformed_differential,
@@ -131,6 +133,34 @@ def test_bridge_identity_randomized():
             t = _random_table(rng, p=p)
             b = _random_cochain(rng, t)
             assert verify_mc_aug_identity(t, b)
+
+
+def test_bridge_identity_sides_are_independent(monkeypatch):
+    # a deliberately wrong word-evaluation kernel breaks only the augmentation
+    # side; were the series side routed through the kernel too, both sides
+    # would shift alike and the identity would still hold
+    t = table([dp("y", 2, 1), dp("x", 1, "1/4")], [("y", ("x",), 1)])
+    b = BoundingCochain(2, {"x": 1})
+    residual = mc_residual(t, b)
+    assert residual == {"y": 1}
+    assert verify_mc_aug_identity(t, b)
+    kernel = cedga.augment.evaluate_terms
+
+    def off_by_one(terms, values, p):
+        return (kernel(terms, values, p) + 1) % p
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("cedga") \
+                and getattr(module, "evaluate_terms", None) is kernel:
+            monkeypatch.setattr(module, "evaluate_terms", off_by_one)
+    assert cedga.augment.evaluate_terms is off_by_one
+    assert not verify_mc_aug_identity(t, b)
+    assert mc_residual(t, b) == residual
+
+
+def test_non_int_cochain_coefficient_rejected():
+    with pytest.raises(TypeError):
+        BoundingCochain(2, {"x": Fraction(1, 2)})
 
 
 def test_bridge_identity_with_rejected_entries():

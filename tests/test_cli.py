@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from cedga.cli import main
-from cedga.corpus import CASES, corpus_text, run_corpus
+from cedga.cli import main, run_corpus
+from cedga.corpus import CASES, corpus_text
 
 
 @pytest.fixture()

@@ -1,9 +1,13 @@
 """Noncommutative polynomial arithmetic."""
 
+from fractions import Fraction
+from math import prod
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cedga import FieldMismatchError, NcPoly, format_poly
+from cedga.poly import evaluate_terms
 
 NAMES = ["x1", "x2", "x3", "y1", "y2", "z"]
 
@@ -40,6 +44,13 @@ def test_zero_coefficients_dropped():
     poly = NcPoly(3, {("x1",): 3, ("x2",): 2})
     assert poly.terms == {("x2",): 2}
     assert NcPoly(5, {("x1",): 0}).is_zero
+
+
+def test_non_int_coefficient_rejected():
+    with pytest.raises(TypeError):
+        NcPoly(2, {("x",): Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        NcPoly(3, {("x",): 1.0})
 
 
 def test_field_mismatch_rejected():
@@ -89,3 +100,21 @@ def test_distributivity(a, b, c):
 def test_subtraction_and_negation(a, b):
     assert a - b == a + (-b)
     assert (a - b) + b == a
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A prime, (word, coeff) pairs over NAMES (the empty word included) and
+    an assignment that leaves some letters unvalued and may map others to 0."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    terms = draw(st.lists(st.tuples(words(), st.integers(-2 * p, 2 * p)), max_size=5))
+    values = draw(st.dictionaries(st.sampled_from(NAMES), st.integers(0, p - 1)))
+    return p, terms, values
+
+
+@given(evaluation_cases())
+def test_evaluate_terms_matches_naive_sum(case):
+    p, terms, values = case
+    naive = sum(coeff * prod(values.get(letter, 0) for letter in word)
+                for word, coeff in terms) % p
+    assert evaluate_terms(terms, values, p) == naive
