@@ -68,6 +68,9 @@ class DiskCountTable:
             for name in (output,) + word:
                 if name not in points:
                     raise ValueError(f"count entry references undeclared double point {name!r}")
+            if not isinstance(coeff, int):
+                raise TypeError(f"count of {_entry_text(output, word)} must be an int, "
+                                f"got {type(coeff).__name__}")
             coeff %= p
             if not coeff:
                 continue
@@ -283,6 +286,9 @@ class StripCountTable:
             for name in tw:
                 if name not in top:
                     raise ValueError(f"strip entry references {name!r}, not a top double point")
+            if not isinstance(coeff, int):
+                raise TypeError(f"count of strip ({c_out} <- {c_in}) must be an int, "
+                                f"got {type(coeff).__name__}")
             coeff %= p
             if not coeff:
                 continue
@@ -318,6 +324,9 @@ class ChordMap:
         self.chords = tuple(chords)
         self.entries: dict[tuple[str, str], int] = {}
         for key, value in (entries or {}).items():
+            if not isinstance(value, int):
+                raise TypeError(f"entry {key!r} must be an int, "
+                                f"got {type(value).__name__}")
             v = value % p
             if v:
                 self.entries[key] = v

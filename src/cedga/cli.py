@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 from .augment import Augmentation, EnumerationBoundError, check_augmentation, \
     enumerate_augmentations
@@ -298,8 +299,7 @@ def _cmd_tree_check(args, runner: _Runner) -> int:
     runner.say(f"ledger: m={ledger.m} k={ledger.k} lhs={ledger.lhs} "
                f"rhs={ledger.rhs} telescoped={ledger.telescoped}")
     payload = {
-        "ledger": {"m": ledger.m, "k": ledger.k, "lhs": ledger.lhs,
-                   "rhs": ledger.rhs, "telescoped": ledger.telescoped},
+        "ledger": asdict(ledger),
         "hypotheses_ok": verdict.hypotheses_ok,
         "hypothesis_violations": list(verdict.hypothesis_violations),
         "positivity_propagates": verdict.positivity_propagates,
@@ -337,9 +337,7 @@ def _cmd_traj_check(args, runner: _Runner) -> int:
                f"k={ledger.k} l={ledger.l} lhs={ledger.lhs} rhs={ledger.rhs} "
                f"telescoped={ledger.telescoped}")
     payload = {
-        "ledger": {"M": ledger.M, "K": ledger.K, "m0": ledger.m0, "m1": ledger.m1,
-                   "k": ledger.k, "l": ledger.l, "lhs": ledger.lhs,
-                   "rhs": ledger.rhs, "telescoped": ledger.telescoped},
+        "ledger": asdict(ledger),
         "hypotheses_ok": verdict.hypotheses_ok,
         "hypothesis_violations": list(verdict.hypothesis_violations),
         "global_constraint_satisfied": verdict.global_constraint_satisfied,

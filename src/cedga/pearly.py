@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
@@ -457,9 +456,13 @@ class TrajectorySearchBounds:
 
 @dataclass
 class CounterexampleReport:
-    """``enumerated`` counts sum tuples (every one is accounted for, most
-    by pruning); ``in_window`` counts those whose derived degrees all lie in
-    the degree range, each of which was checked individually."""
+    """``enumerated`` counts sum tuples; ``in_window`` counts those whose
+    derived degrees all lie in the degree range, counted per structure, not
+    visited one by one.  The ledger is derived once per structure, so a
+    mismatch adds all of the structure's in-window tuples to
+    ``telescope_failures`` and a counterexample entry stands for all of
+    them.  ``materialized`` counts the sampled tuples re-checked through
+    real configurations; a failed re-check adds one telescope failure."""
 
     mode: str
     bounds: dict
@@ -488,14 +491,34 @@ def _distribute(total: int, count: int, lo: int, hi: int) -> list[int]:
     return vals
 
 
-def _place_values(radices: list[int]) -> list[int]:
-    """Mixed-radix place values, first digit most significant: the rank of
-    a tuple in ``itertools.product`` order is the dot product of its digits
-    with these."""
-    weights = [1] * len(radices)
-    for j in range(len(radices) - 1, 0, -1):
-        weights[j - 1] = weights[j] * radices[j]
-    return weights
+def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Tuple counts of x + y for x counted by ``a`` and y by ``b``."""
+    out: dict[int, int] = {}
+    for x, cx in a.items():
+        for y, cy in b.items():
+            out[x + y] = out.get(x + y, 0) + cx * cy
+    return out
+
+
+def _uniform(start: int, radix: int) -> dict[int, int]:
+    return dict.fromkeys(range(start, start + radix), 1)
+
+
+def _clip(dist: dict[int, int], lo: int, hi: int) -> dict[int, int]:
+    return {d: c for d, c in dist.items() if lo <= d <= hi}
+
+
+def _sample(first_index: int, radices: list[int], stride: int):
+    """Digits of a structure's tuples whose 1-based position in the unpruned
+    enumeration (``first_index`` for its first tuple) is a multiple of
+    ``stride``, decoded in ``itertools.product`` order: first digit most
+    significant."""
+    first_sampled = -(-first_index // stride) * stride
+    for rank in range(first_sampled - first_index, math.prod(radices), stride):
+        digits = [0] * len(radices)
+        for j in range(len(radices) - 1, -1, -1):
+            rank, digits[j] = divmod(rank, radices[j])
+        yield digits
 
 
 def _tree_structures(max_disks: int, max_inputs: int):
@@ -549,69 +572,53 @@ def _materialize_tree(m, parents, child_counts, extras, sums, out_degs, lo, hi
 
 
 def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
-    """Depth-first over the per-disk external-degree sums, disk m-1 first
-    and the root last.  out_degs[i] depends only on the sums in i's
-    subtree, whose disks carry larger indices, so it is known as soon as
-    sums[i] is chosen; values putting it outside [lo, hi] are skipped
-    together with every tuple below them."""
+    """One pass per structure.  out_degs[i] = rigid[i] + sums[i] + the
+    outputs of i's children, so the ledger lhs = out_degs[0] - sum(sums)
+    is sum(rigid) for every tuple, and the in-window tuples are counted by
+    convolving each subtree's output-degree counts from the leaves up."""
     lo, hi = bounds.degree_range
-    stride = bounds.materialize_stride
     estimate = _estimate_trees(bounds)
     if estimate > bounds.max_configs:
         raise BoundsTooLargeError(estimate, bounds.max_configs)
     report = CounterexampleReport("trees", asdict(bounds), estimate)
-    found: list[tuple[int, dict]] = []
     for m, parents, child_counts, extras in _tree_structures(
             bounds.max_disks, bounds.max_inputs_per_disk):
         children: dict[int, list[int]] = {}
         for child in range(1, m):
             children.setdefault(parents[child - 1], []).append(child)
-        k = sum(extras)
-        rhs = m + 1 - k
+        rigid = [2 - child_counts[i] - extras[i] for i in range(m)]
         radices = [(hi - lo) * e + 1 for e in extras]
-        weights = _place_values(radices)
-        # 1-based position of this structure's first tuple in the unpruned
-        # enumeration, the order in which materialize_stride is counted
+        out_counts: dict[int, dict[int, int]] = {}
+        for i in range(m - 1, -1, -1):
+            counts = _uniform(rigid[i] + lo * extras[i], radices[i])
+            for c in children.get(i, ()):
+                counts = _convolve(counts, out_counts[c])
+            out_counts[i] = _clip(counts, lo, hi)
+        in_window = sum(out_counts[0].values())
         first_index = report.enumerated + 1
-        sums = [0] * m
-        out_degs = [0] * m
-
-        def walk(i: int, rank: int, total: int) -> None:
-            fixed = (2 - child_counts[i] - extras[i]
-                     + sum(out_degs[c] for c in children.get(i, ())))
-            first = lo * extras[i]
-            weight = weights[i]
-            window = range(max(first, lo - fixed), min(hi * extras[i], hi - fixed) + 1)
-            if i:
-                for s in window:
-                    sums[i] = s
-                    out_degs[i] = fixed + s
-                    walk(i - 1, rank + (s - first) * weight, total + s)
-                return
-            report.in_window += len(window)
-            for s in window:
-                index = first_index + rank + (s - first) * weight
-                lhs = fixed + s - (total + s)
-                if lhs != rhs:
-                    report.telescope_failures += 1
-                if lhs == 2 - k and m >= 2:
-                    sums[0], out_degs[0] = s, fixed + s
-                    tree = _materialize_tree(m, parents, child_counts, extras,
-                                             sums, out_degs, lo, hi)
-                    found.append((index, {
-                        "disks": m, "externals": k, "lhs": lhs,
-                        "ledger": asdict(tree_ledger(tree))}))
-                elif index % stride == 0:
-                    sums[0], out_degs[0] = s, fixed + s
-                    tree = _materialize_tree(m, parents, child_counts, extras,
-                                             sums, out_degs, lo, hi)
-                    report.materialized += 1
-                    if not tree_ledger(tree).telescoped:
-                        report.telescope_failures += 1
-
-        walk(m - 1, 0, 0)
         report.enumerated += math.prod(radices)
-    report.counterexamples = [entry for _, entry in sorted(found, key=lambda f: f[0])]
+        report.in_window += in_window
+        k = sum(extras)
+        lhs = sum(rigid)
+        if lhs != m + 1 - k:
+            report.telescope_failures += in_window
+        if lhs == 2 - k and m >= 2:
+            if in_window:
+                report.counterexamples.append(
+                    {"disks": m, "externals": k, "lhs": lhs, "in_window": in_window})
+            continue
+        for digits in _sample(first_index, radices, bounds.materialize_stride):
+            sums = [lo * e + d for e, d in zip(extras, digits)]
+            out_degs = [0] * m
+            for i in range(m - 1, -1, -1):
+                out_degs[i] = (rigid[i] + sums[i]
+                               + sum(out_degs[c] for c in children.get(i, ())))
+            if all(lo <= d <= hi for d in out_degs):
+                tree = _materialize_tree(m, parents, child_counts, extras,
+                                         sums, out_degs, lo, hi)
+                report.materialized += 1
+                if not tree_ledger(tree).telescoped:
+                    report.telescope_failures += 1
     return report
 
 
@@ -714,98 +721,58 @@ def _materialize_trajectory(K, marks, attached, disk_inputs, c_in_deg,
                                   tuple(top_attach))
 
 
-def _strip_options(s, marks, attached, disk_inputs, bare_groups, starts, radices,
-                   weights):
-    """Every joint value of strip s's own digits (its bare sums, then the
-    outputs of the disks attached to it) as (chord delta, external-degree
-    contribution, rank contribution, (bare sums, disk outputs)), sorted by
-    chord delta."""
-    variables = [(j, None) for j, (strip, _, _) in enumerate(bare_groups, start=1)
-                 if strip == s]
-    variables += [(j, n) for j, (point, n) in enumerate(zip(attached, disk_inputs),
-                                                        start=1 + len(bare_groups))
-                  if point[0] == s]
-    nb, nt = marks[s]
-    options = []
-    for digits in itertools.product(*[range(radices[j]) for j, _ in variables]):
-        delta = 1 - nb - nt
-        ext = rank = 0
-        bare_vals, disk_vals = [], []
-        for digit, (j, n) in zip(digits, variables):
-            value = starts[j] + digit
-            delta += value
-            rank += digit * weights[j]
-            if n is None:
-                ext += value
-                bare_vals.append(value)
-            else:
-                ext += value - 2 + n
-                disk_vals.append(value)
-        options.append((delta, ext, rank, (tuple(bare_vals), tuple(disk_vals))))
-    options.sort(key=lambda option: option[0])
-    return [option[0] for option in options], options
-
-
 def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport:
-    """Depth-first over the input chord degree and then strip by strip, each
-    strip choosing all of its own variables at once.  The chord after strip
-    s depends only on the choices so far, so the options putting it outside
-    [lo, hi] are skipped together with every tuple below them."""
+    """One pass per structure.  Strip s moves the chord by 1 - #marked plus
+    its bare sums and attached disk outputs, and a disk with n inputs has
+    output 2 - n + its input degrees, so the ledger lhs = chord_out - c_in -
+    externals is sum(1 - #marked) + sum(2 - n) for every tuple.  The
+    in-window tuples are counted by pushing the chord-degree counts through
+    the strips, clipping to the window after each."""
     lo, hi = bounds.degree_range
-    stride = bounds.materialize_stride
     estimate = _estimate_trajectories(bounds)
     if estimate > bounds.max_configs:
         raise BoundsTooLargeError(estimate, bounds.max_configs)
     report = CounterexampleReport("trajectories", asdict(bounds), estimate)
-    found: list[tuple[int, dict]] = []
     for K, marks, attached, disk_inputs in _traj_structures(bounds):
         bare_groups, starts, radices = _traj_digits(marks, attached, disk_inputs, lo, hi)
-        weights = _place_values(radices)
-        strips = [_strip_options(s, marks, attached, disk_inputs, bare_groups,
-                                 starts, radices, weights) for s in range(K)]
+        # the strip each digit after the first (the input chord) belongs to
+        owners = [s for s, _, _ in bare_groups] + [point[0] for point in attached]
+        steps = [{1 - nb - nt: 1} for nb, nt in marks]
+        for s, start, radix in zip(owners, starts[1:], radices[1:]):
+            steps[s] = _convolve(steps[s], _uniform(start, radix))
+        chords = _uniform(starts[0], radices[0])
+        for step in steps:
+            chords = _clip(_convolve(chords, step), lo, hi)
+        in_window = sum(chords.values())
+        first_index = report.enumerated + 1
+        report.enumerated += math.prod(radices)
+        report.in_window += in_window
         a_count = len(attached)
         M = K + a_count
         k_plus_l = sum(nb + nt for nb, nt in marks) - a_count + sum(disk_inputs)
-        rhs = M - k_plus_l
-        first_index = report.enumerated + 1
-        chosen = [None] * K
-
-        def materialize(c_in):
-            return _materialize_trajectory(
-                K, marks, attached, disk_inputs, c_in, bare_groups,
-                [v for bare_vals, _ in chosen for v in bare_vals],
-                [v for _, disk_vals in chosen for v in disk_vals], lo, hi)
-
-        def walk(s: int, c_in: int, chord: int, ext: int, rank: int) -> None:
-            deltas, options = strips[s]
-            window = options[bisect_left(deltas, lo - chord):
-                             bisect_right(deltas, hi - chord)]
-            if s < K - 1:
-                for delta, e, r, values in window:
-                    chosen[s] = values
-                    walk(s + 1, c_in, chord + delta, ext + e, rank + r)
-                return
-            report.in_window += len(window)
-            for delta, e, r, values in window:
-                index = first_index + rank + r
-                lhs = chord + delta - c_in - (ext + e)
-                if lhs != rhs:
+        lhs = sum(1 - nb - nt for nb, nt in marks) + sum(2 - n for n in disk_inputs)
+        if lhs != M - k_plus_l:
+            report.telescope_failures += in_window
+        if lhs == 1 - k_plus_l and M >= 2:
+            if in_window:
+                report.counterexamples.append(
+                    {"strips": K, "attached": a_count, "lhs": lhs,
+                     "in_window": in_window})
+            continue
+        for digits in _sample(first_index, radices, bounds.materialize_stride):
+            values = [start + d for start, d in zip(starts, digits)]
+            deltas = [1 - nb - nt for nb, nt in marks]
+            for s, value in zip(owners, values[1:]):
+                deltas[s] += value
+            if all(lo <= c <= hi
+                   for c in itertools.accumulate(deltas, initial=values[0])):
+                split = 1 + len(bare_groups)
+                traj = _materialize_trajectory(
+                    K, marks, attached, disk_inputs, values[0], bare_groups,
+                    values[1:split], values[split:], lo, hi)
+                report.materialized += 1
+                if not trajectory_ledger(traj).telescoped:
                     report.telescope_failures += 1
-                if lhs == 1 - k_plus_l and M >= 2:
-                    chosen[s] = values
-                    found.append((index, {
-                        "strips": K, "attached": a_count,
-                        "ledger": asdict(trajectory_ledger(materialize(c_in)))}))
-                elif index % stride == 0:
-                    chosen[s] = values
-                    report.materialized += 1
-                    if not trajectory_ledger(materialize(c_in)).telescoped:
-                        report.telescope_failures += 1
-
-        for c_in in range(lo, hi + 1):
-            walk(0, c_in, c_in, 0, (c_in - lo) * weights[0])
-        report.enumerated += math.prod(radices)
-    report.counterexamples = [entry for _, entry in sorted(found, key=lambda f: f[0])]
     return report
 
 
@@ -819,17 +786,18 @@ def exhaustive_search(bounds) -> CounterexampleReport:
     and each sum value in range is realizable, so the reduction is complete
     for the counterexample question.
 
-    The sum tuples are walked depth-first with prefix pruning: a derived
-    degree (a disk output, or a chord of the chain) is fixed as soon as the
-    sums it depends on are, and a value putting it outside the degree range
-    is skipped together with every tuple below it.  ``enumerated`` still
-    advances by each structure's full tuple count, so it equals
-    ``estimated_configs``; ``in_window`` counts the tuples that survive.
-    Each of those is checked on its own: ledger lhs against rhs, the
-    counterexample test, and a deterministic sample (every tuple whose
-    1-based position in the unpruned enumeration is a multiple of
-    ``materialize_stride``) is materialized and pushed through the full
-    ledger objects.
+    The sum tuples are counted, not visited.  Per structure, the ledger lhs
+    is derived once from the per-component rigidity constants (it is the
+    same for every sum tuple) and checked against rhs and the
+    counterexample test; a structure failing either accounts for all of its
+    in-window tuples.  ``enumerated`` advances by each structure's full
+    tuple count, so it equals ``estimated_configs``; ``in_window``, the
+    tuples whose derived degrees (disk outputs, chords of the chain) all lie
+    in the degree range, is counted exactly by convolving degree counts
+    clipped to that range.  Only a deterministic sample is decoded: every
+    tuple whose 1-based position in the unpruned enumeration is a multiple
+    of ``materialize_stride`` and that lies in the window is materialized
+    and pushed through the full ledger objects.
     """
     if isinstance(bounds, TreeSearchBounds):
         return _search_trees(bounds)

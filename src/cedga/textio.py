@@ -163,7 +163,7 @@ class _DocReader:
             raise DocumentError(self.issues)
 
 
-def _parse_poly_tokens(tokens, declared, p, lineno, reader):
+def _parse_poly_tokens(tokens, declared, lineno, reader):
     """`+`-separated monomials; each monomial is an optional integer
     coefficient followed by generator names; a bare integer multiplies the
     unit word."""
@@ -270,7 +270,7 @@ def parse_dga(text: str, field_override: int | None = None) -> DgaDocument:
                                  f"(first on line {d_seen[name]})")
             continue
         d_seen[name] = lineno
-        diff_pairs[name] = _parse_poly_tokens(tokens, declared, p, lineno, reader)
+        diff_pairs[name] = _parse_poly_tokens(tokens, declared, lineno, reader)
     marked: list[str] = []
     for lineno, name in mark_lines:
         if name not in declared:

@@ -8,10 +8,11 @@ from fractions import Fraction
 import pytest
 
 import cedga.augment
-from cedga import (Augmentation, BoundingCochain, DiskCountTable, Generator,
-                   GeneratorKind, StripCountTable, SupportError, b_from_eps,
-                   check_augmentation, check_squared_zero, deformed_differential,
-                   derive_ce, eps_from_b, mc_residual, verify_mc_aug_identity)
+from cedga import (Augmentation, BoundingCochain, ChordMap, DiskCountTable,
+                   Generator, GeneratorKind, StripCountTable, SupportError,
+                   b_from_eps, check_augmentation, check_squared_zero,
+                   deformed_differential, derive_ce, eps_from_b, mc_residual,
+                   verify_mc_aug_identity)
 
 DP = GeneratorKind.DOUBLE_POINT_POS
 MIXED = GeneratorKind.MIXED_CHORD
@@ -161,6 +162,21 @@ def test_bridge_identity_sides_are_independent(monkeypatch):
 def test_non_int_cochain_coefficient_rejected():
     with pytest.raises(TypeError):
         BoundingCochain(2, {"x": Fraction(1, 2)})
+
+
+def test_non_int_disk_count_rejected():
+    with pytest.raises(TypeError):
+        table([dp("y", 2, 1), dp("x", 1, "1/4")], [("y", ("x",), Fraction(1, 3))])
+
+
+def test_non_int_strip_count_rejected():
+    with pytest.raises(TypeError):
+        _strip_table([("cout", "cin", (), (), Fraction(1, 3))])
+
+
+def test_non_int_chord_map_entry_rejected():
+    with pytest.raises(TypeError):
+        ChordMap(2, ["a"], {("a", "a"): Fraction(1, 2)})
 
 
 def test_bridge_identity_with_rejected_entries():

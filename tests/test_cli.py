@@ -129,6 +129,22 @@ def test_tree_and_traj_check(corpus_dir):
     assert code == 0 and "telescoped=True" in out
 
 
+@pytest.mark.parametrize("command,name,block", [
+    ("tree-check", "tree_single.txt",
+     '  "ledger": {\n    "m": 1,\n    "k": 2,\n    "lhs": 0,\n    "rhs": 0,\n'
+     '    "telescoped": true\n  },\n'),
+    ("traj-check", "traj_pair.txt",
+     '  "ledger": {\n    "M": 2,\n    "K": 2,\n    "m0": 0,\n    "m1": 0,\n'
+     '    "k": 0,\n    "l": 0,\n    "lhs": 2,\n    "rhs": 2,\n'
+     '    "telescoped": true\n  },\n'),
+])
+def test_check_json_ledger_block(corpus_dir, command, name, block):
+    code, out = run_cli([command, str(corpus_dir / name), "--json", "-"])
+    assert code == 0
+    start = out.index('  "ledger"')
+    assert out[start:out.index('  "hypotheses_ok"')] == block
+
+
 def test_search_cli_refusal():
     code, out = run_cli(["search", "--mode", "trees", "--max-disks", "4",
                          "--max-configs", "10"])

@@ -12,6 +12,7 @@ from cedga import (BoundsTooLargeError, BrokenTrajectoryConfig, ConfigError,
                    PearlyTreeConfig, StripComponent, TrajectorySearchBounds,
                    TreeSearchBounds, exhaustive_search, trajectory_ledger,
                    trajectory_verdict, tree_ledger, tree_verdict)
+import cedga.pearly as pearly
 from cedga.pearly import (_estimate_trajectories, _estimate_trees,
                           _materialize_trajectory, _materialize_tree,
                           _traj_structures, _tree_structures)
@@ -466,6 +467,46 @@ def test_trajectory_search_matches_oracle_random(strips, marked, total, attached
         max_strips=strips, max_marked_per_strip=marked, max_total_marked=total,
         max_attached_disks=attached, max_inputs_per_disk=inputs,
         degree_range=degree_range, materialize_stride=stride))
+
+
+@pytest.mark.parametrize("make", [
+    lambda stride: TreeSearchBounds(max_disks=2, max_inputs_per_disk=2,
+                                    degree_range=(-1, 1), materialize_stride=stride),
+    lambda stride: TreeSearchBounds(max_disks=3, max_inputs_per_disk=2,
+                                    degree_range=(-2, 2), materialize_stride=stride),
+    lambda stride: TreeSearchBounds(max_disks=3, max_inputs_per_disk=1,
+                                    degree_range=(1, 4), materialize_stride=stride),
+    lambda stride: TrajectorySearchBounds(
+        max_strips=2, max_marked_per_strip=1, max_total_marked=2,
+        max_attached_disks=1, max_inputs_per_disk=2, degree_range=(-1, 3),
+        materialize_stride=stride),
+    lambda stride: TrajectorySearchBounds(
+        max_strips=2, max_marked_per_strip=2, max_total_marked=3,
+        max_attached_disks=1, max_inputs_per_disk=1, degree_range=(-2, 2),
+        materialize_stride=stride),
+    lambda stride: TrajectorySearchBounds(
+        max_strips=3, max_marked_per_strip=1, max_total_marked=2,
+        max_attached_disks=2, max_inputs_per_disk=1, degree_range=(0, 1),
+        materialize_stride=stride),
+])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_materialized_sample_matches_oracle(monkeypatch, make, stride):
+    # record every materializer call, in the search and in the oracle above
+    # (which holds its own references to the materializers)
+    calls = []
+    for name in ("_materialize_tree", "_materialize_trajectory"):
+        def wrapper(*args, real=getattr(pearly, name)):
+            calls.append(tuple(tuple(a) if isinstance(a, list) else a for a in args))
+            return real(*args)
+        monkeypatch.setattr(pearly, name, wrapper)
+        monkeypatch.setitem(globals(), name, wrapper)
+    bounds = make(stride)
+    exhaustive_search(bounds)
+    searched = list(calls)
+    calls.clear()
+    (brute_force_trees if isinstance(bounds, TreeSearchBounds)
+     else brute_force_trajectories)(bounds)
+    assert searched and searched == calls
 
 
 @pytest.mark.parametrize("make", [
