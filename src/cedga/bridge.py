@@ -33,7 +33,9 @@ def _entry_text(output: str, inputs: tuple[str, ...]) -> str:
 
 
 class DiskCountTable:
-    """Rigid-disk counts: (output double point, ordered input word) -> count.
+    """Rigid-disk counts, stored by output: ``counts[output][word]`` is the
+    nonzero count of disks with that output double point and ordered input
+    word; outputs without a count are absent.
 
     Every named generator must be a declared positive-action double point.
     Entries violating the degree identity deg(out) - sum deg(in) = 2 - #in
@@ -43,7 +45,7 @@ class DiskCountTable:
     __slots__ = ("p", "double_points", "counts", "rejected")
 
     def __init__(self, p: int, double_points: dict[str, Generator],
-                 counts: dict[tuple[str, tuple[str, ...]], int],
+                 counts: dict[str, dict[tuple[str, ...], int]],
                  rejected: tuple[RejectedEntry, ...] = ()):
         self.p = p
         self.double_points = double_points
@@ -61,7 +63,7 @@ class DiskCountTable:
             if gen.name in points:
                 raise ValueError(f"duplicate double point {gen.name!r}")
             points[gen.name] = gen
-        counts: dict[tuple[str, tuple[str, ...]], int] = {}
+        counts: dict[str, dict[tuple[str, ...], int]] = {}
         rejected: list[RejectedEntry] = []
         for output, inputs, coeff in entries:
             word = tuple(inputs)
@@ -87,21 +89,24 @@ class DiskCountTable:
                     _entry_text(output, word),
                     f"action {out.action} not above input total {in_action}"))
                 continue
-            key = (output, word)
-            counts[key] = (counts.get(key, 0) + coeff) % p
-            if not counts[key]:
-                del counts[key]
+            words = counts.setdefault(output, {})
+            words[word] = (words.get(word, 0) + coeff) % p
+            if not words[word]:
+                del words[word]
+                if not words:
+                    del counts[output]
         return cls(p, points, counts, tuple(rejected))
 
     def degree_one_names(self) -> list[str]:
         return sorted(n for n, g in self.double_points.items() if g.degree == 1)
 
     def outputs(self) -> list[str]:
-        return sorted({out for out, _ in self.counts})
+        return sorted(self.counts)
 
     def __repr__(self) -> str:
         return (f"DiskCountTable(p={self.p}, points={len(self.double_points)}, "
-                f"entries={len(self.counts)}, rejected={len(self.rejected)})")
+                f"entries={sum(map(len, self.counts.values()))}, "
+                f"rejected={len(self.rejected)})")
 
 
 class BoundingCochain:
@@ -154,12 +159,7 @@ def derive_ce(table: DiskCountTable) -> Dga:
     the stored counts with inputs kept in written order."""
     gens = [Generator(name, 1 - g.degree, g.action, GeneratorKind.REEB_CHORD)
             for name, g in table.double_points.items()]
-    diff: dict[str, NcPoly] = {}
-    pending: dict[str, list[tuple[int, tuple[str, ...]]]] = {}
-    for (output, word), coeff in table.counts.items():
-        pending.setdefault(output, []).append((coeff, word))
-    for output, pairs in pending.items():
-        diff[output] = NcPoly.from_pairs(table.p, pairs)
+    diff = {output: NcPoly(table.p, words) for output, words in table.counts.items()}
     return Dga(table.p, gens, diff, d_degree=1)
 
 
@@ -173,9 +173,7 @@ def _weighted_series(table: DiskCountTable, weights: Mapping[str, int],
     the kernel-evaluated derived differential along independent code paths."""
     total = 0
     p = table.p
-    for (out, word), coeff in table.counts.items():
-        if out != output:
-            continue
+    for word, coeff in table.counts.get(output, {}).items():
         prod = coeff
         for name in word:
             v = weights.get(name, 0)

@@ -13,8 +13,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from .augment import Augmentation, EnumerationBoundError, check_augmentation, \
-    enumerate_augmentations
+from .augment import Augmentation, EnumerationBoundError, enumerate_augmentations
 from .bridge import BoundingCochain, SupportError, check_squared_zero, \
     deformed_differential, derive_ce, mc_residual, verify_mc_aug_identity
 from .dga import ValidationReport
@@ -25,7 +24,7 @@ from .pearly import (BoundsTooLargeError, ConfigError, TrajectorySearchBounds,
 from .report import input_digest, make_report, report_json
 from .surgery import (PreconditionError, QuotientError, SurgeryAlgebra,
                       construct_surgery_augmentation, quotient_order_reversing,
-                      validate_surgery_shape, verify_certificate)
+                      verify_certificate)
 from .textio import (DgaDocument, DocumentError, ParseIssue, parse_dga,
                      parse_disk_counts, parse_strip_counts, parse_traj_config,
                      parse_tree_config, parse_values, serialize_dga)
@@ -90,6 +89,13 @@ def _violation_lines(runner: _Runner, report: ValidationReport) -> None:
         runner.say(f"  {violation}")
 
 
+def _violations_found(runner: _Runner, headline: str, report: ValidationReport) -> int:
+    """Print the headline and the violations; report them with exit 1."""
+    runner.say(headline)
+    _violation_lines(runner, report)
+    return runner.finish("violations", {"violations": report.as_dicts()}, VIOLATIONS)
+
+
 # -- subcommands ----------------------------------------------------------
 
 
@@ -101,9 +107,7 @@ def _cmd_validate(args, runner: _Runner) -> int:
     if report.ok:
         runner.say("valid: d^2 = 0, grading and action filtration hold")
         return runner.finish("ok", {"violations": []}, OK)
-    runner.say(f"{len(report)} violation(s):")
-    _violation_lines(runner, report)
-    return runner.finish("violations", {"violations": report.as_dicts()}, VIOLATIONS)
+    return _violations_found(runner, f"{len(report)} violation(s):", report)
 
 
 def _cmd_augment(args, runner: _Runner) -> int:
@@ -216,35 +220,20 @@ def _cmd_surgery(args, runner: _Runner) -> int:
         try:
             dga = quotient_order_reversing(dga, doc.marked)
         except QuotientError as exc:
-            runner.say("order-reversing marking is not differential-closed:")
-            _violation_lines(runner, exc.report)
-            return runner.finish("violations",
-                                 {"violations": exc.report.as_dicts()}, VIOLATIONS)
+            return _violations_found(
+                runner, "order-reversing marking is not differential-closed:", exc.report)
         runner.say(f"quotiented {len(doc.marked)} order-reversing chord(s)")
     k = sum(1 for role in doc.roles.values() if role.type == "a")
     try:
         algebra = SurgeryAlgebra(dga, k, doc.roles)
     except (ValueError, KeyError) as exc:
         return runner.input_error(str(exc))
-    shape = validate_surgery_shape(algebra)
-    shape.extend(dga.validate_d_squared())
-    if not shape.ok:
-        runner.say(f"{len(shape)} structural violation(s):")
-        _violation_lines(runner, shape)
-        return runner.finish("violations",
-                             {"violations": shape.as_dicts()}, VIOLATIONS)
     eb = Augmentation(dga.p, base_values)
-    base_check = check_augmentation(algebra.base_ce(), eb)
-    if not base_check.ok:
-        runner.say("base augmentation is invalid:")
-        _violation_lines(runner, base_check)
-        return runner.finish("violations",
-                             {"violations": base_check.as_dicts()}, VIOLATIONS)
     try:
         certificate = construct_surgery_augmentation(algebra, eb,
                                                      order_reversing=doc.marked)
     except PreconditionError as exc:
-        return runner.input_error(str(exc))
+        return _violations_found(runner, exc.headline, exc.report)
     recheck = verify_certificate(algebra, certificate, eb)
     values = {n: certificate.augmentation.value(n) for n in dga.names()}
     runner.say(f"extended augmentation over k={k} cocores:")
@@ -273,10 +262,8 @@ def _cmd_quotient(args, runner: _Runner) -> int:
     try:
         quotient = quotient_order_reversing(doc.dga, doc.marked)
     except QuotientError as exc:
-        runner.say("marking does not generate a differential-closed ideal:")
-        _violation_lines(runner, exc.report)
-        return runner.finish("violations",
-                             {"violations": exc.report.as_dicts()}, VIOLATIONS)
+        return _violations_found(
+            runner, "marking does not generate a differential-closed ideal:", exc.report)
     text = serialize_dga(DgaDocument(quotient, (), dict(doc.roles)))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -25,7 +26,13 @@ from .poly import NcPoly, evaluate_terms, format_poly
 
 class PreconditionError(ValueError):
     """A construction precondition (validated shapes, d^2 = 0, base
-    augmentation) does not hold."""
+    augmentation) does not hold.  ``headline`` names the failed check and
+    ``report`` is a copy of its violations."""
+
+    def __init__(self, headline: str, report: ValidationReport):
+        super().__init__(f"{headline}\n{report.summary()}")
+        self.headline = headline
+        self.report = ValidationReport(report.violations)
 
 
 class QuotientError(ValueError):
@@ -141,8 +148,16 @@ class SurgeryAlgebra:
         """The base chord algebra as a standalone Dga."""
         gens = [self.dga.generators[n] for n in self.base_names]
         diffs = {n: poly for n, poly in self.dga.nonzero_differentials().items()
-                 if n in set(self.base_names)}
+                 if n not in self.roles}
         return Dga(self.dga.p, gens, diffs, self.dga.d_degree)
+
+    @cached_property
+    def precondition_report(self) -> ValidationReport:
+        """Shape then d^2 violations, computed once (the algebra is
+        immutable); read-only, since every later call shares it."""
+        report = validate_surgery_shape(self)
+        report.extend(self.dga.validate_d_squared())
+        return report
 
     def __repr__(self) -> str:
         return (f"SurgeryAlgebra(k={self.k}, base={len(self.base_names)}, "
@@ -328,11 +343,10 @@ def validate_surgery_shape(S: SurgeryAlgebra) -> ValidationReport:
                 seen[action] = name
 
     # base closure and filtration
-    base_set = set(S.base_names)
     for name, poly in sorted(dga.nonzero_differentials().items()):
-        if name in base_set:
+        if name not in S.roles:
             for letter in sorted(poly.letters()):
-                if letter not in base_set:
+                if letter in S.roles:
                     report.add("surgery.filtration", name,
                                f"base differential uses cocore chord {letter}")
         else:
@@ -427,17 +441,15 @@ def construct_surgery_augmentation(S: SurgeryAlgebra, eb: Augmentation,
        value(c) = -eval(alpha) - sum eval(w_target) * value(target)
     read off the hook differential.  The result is re-verified generator by
     generator rather than trusted.
+    Shape and d^2 are checked once per algebra (``S.precondition_report``),
+    the base augmentation on every call; a failure raises PreconditionError.
     """
-    shape = validate_surgery_shape(S)
-    if not shape.ok:
-        raise PreconditionError("surgery shapes invalid:\n" + shape.summary())
-    d2 = S.dga.validate_d_squared()
-    if not d2.ok:
-        raise PreconditionError("differential does not square to zero:\n" + d2.summary())
-    base = S.base_ce()
-    base_check = check_augmentation(base, eb)
+    structural = S.precondition_report
+    if not structural.ok:
+        raise PreconditionError(f"{len(structural)} structural violation(s):", structural)
+    base_check = check_augmentation(S.base_ce(), eb)
     if not base_check.ok:
-        raise PreconditionError("base augmentation invalid:\n" + base_check.summary())
+        raise PreconditionError("base augmentation is invalid:", base_check)
 
     p = S.dga.p
     values: dict[str, int] = dict(eb.values)
@@ -685,10 +697,7 @@ def random_surgery_instance(k: int, max_chords_per_pair: int = 2, seed: int = 0,
     for attempt in range(max_attempts):
         candidate = _generate_candidate(k, max_chords_per_pair,
                                         f"{seed}:{attempt}", p)
-        if (validate_surgery_shape(candidate).ok
-                and candidate.dga.validate_d_squared().ok
-                and candidate.dga.validate_grading().ok
-                and candidate.dga.validate_action().ok):
+        if candidate.precondition_report.ok and candidate.dga.validate_grading().ok:
             return candidate
     raise GenerationBudgetError(
         f"no valid instance for k={k}, seed={seed} in {max_attempts} attempts")

@@ -343,9 +343,10 @@ def parse_disk_counts(text: str, field_override: int | None = None) -> DiskCount
 def serialize_disk_counts(table: DiskCountTable) -> str:
     lines = [f"field {table.p}"]
     lines.extend(_gen_line(gen) for gen in table.double_points.values())
-    for (out, inputs), coeff in sorted(table.counts.items()):
-        middle = (" " + " ".join(inputs)) if inputs else ""
-        lines.append(f"count {out}{middle} = {coeff}")
+    for out, words in sorted(table.counts.items()):
+        for inputs, coeff in sorted(words.items()):
+            middle = (" " + " ".join(inputs)) if inputs else ""
+            lines.append(f"count {out}{middle} = {coeff}")
     return "\n".join(lines) + "\n"
 
 

@@ -32,10 +32,18 @@ def test_build_filters():
                        ("y", ("x", "x", "x"), 1),  # degree: 2-3 != 2-3? equal; energy 3/4 ok -> kept
                        ("z", ("x", "x"), 1),   # energy 1/8 <= 1/2 -> rejected
                        ("y", ("y",), 1)])      # degree 2-2=0 != 2-1 -> rejected
-    assert set(t.counts) == {("y", ("x",)), ("y", ("x", "x", "x"))}
+    assert t.counts == {"y": {("x",): 1, ("x", "x", "x"): 1}}
     reasons = [r.reason for r in t.rejected]
     assert any("action" in r for r in reasons)
     assert any("degree" in r for r in reasons)
+
+
+def test_build_drops_cancelled_outputs():
+    points = [dp("y", 2, 2), dp("z", 2, 3), dp("x", 1, "1/4")]
+    t = table(points, [("y", ("x",), 1), ("z", ("x",), 1), ("y", ("x",), 1)])
+    assert t.counts == {"z": {("x",): 1}}
+    assert t.outputs() == ["z"]
+    assert derive_ce(t).differential_of("y").is_zero
 
 
 def test_build_rejects_undeclared_and_bad_points():

@@ -5,9 +5,11 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cedga.cli import main, run_corpus
-from cedga.corpus import CASES, corpus_text
+from cedga.corpus import CASES, FILES, corpus_text
 
 
 @pytest.fixture()
@@ -114,6 +116,42 @@ def test_surgery_pipeline_with_marks(corpus_dir, tmp_path):
     assert "certificate verified" in out
 
 
+def _surgery_violation_output(headline, sha, kind, subject, detail):
+    return (f"{headline}\n  [{kind}] {subject}: {detail}\n"
+            '{\n  "tool": "cedga",\n  "version": "0.1.0",\n  "command": "surgery",\n'
+            f'  "input_sha256": "{sha}",\n  "status": "violations",\n'
+            '  "violations": [\n    {\n'
+            f'      "kind": "{kind}",\n      "subject": "{subject}",\n'
+            f'      "detail": "{detail}"\n    }}\n  ]\n}}\n')
+
+
+@pytest.mark.parametrize("name,extra,expected", [
+    ("fault_surgery_shape.txt", "", _surgery_violation_output(
+        "1 structural violation(s):",
+        "5b37c10acd4120ada86cd5b173b63c83bbd7f2758fb0c23b153a3b32bc4252eb",
+        "surgery.shape", "b1_12", "missing distinguished monomial a2 c1_12")),
+    ("surgery_k2.txt",
+     "gen u -1 1/60 reeb\ngen v -2 1/30 reeb\nd u = 1\nd v = u\n",
+     _surgery_violation_output(
+         "1 structural violation(s):",
+         "14680a350679e91e23c37ea496ca2c75faba5c2e23351bec011f717fdb896604",
+         "d_squared", "v", "d(d(v)) = 1")),
+    ("surgery_k2.txt", "gen y -1 1/3 reeb\nd y = x1\n", _surgery_violation_output(
+        "base augmentation is invalid:",
+        "877f079d310f5617debd9fa9f4e3ef4535fa52b3d6f6cb61569771e24f89fb13",
+        "augmentation.residual", "y", "e(d(y)) = 1 with d(y) = x1")),
+])
+def test_surgery_failure_output_pinned(corpus_dir, tmp_path, name, extra, expected):
+    # shape fault, d^2 fault and invalid base augmentation: exact text and
+    # --json - bytes, exit 1
+    f = tmp_path / "surgery.txt"
+    f.write_text(corpus_text(name) + extra, encoding="utf-8")
+    code, out = run_cli(["surgery", str(f), "--base-aug",
+                         str(corpus_dir / "cochain_x1.txt"), "--json", "-"])
+    assert code == 1
+    assert out == expected
+
+
 def test_quotient_output_file(corpus_dir, tmp_path):
     target = tmp_path / "quotient.txt"
     code, _ = run_cli(["quotient", str(corpus_dir / "quotient_demo.txt"),
@@ -199,3 +237,52 @@ def test_corpus_command():
     code, out = run_cli(["corpus"])
     assert code == 0
     assert out.count("PASS") >= len(CASES)
+
+
+_FILE_CASES = [argv for _, argv, _, _ in CASES if any(arg in FILES for arg in argv)]
+_VOCAB = ["field", "ddeg", "gen", "d", "count", "strip", "disk", "set", "mark",
+          "surgery", "=", "+", "bottom:", "top:", "0", "1", "-1", "2", "4", "97",
+          "1/0", "1/3", "-1/2", "x1", "y", "a1", "b1_12", "c1_12", "reeb", "dp+",
+          "mixed", "a", "b", "c"]
+
+
+@st.composite
+def _corpus_mutants(draw):
+    """A corpus case with one of its files mutated: lines deleted or
+    duplicated, tokens swapped for ones from a small vocabulary."""
+    argv = draw(st.sampled_from(_FILE_CASES))
+    target = draw(st.sampled_from([arg for arg in argv if arg in FILES]))
+    lines = corpus_text(target).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("delete", "duplicate", "swap")))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_VOCAB))
+            lines[i] = " ".join(tokens)
+    return argv, target, "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corpus")
+    for name in FILES:
+        (root / name).write_text(corpus_text(name), encoding="utf-8")
+    return root
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutant=_corpus_mutants())
+def test_mutated_corpus_keeps_exit_contract(fuzz_dir, mutant):
+    argv, target, text = mutant
+    (fuzz_dir / "mutant.txt").write_text(text, encoding="utf-8")
+    resolved = [str(fuzz_dir / ("mutant.txt" if arg == target else arg))
+                if arg in FILES else arg for arg in argv]
+    code, _ = run_cli(resolved)
+    assert code in (0, 1, 2)

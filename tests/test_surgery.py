@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import cedga.surgery
 from cedga import (Augmentation, ChordRole, Dga, NcPoly,
                    PreconditionError, QuotientError, SurgeryAlgebra,
                    check_augmentation, construct_surgery_augmentation,
@@ -177,6 +178,45 @@ def test_extension_rejects_bad_preconditions():
     bad_eb = Augmentation(2, {"b1": 1})  # supported outside the base algebra
     with pytest.raises(PreconditionError):
         construct_surgery_augmentation(S, bad_eb)
+
+
+def test_extension_validates_each_algebra_once(monkeypatch):
+    calls = {"shape": 0, "d_squared": 0}
+    shape, d_squared = cedga.surgery.validate_surgery_shape, Dga.validate_d_squared
+
+    def counted_shape(S):
+        calls["shape"] += 1
+        return shape(S)
+
+    def counted_d_squared(self):
+        calls["d_squared"] += 1
+        return d_squared(self)
+
+    monkeypatch.setattr(cedga.surgery, "validate_surgery_shape", counted_shape)
+    monkeypatch.setattr(Dga, "validate_d_squared", counted_d_squared)
+    S = _hand_k2()
+    for value in (0, 1, 1):
+        assert construct_surgery_augmentation(S, Augmentation(2, {"x1": value})).ok
+    assert calls == {"shape": 1, "d_squared": 1}
+
+
+def test_precondition_error_carries_report():
+    S = _hand_k2()
+    diffs = dict(S.dga.nonzero_differentials())
+    diffs["b1"] = NcPoly.from_pairs(2, [(1, ("x1", "a1"))])
+    bad_shape = SurgeryAlgebra(Dga(2, S.dga.generators.values(), diffs), 2, S.roles)
+    with pytest.raises(PreconditionError) as exc:
+        construct_surgery_augmentation(bad_shape, Augmentation(2))
+    assert exc.value.headline == "1 structural violation(s):"
+    assert [(v.kind, v.subject) for v in exc.value.report] == [("surgery.shape", "b1")]
+    exc.value.report.add("extra", "b1", "a caller's mutation")
+    assert len(bad_shape.precondition_report) == 1  # the report is a copy
+
+    with pytest.raises(PreconditionError) as exc:
+        construct_surgery_augmentation(S, Augmentation(2, {"b1": 1}))
+    assert exc.value.headline == "base augmentation is invalid:"
+    assert [(v.kind, v.subject) for v in exc.value.report] == [
+        ("augmentation.support", "b1")]
 
 
 def test_extension_flags_degree_conflict():
