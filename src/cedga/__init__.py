@@ -12,7 +12,7 @@ from .poly import NcPoly, format_poly
 from .dga import (Dga, Generator, GeneratorKind, UndeclaredGeneratorError,
                   ValidationReport, Violation)
 from .augment import (Augmentation, EnumerationBoundError, check_augmentation,
-                      enumerate_augmentations, evaluate)
+                      enumerate_augmentations)
 from .bridge import (BoundingCochain, ChordMap, DiskCountTable, RejectedEntry,
                      StripCountTable, SupportError, b_from_eps, check_squared_zero,
                      deformed_differential, derive_ce, eps_from_b, mc_residual,
@@ -44,7 +44,7 @@ __all__ = [
     "b_from_eps", "check_augmentation", "check_characteristic",
     "check_squared_zero", "construct_surgery_augmentation",
     "deformed_differential", "derive_ce", "enumerate_augmentations",
-    "eps_from_b", "evaluate", "exhaustive_search", "format_poly",
+    "eps_from_b", "exhaustive_search", "format_poly",
     "mc_residual", "quotient_order_reversing", "random_surgery_instance",
     "trajectory_ledger", "trajectory_verdict", "tree_ledger", "tree_verdict",
     "validate_surgery_shape", "verify_certificate", "verify_mc_aug_identity",

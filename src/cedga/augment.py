@@ -63,10 +63,6 @@ class Augmentation:
         return f"Augmentation(p={self.p}, {{{inside}}})"
 
 
-def evaluate(e: Augmentation, q: NcPoly) -> int:
-    return e.evaluate(q)
-
-
 def check_augmentation(dga: Dga, e: Augmentation) -> ValidationReport:
     """List every generator g with e(d(g)) != 0; support violations (nonzero
     value on a generator of nonzero degree, or on an undeclared name) are

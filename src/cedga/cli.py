@@ -122,15 +122,13 @@ def _cmd_augment(args, runner: _Runner) -> int:
     except EnumerationBoundError as exc:
         return runner.input_error(str(exc))
     runner.say(f"{len(found)} augmentation(s) over F_{doc.dga.p}")
-    listing = []
-    for aug in found:
-        values = {name: aug.value(name) for name in sorted(doc.dga.degree_zero_names())}
-        listing.append(values)
-        if args.list:
-            inside = ", ".join(f"{n}={v}" for n, v in values.items()) or "(trivial)"
-            runner.say(f"  {inside}")
     payload = {"field": doc.dga.p, "count": len(found)}
     if args.list:
+        names = sorted(doc.dga.degree_zero_names())
+        listing = [{name: aug.value(name) for name in names} for aug in found]
+        for values in listing:
+            inside = ", ".join(f"{n}={v}" for n, v in values.items()) or "(trivial)"
+            runner.say(f"  {inside}")
         payload["augmentations"] = listing
     return runner.finish("ok", payload, OK)
 

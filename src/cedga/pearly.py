@@ -111,7 +111,6 @@ class PearlyTreeConfig:
         if len(seen) != m:
             raise ConfigError("tree incidence is not connected")
         object.__setattr__(self, "_root", roots[0])
-        object.__setattr__(self, "_children", children)
 
     @property
     def disk_count(self) -> int:
@@ -185,9 +184,10 @@ def tree_verdict(tree: PearlyTreeConfig, require_global_constraint: bool = True
 
     Hypotheses: positive-action double-point external inputs, every disk
     rigid and nonconstant with strictly positive energy, at least one disk.
-    Conclusions are derived: positivity propagates leaf-to-root through the
-    strict energy inequalities, and under the global degree constraint
-    (lhs = 2 - k) the ledger forces a single disk component.
+    Conclusions are derived: ``positivity_propagates`` checks that every
+    disk's output and inputs have positive action (as the strict energy
+    inequalities force from positive external inputs), and under the global
+    degree constraint (lhs = 2 - k) the ledger forces a single disk component.
     """
     violations: list[str] = []
     for gen in tree.external_inputs():
@@ -205,19 +205,9 @@ def tree_verdict(tree: PearlyTreeConfig, require_global_constraint: bool = True
         return TreeVerdict(False, tuple(violations),
                            global_constraint_applied=require_global_constraint)
 
-    # leaf-to-root sweep: every disk whose inputs are all positive has
-    # positive output by the strict energy inequality
-    order: list[int] = []
-    stack = [tree._root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(tree._children.get(node, ()))
-    positive = True
-    for node in reversed(order):
-        disk = tree.disks[node]
-        if any(g.action <= 0 for g in disk.inputs) or disk.output.action <= 0:
-            positive = False
+    # positivity: every disk's output and inputs have positive action
+    positive = all(g.action > 0 for disk in tree.disks
+                   for g in (disk.output, *disk.inputs))
     ledger = tree_ledger(tree)
     satisfied = None
     forced = None

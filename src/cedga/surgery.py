@@ -159,6 +159,13 @@ class SurgeryAlgebra:
         report.extend(self.dga.validate_d_squared())
         return report
 
+    @cached_property
+    def _hook_splits(self) -> dict[str, tuple]:
+        """Every hook chord's ``_split_hook_differential``, split once; read
+        only once the hook/transit pairing is known to be complete."""
+        return {name: _split_hook_differential(self, name)
+                for name in self._b_names.values()}
+
     def __repr__(self) -> str:
         return (f"SurgeryAlgebra(k={self.k}, base={len(self.base_names)}, "
                 f"b={len(self._b_names)}, c={len(self._c_names)})")
@@ -216,14 +223,13 @@ def _is_deeper_word(S: SurgeryAlgebra, word, i: int) -> bool:
     return all(S.level(name) >= i + 1 for name in word)
 
 
-def _split_hook_differential(S: SurgeryAlgebra, bname: str,
-                             report: ValidationReport | None):
+def _split_hook_differential(S: SurgeryAlgebra, bname: str):
     """Decompose d(hook chord) by last letter into the four shape groups.
 
-    Returns (alpha, w) where alpha is the base-coefficient of the connector
-    summand and w maps a (target, multiplicity) pair to the coefficient of
-    the corresponding transit chord.  Shape violations are appended to the
-    report when one is given.
+    Returns (alpha, w, issues) where alpha is the base-coefficient of the
+    connector summand, w maps a (target, multiplicity) pair to the
+    coefficient of the corresponding transit chord, and issues lists the
+    shape violations found.  Needs a complete hook/transit pairing.
     """
     p = S.dga.p
     role = S.roles[bname]
@@ -231,10 +237,8 @@ def _split_hook_differential(S: SurgeryAlgebra, bname: str,
     alpha_terms: dict = {}
     w_terms: dict[tuple[int, int], dict] = {}
     unit_coeff = None
-
-    def flag(detail: str) -> None:
-        if report is not None:
-            report.add("surgery.shape", bname, detail)
+    issues: list[str] = []
+    flag = issues.append
 
     for word, coeff in S.dga.differential_of(bname).terms.items():
         if not word:
@@ -285,7 +289,7 @@ def _split_hook_differential(S: SurgeryAlgebra, bname: str,
         flag(f"distinguished monomial has coefficient {unit_coeff}, expected 1")
     alpha = NcPoly(p, alpha_terms)
     w = {hl: NcPoly(p, terms) for hl, terms in w_terms.items() if terms}
-    return alpha, w
+    return alpha, w, tuple(issues)
 
 
 def validate_surgery_shape(S: SurgeryAlgebra) -> ValidationReport:
@@ -359,7 +363,9 @@ def validate_surgery_shape(S: SurgeryAlgebra) -> ValidationReport:
     # differential shapes
     if not (b_keys - c_keys) and not (c_keys - b_keys):
         for key in sorted(b_keys):
-            _split_hook_differential(S, S._b_names[key], report)
+            name = S._b_names[key]
+            for detail in S._hook_splits[name][2]:
+                report.add("surgery.shape", name, detail)
         for key in sorted(c_keys):
             name = S._c_names[key]
             i, jm = key[0], (key[1], key[2])
@@ -441,8 +447,8 @@ def construct_surgery_augmentation(S: SurgeryAlgebra, eb: Augmentation,
        value(c) = -eval(alpha) - sum eval(w_target) * value(target)
     read off the hook differential.  The result is re-verified generator by
     generator rather than trusted.
-    Shape and d^2 are checked once per algebra (``S.precondition_report``),
-    the base augmentation on every call; a failure raises PreconditionError.
+    Shape, d^2 and the hook splits are derived once per algebra, the base
+    augmentation on every call; a failed check raises PreconditionError.
     """
     structural = S.precondition_report
     if not structural.ok:
@@ -458,7 +464,7 @@ def construct_surgery_augmentation(S: SurgeryAlgebra, eb: Augmentation,
         values[S.a_name(i)] = 1
     for i in range(S.k - 1, 0, -1):
         for (j, m) in S.pairs_for_source(i):
-            alpha, w = _split_hook_differential(S, S.b_name(i, j, m), None)
+            alpha, w, _ = S._hook_splits[S.b_name(i, j, m)]
             total = -evaluate_terms(alpha.terms.items(), values, p)
             for (h, l), wpoly in sorted(w.items()):
                 cv = values.get(S.c_name(i, h, l), 0)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import cedga.augment
+import cedga.bridge
 from cedga import (Augmentation, BoundingCochain, ChordMap, DiskCountTable,
                    Generator, GeneratorKind, StripCountTable, SupportError,
                    b_from_eps, check_augmentation, check_squared_zero,
@@ -165,6 +166,44 @@ def test_bridge_identity_sides_are_independent(monkeypatch):
     assert cedga.augment.evaluate_terms is off_by_one
     assert not verify_mc_aug_identity(t, b)
     assert mc_residual(t, b) == residual
+
+
+def test_identity_builds_no_chord_algebra(monkeypatch):
+    t = table([dp("y", 2, 2), dp("x", 1, "1/4"), dp("w", 1, "1/3"),
+               dp("z", 2, 3)],
+              [("y", ("x",), 1), ("y", ("x", "w", "x"), 1), ("z", ("w",), 1)])
+    built = {"Generator": 0, "Dga": 0}
+
+    def counting(name):
+        real = getattr(cedga.bridge, name)
+
+        def construct(*args, **kwargs):
+            built[name] += 1
+            return real(*args, **kwargs)
+        return construct
+
+    for name in built:
+        monkeypatch.setattr(cedga.bridge, name, counting(name))
+    names = t.degree_one_names()
+    for values in itertools.product(range(t.p), repeat=len(names)):
+        assert verify_mc_aug_identity(t, BoundingCochain(t.p, dict(zip(names, values))))
+    assert built == {"Generator": 0, "Dga": 0}
+    derive_ce(t)
+    assert built == {"Generator": len(t.double_points), "Dga": 1}
+
+
+def test_identity_differential_matches_derive_ce():
+    rng = random.Random(11)
+    checked = 0
+    for p in (2, 3, 5):
+        for _ in range(60):
+            t = _random_table(rng, p=p)
+            ce = derive_ce(t)
+            for output in t.outputs():
+                assert (cedga.bridge._derived_differential(t, output)
+                        == ce.differential_of(output))
+                checked += 1
+    assert checked
 
 
 def test_non_int_cochain_coefficient_rejected():

@@ -1,7 +1,9 @@
 """The runtime is pure standard library: every absolute import in the
-package names a standard-library module or cedga itself."""
+package names a standard-library module or cedga itself.  Every exported
+name resolves."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -24,3 +26,11 @@ def test_package_imports_only_stdlib():
                for path in sources for lineno, name in _absolute_imports(path)
                if name.split(".")[0] not in sys.stdlib_module_names | {"cedga"}]
     assert foreign == []
+
+
+def test_package_exports_resolve():
+    cedga = importlib.import_module("cedga")
+    assert cedga.__all__
+    missing = [name for name in cedga.__all__ if not hasattr(cedga, name)]
+    assert missing == []
+    assert len(set(cedga.__all__)) == len(cedga.__all__)

@@ -200,6 +200,26 @@ def test_extension_validates_each_algebra_once(monkeypatch):
     assert calls == {"shape": 1, "d_squared": 1}
 
 
+def test_extension_splits_each_hook_once(monkeypatch):
+    calls = {}
+    split = cedga.surgery._split_hook_differential
+
+    def counted_split(S, name, *rest):
+        calls[name] = calls.get(name, 0) + 1
+        return split(S, name, *rest)
+
+    built = random_surgery_instance(3, 3, seed=5)
+    hooks = sorted(n for n, role in built.roles.items() if role.type == "b")
+    assert hooks
+    monkeypatch.setattr(cedga.surgery, "_split_hook_differential", counted_split)
+    S = SurgeryAlgebra(built.dga, built.k, built.roles)  # nothing cached yet
+    assert validate_surgery_shape(S).ok
+    augs = enumerate_augmentations(S.base_ce())
+    for eb in (augs * 3)[:3]:
+        assert construct_surgery_augmentation(S, eb).ok
+    assert calls == {name: 1 for name in hooks}
+
+
 def test_precondition_error_carries_report():
     S = _hand_k2()
     diffs = dict(S.dga.nonzero_differentials())
