@@ -83,7 +83,7 @@ class DiskCountTable:
                     _entry_text(output, word),
                     f"degree {out.degree} - {in_degree} != 2 - {len(word)}"))
                 continue
-            in_action = sum((points[n].action for n in word), out.action * 0)
+            in_action = sum((points[n].action for n in word), 0)
             if out.action <= in_action:
                 rejected.append(RejectedEntry(
                     _entry_text(output, word),
@@ -144,13 +144,20 @@ class BoundingCochain:
         return f"BoundingCochain(p={self.p}, {{{inside}}})"
 
 
+def _require_degree_one(table: DiskCountTable, support: Iterable[str], message: str) -> None:
+    """Raise SupportError, with ``message`` formatted on the name, at the
+    first name of ``support`` in sorted order that is not a degree-1 double
+    point of ``table``."""
+    for name in sorted(support):
+        g = table.double_points.get(name)
+        if g is None or g.degree != 1:
+            raise SupportError(message.format(name))
+
+
 def _check_cochain_support(table: DiskCountTable, b: BoundingCochain) -> None:
     require_same_field(table.p, b.p)
-    allowed = set(table.degree_one_names())
-    for name in sorted(b.coefficients):
-        if name not in allowed:
-            raise SupportError(
-                f"cochain supported on {name!r}, which is not a degree-1 double point")
+    _require_degree_one(table, b.coefficients,
+                        "cochain supported on {!r}, which is not a degree-1 double point")
 
 
 def _derived_differential(table: DiskCountTable, output: str) -> NcPoly:
@@ -213,12 +220,8 @@ def b_from_eps(table: DiskCountTable, e: Augmentation) -> BoundingCochain:
     underlying double point does not have degree 1 (those chords have nonzero
     degree in the chord algebra)."""
     require_same_field(table.p, e.p)
-    allowed = set(table.degree_one_names())
-    for name in sorted(e.values):
-        if name not in allowed:
-            raise SupportError(
-                f"augmentation value on {name!r}, which is not a degree-0 chord "
-                "of this table")
+    _require_degree_one(table, e.values, "augmentation value on {!r}, which is not a "
+                                         "degree-0 chord of this table")
     return BoundingCochain(table.p, dict(e.values))
 
 

@@ -3,7 +3,12 @@
 Exit codes: 0 when every check passes (a successful computation with an
 empty result still exits 0), 1 when violations or counterexamples were
 found, 2 on input errors (unreadable or non-UTF-8 files, parse or semantic
-errors, invalid flag values, vacuous or refused bounds).
+errors, invalid flag values, vacuous or refused bounds), 3 on an internal
+error (any other exception, reported as one ``internal error:`` line on
+stderr).
+
+Each subcommand imports the modules it calls, so a process loads only what
+its subcommand uses.
 """
 
 from __future__ import annotations
@@ -12,24 +17,15 @@ import argparse
 import os
 import sys
 from dataclasses import asdict
+from typing import TYPE_CHECKING
 
-from .augment import Augmentation, EnumerationBoundError, enumerate_augmentations
-from .bridge import BoundingCochain, SupportError, check_squared_zero, \
-    deformed_differential, derive_ce, mc_residual, verify_mc_aug_identity
-from .dga import ValidationReport
-from .field import check_characteristic
-from .pearly import (BoundsTooLargeError, ConfigError, TrajectorySearchBounds,
-                     TreeSearchBounds, exhaustive_search, trajectory_ledger,
-                     trajectory_verdict, tree_ledger, tree_verdict)
 from .report import input_digest, make_report, report_json
-from .surgery import (PreconditionError, QuotientError, SurgeryAlgebra,
-                      construct_surgery_augmentation, quotient_order_reversing,
-                      verify_certificate)
-from .textio import (DgaDocument, DocumentError, ParseIssue, parse_dga,
-                     parse_disk_counts, parse_strip_counts, parse_traj_config,
-                     parse_tree_config, parse_values, serialize_dga)
+from .textio import DocumentError, ParseIssue
 
-OK, VIOLATIONS, INPUT_ERROR = 0, 1, 2
+if TYPE_CHECKING:
+    from .dga import ValidationReport
+
+OK, VIOLATIONS, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
 
 class _InputProblem(Exception):
@@ -47,6 +43,15 @@ class _Runner:
 
     def say(self, line: str) -> None:
         self.lines.append(line)
+
+    def emit(self, text: str, path: str | None) -> None:
+        """Write a document to ``path``, or show it when no path is given."""
+        if path:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            self.say(f"wrote {path}")
+        else:
+            self.say(text.rstrip("\n"))
 
     def load(self, path: str, parse, *args):
         """Read ``path`` and return ``parse(text, *args)``; a file that cannot
@@ -100,6 +105,7 @@ def _violations_found(runner: _Runner, headline: str, report: ValidationReport) 
 
 
 def _cmd_validate(args, runner: _Runner) -> int:
+    from .textio import parse_dga
     doc = runner.load(args.file, parse_dga)
     report = doc.dga.validate_all()
     runner.say(f"{args.file}: {len(doc.dga.generators)} generators, "
@@ -111,6 +117,9 @@ def _cmd_validate(args, runner: _Runner) -> int:
 
 
 def _cmd_augment(args, runner: _Runner) -> int:
+    from .augment import EnumerationBoundError, enumerate_augmentations
+    from .field import check_characteristic
+    from .textio import parse_dga
     if args.field is not None:
         try:
             check_characteristic(args.field)
@@ -134,15 +143,11 @@ def _cmd_augment(args, runner: _Runner) -> int:
 
 
 def _cmd_ce_lift(args, runner: _Runner) -> int:
+    from .bridge import derive_ce
+    from .textio import parse_disk_counts, serialize_dga
     table = runner.load(args.file, parse_disk_counts)
     dga = derive_ce(table)
-    text = serialize_dga(dga)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        runner.say(f"wrote {args.output}")
-    else:
-        runner.say(text.rstrip("\n"))
+    runner.emit(serialize_dga(dga), args.output)
     for rej in table.rejected:
         runner.say(f"rejected {rej.entry}: {rej.reason}")
     payload = {
@@ -153,6 +158,8 @@ def _cmd_ce_lift(args, runner: _Runner) -> int:
 
 
 def _cmd_mc_check(args, runner: _Runner) -> int:
+    from .bridge import BoundingCochain, SupportError, mc_residual, verify_mc_aug_identity
+    from .textio import parse_disk_counts, parse_values
     table = runner.load(args.file, parse_disk_counts)
     values = runner.load(args.cochain, parse_values, table.p)
     cochain = BoundingCochain(table.p, values)
@@ -182,6 +189,8 @@ def _cmd_mc_check(args, runner: _Runner) -> int:
 
 
 def _cmd_deform(args, runner: _Runner) -> int:
+    from .bridge import BoundingCochain, SupportError, check_squared_zero, deformed_differential
+    from .textio import parse_strip_counts, parse_values
     table = runner.load(args.file, parse_strip_counts)
     v0 = runner.load(args.cochain0, parse_values, table.p)
     v1 = runner.load(args.cochain1, parse_values, table.p)
@@ -211,6 +220,11 @@ def _cmd_deform(args, runner: _Runner) -> int:
 
 
 def _cmd_surgery(args, runner: _Runner) -> int:
+    from .augment import Augmentation
+    from .surgery import (PreconditionError, QuotientError, SurgeryAlgebra,
+                          construct_surgery_augmentation, quotient_order_reversing,
+                          verify_certificate)
+    from .textio import parse_dga, parse_values
     doc = runner.load(args.file, parse_dga)
     base_values = runner.load(args.base_aug, parse_values, doc.dga.p)
     dga = doc.dga
@@ -256,25 +270,23 @@ def _cmd_surgery(args, runner: _Runner) -> int:
 
 
 def _cmd_quotient(args, runner: _Runner) -> int:
+    from .surgery import QuotientError, quotient_order_reversing
+    from .textio import DgaDocument, parse_dga, serialize_dga
     doc = runner.load(args.file, parse_dga)
     try:
         quotient = quotient_order_reversing(doc.dga, doc.marked)
     except QuotientError as exc:
         return _violations_found(
             runner, "marking does not generate a differential-closed ideal:", exc.report)
-    text = serialize_dga(DgaDocument(quotient, (), dict(doc.roles)))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        runner.say(f"wrote {args.output}")
-    else:
-        runner.say(text.rstrip("\n"))
+    runner.emit(serialize_dga(DgaDocument(quotient, (), dict(doc.roles))), args.output)
     payload = {"removed": list(doc.marked),
                "generators": len(quotient.generators)}
     return runner.finish("ok", payload, OK)
 
 
 def _cmd_tree_check(args, runner: _Runner) -> int:
+    from .pearly import ConfigError, tree_ledger, tree_verdict
+    from .textio import parse_tree_config
     tree = runner.load(args.file, parse_tree_config)
     try:
         ledger = tree_ledger(tree)
@@ -312,6 +324,8 @@ def _cmd_tree_check(args, runner: _Runner) -> int:
 
 
 def _cmd_traj_check(args, runner: _Runner) -> int:
+    from .pearly import ConfigError, trajectory_ledger, trajectory_verdict
+    from .textio import parse_traj_config
     traj = runner.load(args.file, parse_traj_config)
     try:
         ledger = trajectory_ledger(traj)
@@ -345,6 +359,8 @@ def _cmd_traj_check(args, runner: _Runner) -> int:
 
 
 def _cmd_search(args, runner: _Runner) -> int:
+    from .pearly import BoundsTooLargeError, TrajectorySearchBounds, TreeSearchBounds, \
+        exhaustive_search
     degree_range = (args.degree_lo, args.degree_hi)
     try:
         if args.mode == "trees":
@@ -386,10 +402,6 @@ def _cmd_search(args, runner: _Runner) -> int:
 def run_corpus() -> list[dict]:
     """Run every corpus case through the CLI, capturing stdout, and compare
     the exit code and a diagnostic fragment against expectations."""
-    # Imported here, not at module level, so that no other subcommand pays
-    # for them: cedga.corpus pulls in importlib.resources, which imports
-    # tempfile; under `python -S -X importtime` that is ~15 ms of every CLI
-    # start on a 2-vCPU machine with Python 3.11.
     import contextlib
     import io
     import tempfile
@@ -520,6 +532,9 @@ def main(argv=None) -> int:
         return args.func(args, runner)
     except _InputProblem as exc:
         return runner.input_error(str(exc))
+    except Exception as exc:  # anything else is a fault of cedga, not of the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

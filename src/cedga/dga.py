@@ -57,6 +57,27 @@ class Generator:
 
 
 @dataclass(frozen=True)
+class ChordRole:
+    """Surgery role of a chord: type 'a' (connector), 'b' (hook) or
+    'c' (transit), with source cocore i and, for b/c, target j and index m."""
+
+    type: str
+    i: int
+    j: int | None = None
+    m: int | None = None
+
+    def __post_init__(self):
+        if self.type not in ("a", "b", "c"):
+            raise ValueError(f"role type must be a, b or c, got {self.type!r}")
+        if self.type == "a":
+            if self.j is not None or self.m is not None:
+                raise ValueError("connector roles take only a source index")
+        else:
+            if self.j is None or self.m is None:
+                raise ValueError(f"{self.type!r} roles need target and multiplicity indices")
+
+
+@dataclass(frozen=True)
 class Violation:
     kind: str
     subject: str

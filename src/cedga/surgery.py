@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .augment import Augmentation, check_augmentation
-from .dga import Dga, Generator, GeneratorKind, ValidationReport
+from .dga import ChordRole, Dga, Generator, GeneratorKind, ValidationReport
 from .poly import NcPoly, evaluate_terms, format_poly
 
 
@@ -45,27 +45,6 @@ class QuotientError(ValueError):
 
 class GenerationBudgetError(RuntimeError):
     """random_surgery_instance exhausted its attempt budget."""
-
-
-@dataclass(frozen=True)
-class ChordRole:
-    """Surgery role of a chord: type 'a' (connector), 'b' (hook) or
-    'c' (transit), with source cocore i and, for b/c, target j and index m."""
-
-    type: str
-    i: int
-    j: int | None = None
-    m: int | None = None
-
-    def __post_init__(self):
-        if self.type not in ("a", "b", "c"):
-            raise ValueError(f"role type must be a, b or c, got {self.type!r}")
-        if self.type == "a":
-            if self.j is not None or self.m is not None:
-                raise ValueError("connector roles take only a source index")
-        else:
-            if self.j is None or self.m is None:
-                raise ValueError(f"{self.type!r} roles need target and multiplicity indices")
 
 
 _ROLE_KINDS = {
@@ -681,8 +660,7 @@ def _generate_candidate(k: int, max_chords_per_pair: int, seed_token: str,
                 built_order.append(key)
                 source_pairs[i].append((j, m))
 
-    eps_a = (min(c_actions.values(), default=Fraction(1)) / 1000
-             if c_actions else Fraction(1, 1000))
+    eps_a = min(c_actions.values(), default=Fraction(1)) / 1000
     for i in range(1, k + 1):
         gens.append(Generator(a_names[i], 0, eps_a, GeneratorKind.SURGERY_A))
     gens.extend(chord_gens)

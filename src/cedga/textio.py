@@ -15,14 +15,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .bridge import DiskCountTable, StripCountTable
-from .dga import Dga, Generator, GeneratorKind
+from .dga import ChordRole, Dga, Generator, GeneratorKind
 from .field import check_characteristic
-from .pearly import (BrokenTrajectoryConfig, ConfigError, DiskComponent,
-                     PearlyTreeConfig, StripComponent)
 from .poly import NcPoly, format_poly
-from .surgery import ChordRole
+
+if TYPE_CHECKING:  # the parsers import these on use, so each format loads only its own
+    from .bridge import DiskCountTable, StripCountTable
+    from .pearly import BrokenTrajectoryConfig, PearlyTreeConfig
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
@@ -318,6 +319,7 @@ def serialize_dga(doc: DgaDocument | Dga) -> str:
 
 
 def parse_disk_counts(text: str, field_override: int | None = None) -> DiskCountTable:
+    from .bridge import DiskCountTable
     reader = _DocReader(allowed_kinds={GeneratorKind.DOUBLE_POINT_POS})
     entries: list[tuple[int, str, tuple[str, ...], int]] = []
     for lineno, args in _lines(text):
@@ -367,6 +369,7 @@ def _split_marked_groups(tokens):
 
 
 def parse_strip_counts(text: str, field_override: int | None = None) -> StripCountTable:
+    from .bridge import StripCountTable
     reader = _DocReader(allowed_kinds={GeneratorKind.MIXED_CHORD,
                                        GeneratorKind.DOUBLE_POINT_POS})
     entries = []
@@ -475,6 +478,7 @@ def serialize_values(p: int, values: dict[str, int]) -> str:
 
 
 def parse_tree_config(text: str) -> PearlyTreeConfig:
+    from .pearly import ConfigError, DiskComponent, PearlyTreeConfig
     reader = _DocReader()
     disk_lines: list[tuple[int, list[str]]] = []
     edge_lines: list[tuple[int, list[str]]] = []
@@ -526,6 +530,8 @@ def serialize_tree_config(tree: PearlyTreeConfig) -> str:
 
 
 def parse_traj_config(text: str) -> BrokenTrajectoryConfig:
+    from .pearly import (BrokenTrajectoryConfig, ConfigError, DiskComponent,
+                         StripComponent)
     reader = _DocReader()
     strip_lines = []
     disk_lines: list[tuple[int, list[str]]] = []

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cedga import cli
 from cedga.cli import main, run_corpus
 from cedga.corpus import CASES, FILES, corpus_text
+from test_stdlib_only import run_fresh
 
 
 @pytest.fixture()
@@ -39,6 +41,40 @@ def test_validate_ok_and_exit_codes(corpus_dir):
 def test_missing_file_is_input_error(tmp_path):
     code, out = run_cli(["validate", str(tmp_path / "nope.txt")])
     assert code == 2 and "error" in out
+
+
+@pytest.mark.parametrize("argv", [["validate", "surgery_k2.txt"],
+                                  ["validate", "ce_two_point.txt"],
+                                  ["augment", "ce_two_point.txt"]])
+def test_subcommand_loads_only_what_it_uses(corpus_dir, argv):
+    # surgery_k2.txt carries surgery role lines; parsing them needs no cedga.surgery
+    argv = [argv[0], str(corpus_dir / argv[1])]
+    out = run_fresh("import contextlib, io, json, sys\n"
+                    "from cedga.cli import main\n"
+                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                    f"    assert main({argv!r}) == 0\n"
+                    "print(json.dumps([m for m in sys.modules if m.startswith('cedga.')]))")
+    loaded = set(json.loads(out))
+    assert "cedga.dga" in loaded
+    assert loaded.isdisjoint({"cedga.pearly", "cedga.surgery", "cedga.bridge"})
+
+
+def test_internal_error_exits_3(corpus_dir, monkeypatch, capsys):
+    def fail(args, runner):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "_cmd_validate", fail)
+    assert main(["validate", str(corpus_dir / "ce_trivial.txt")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: unexpected\n"
+
+
+def test_argparse_exit_passes_through(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-command"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_augment_counts(corpus_dir):

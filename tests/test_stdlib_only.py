@@ -1,13 +1,25 @@
 """The runtime is pure standard library: every absolute import in the
 package names a standard-library module or cedga itself.  Every exported
-name resolves."""
+name resolves, and ``import cedga`` loads its submodules only on use."""
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cedga"
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that imports cedga from this
+    checkout; return its standard output."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def _absolute_imports(path):
@@ -34,3 +46,30 @@ def test_package_exports_resolve():
     missing = [name for name in cedga.__all__ if not hasattr(cedga, name)]
     assert missing == []
     assert len(set(cedga.__all__)) == len(cedga.__all__)
+
+
+def test_import_cedga_loads_no_submodule_but_report():
+    # report holds __version__; everything else loads on first use
+    out = run_fresh("import sys, cedga\n"
+                    "print(sorted(m for m in sys.modules if m.startswith('cedga')))")
+    assert out == "['cedga', 'cedga.report']\n"
+
+
+def test_star_import_binds_every_export():
+    out = run_fresh("from cedga import *\nimport cedga\n"
+                    "print([n for n in cedga.__all__ if n not in globals()])")
+    assert out == "[]\n"
+
+
+def test_submodule_resolves_after_bare_import():
+    out = run_fresh("import sys, cedga\n"
+                    "assert 'cedga.surgery' not in sys.modules\n"
+                    "print(cedga.surgery.__name__, cedga.surgery.ChordRole is cedga.ChordRole)")
+    assert out == "cedga.surgery True\n"
+
+
+def test_unknown_name_raises_attribute_error():
+    out = run_fresh("import cedga\n"
+                    "try:\n    getattr(cedga, 'nope')\n"
+                    "except AttributeError as exc:\n    print(exc)")
+    assert out == "module 'cedga' has no attribute 'nope'\n"

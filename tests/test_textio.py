@@ -104,7 +104,8 @@ def test_marks_parsed_and_serialized():
 def test_counts_rejection_reported_on_table():
     table = parse_disk_counts(corpus_text("fault_counts_rejected.txt"))
     assert len(table.rejected) == 1
-    assert "action" in table.rejected[0].reason
+    assert table.rejected[0].entry == "(z; x1, x1)"
+    assert table.rejected[0].reason == "action 1/8 not above input total 1/2"
 
 
 def test_counts_undeclared_is_a_parse_error():
