@@ -15,7 +15,7 @@ import importlib
 from .report import VERSION as __version__
 
 _EXPORTS = {  # owning submodule -> the names it exports
-    "field": "DEFAULT_CHARACTERISTIC FieldMismatchError check_characteristic",
+    "field": "DEFAULT_CHARACTERISTIC FieldMismatchError InputError check_characteristic",
     "poly": "NcPoly format_poly",
     "dga": "ChordRole Dga Generator GeneratorKind UndeclaredGeneratorError ValidationReport "
            "Violation",

@@ -14,11 +14,11 @@ from __future__ import annotations
 from typing import Mapping
 
 from .dga import Dga, ValidationReport
-from .field import check_characteristic, require_same_field
+from .field import InputError, check_characteristic, require_same_field
 from .poly import NcPoly, evaluate_terms, format_poly
 
 
-class EnumerationBoundError(ValueError):
+class EnumerationBoundError(InputError):
     """The degree-0 generator count exceeds the configured search bound."""
 
 

@@ -14,11 +14,11 @@ from typing import Iterable, Mapping
 
 from .augment import Augmentation
 from .dga import Dga, Generator, GeneratorKind, ValidationReport
-from .field import check_characteristic, require_same_field
+from .field import InputError, check_characteristic, require_same_field
 from .poly import NcPoly, evaluate_terms
 
 
-class SupportError(ValueError):
+class SupportError(InputError):
     """A cochain or augmentation is supported outside its allowed domain."""
 
 

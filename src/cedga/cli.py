@@ -2,10 +2,17 @@
 
 Exit codes: 0 when every check passes (a successful computation with an
 empty result still exits 0), 1 when violations or counterexamples were
-found, 2 on input errors (unreadable or non-UTF-8 files, parse or semantic
-errors, invalid flag values, vacuous or refused bounds), 3 on an internal
-error (any other exception, reported as one ``internal error:`` line on
-stderr).
+found, 2 on input errors, 3 on an internal error (any other exception,
+reported as one ``internal error:`` line on stderr).
+
+An input error is any ``cedga.InputError``, and ``main`` is the one place
+that maps it to exit 2: an unreadable or non-UTF-8 file, a parse fault
+(``DocumentError``), an invalid characteristic, an undeclared generator
+(``UndeclaredGeneratorError``), a malformed surgery role set, a cochain
+outside its support (``SupportError``), a malformed configuration
+(``ConfigError``), vacuous search bounds, and refused work estimates
+(``EnumerationBoundError``, ``BoundsTooLargeError``).  A report's ``status``
+follows its exit code.
 
 Each subcommand imports the modules it calls, so a process loads only what
 its subcommand uses.
@@ -19,17 +26,15 @@ import sys
 from dataclasses import asdict
 from typing import TYPE_CHECKING
 
+from .field import InputError
 from .report import input_digest, make_report, report_json
-from .textio import DocumentError, ParseIssue
+from .textio import ParseIssue
 
 if TYPE_CHECKING:
     from .dga import ValidationReport
 
 OK, VIOLATIONS, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
-
-
-class _InputProblem(Exception):
-    """A file could not be read or parsed; main reports it with exit 2."""
+_STATUS = {OK: "ok", VIOLATIONS: "violations", INPUT_ERROR: "error"}
 
 
 class _Runner:
@@ -55,25 +60,23 @@ class _Runner:
 
     def load(self, path: str, parse, *args):
         """Read ``path`` and return ``parse(text, *args)``; a file that cannot
-        be read or parsed raises _InputProblem (exit 2)."""
+        be read raises InputError, and one that cannot be parsed raises the
+        parser's DocumentError."""
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except UnicodeDecodeError as exc:
             # read() decodes the whole file at once, so exc.start is a file offset
             line = exc.object.count(b"\n", 0, exc.start) + 1
-            raise _InputProblem(str(ParseIssue(
+            raise InputError(str(ParseIssue(
                 line, f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}"))) from None
         except OSError as exc:
-            raise _InputProblem(str(exc)) from exc
+            raise InputError(str(exc)) from exc
         self.texts.append(text)
-        try:
-            return parse(text, *args)
-        except DocumentError as exc:
-            raise _InputProblem(str(exc)) from exc
+        return parse(text, *args)
 
-    def finish(self, status: str, payload: dict, code: int) -> int:
-        report = make_report(self.command, input_digest(*self.texts), status, payload)
+    def finish(self, payload: dict, code: int) -> int:
+        report = make_report(self.command, input_digest(*self.texts), _STATUS[code], payload)
         out = "\n".join(self.lines)
         if out:
             print(out)
@@ -86,7 +89,7 @@ class _Runner:
 
     def input_error(self, message: str) -> int:
         self.say(f"error: {message}")
-        return self.finish("error", {"error": message}, INPUT_ERROR)
+        return self.finish({"error": message}, INPUT_ERROR)
 
 
 def _violation_lines(runner: _Runner, report: ValidationReport) -> None:
@@ -98,7 +101,36 @@ def _violations_found(runner: _Runner, headline: str, report: ValidationReport) 
     """Print the headline and the violations; report them with exit 1."""
     runner.say(headline)
     _violation_lines(runner, report)
-    return runner.finish("violations", {"violations": report.as_dicts()}, VIOLATIONS)
+    return runner.finish({"violations": report.as_dicts()}, VIOLATIONS)
+
+
+def _rejected(runner: _Runner, table) -> list[dict]:
+    """Print the count entries the table rejected; return them for the payload."""
+    for rej in table.rejected:
+        runner.say(f"rejected {rej.entry}: {rej.reason}")
+    return [{"entry": r.entry, "reason": r.reason} for r in table.rejected]
+
+
+_NOT_RIGID = "configuration cannot satisfy the rigid global degree constraint"
+
+
+def _finish_verdict(runner: _Runner, ledger, verdict, fields: tuple[str, ...],
+                    conclusions: list[str]) -> int:
+    """Report a ledger and its verdict.  ``fields`` name the verdict's
+    conclusions that join the payload, and ``conclusions`` states them once
+    the hypotheses hold.  Exit 1 on a violated hypothesis or a ledger that
+    does not telescope."""
+    payload = {"ledger": asdict(ledger), "hypotheses_ok": verdict.hypotheses_ok,
+               "hypothesis_violations": list(verdict.hypothesis_violations)}
+    payload.update((name, getattr(verdict, name)) for name in fields)
+    code = OK if ledger.telescoped else VIOLATIONS
+    if not verdict.hypotheses_ok:
+        conclusions = ["hypothesis violations:",
+                       *(f"  {violation}" for violation in verdict.hypothesis_violations)]
+        code = VIOLATIONS
+    for line in conclusions:
+        runner.say(line)
+    return runner.finish(payload, code)
 
 
 # -- subcommands ----------------------------------------------------------
@@ -112,24 +144,18 @@ def _cmd_validate(args, runner: _Runner) -> int:
                f"{len(doc.dga.nonzero_differentials())} nonzero differentials")
     if report.ok:
         runner.say("valid: d^2 = 0, grading and action filtration hold")
-        return runner.finish("ok", {"violations": []}, OK)
+        return runner.finish({"violations": []}, OK)
     return _violations_found(runner, f"{len(report)} violation(s):", report)
 
 
 def _cmd_augment(args, runner: _Runner) -> int:
-    from .augment import EnumerationBoundError, enumerate_augmentations
+    from .augment import enumerate_augmentations
     from .field import check_characteristic
     from .textio import parse_dga
-    if args.field is not None:
-        try:
-            check_characteristic(args.field)
-        except ValueError as exc:
-            return runner.input_error(str(exc))
+    if args.field is not None:  # refuse the flag before reading any file
+        check_characteristic(args.field)
     doc = runner.load(args.file, parse_dga, args.field)
-    try:
-        found = enumerate_augmentations(doc.dga, max_degree_zero=args.limit)
-    except EnumerationBoundError as exc:
-        return runner.input_error(str(exc))
+    found = enumerate_augmentations(doc.dga, max_degree_zero=args.limit)
     runner.say(f"{len(found)} augmentation(s) over F_{doc.dga.p}")
     payload = {"field": doc.dga.p, "count": len(found)}
     if args.list:
@@ -139,7 +165,7 @@ def _cmd_augment(args, runner: _Runner) -> int:
             inside = ", ".join(f"{n}={v}" for n, v in values.items()) or "(trivial)"
             runner.say(f"  {inside}")
         payload["augmentations"] = listing
-    return runner.finish("ok", payload, OK)
+    return runner.finish(payload, OK)
 
 
 def _cmd_ce_lift(args, runner: _Runner) -> int:
@@ -148,59 +174,44 @@ def _cmd_ce_lift(args, runner: _Runner) -> int:
     table = runner.load(args.file, parse_disk_counts)
     dga = derive_ce(table)
     runner.emit(serialize_dga(dga), args.output)
-    for rej in table.rejected:
-        runner.say(f"rejected {rej.entry}: {rej.reason}")
-    payload = {
-        "generators": len(dga.generators),
-        "rejected": [{"entry": r.entry, "reason": r.reason} for r in table.rejected],
-    }
-    return runner.finish("ok", payload, OK)
+    payload = {"generators": len(dga.generators), "rejected": _rejected(runner, table)}
+    return runner.finish(payload, OK)
 
 
 def _cmd_mc_check(args, runner: _Runner) -> int:
-    from .bridge import BoundingCochain, SupportError, mc_residual, verify_mc_aug_identity
+    from .bridge import BoundingCochain, mc_residual, verify_mc_aug_identity
     from .textio import parse_disk_counts, parse_values
     table = runner.load(args.file, parse_disk_counts)
     values = runner.load(args.cochain, parse_values, table.p)
     cochain = BoundingCochain(table.p, values)
-    try:
-        residual = mc_residual(table, cochain)
-        identity = verify_mc_aug_identity(table, cochain)
-    except SupportError as exc:
-        return runner.input_error(str(exc))
-    for rej in table.rejected:
-        runner.say(f"rejected {rej.entry}: {rej.reason}")
-    nonzero = {name: value for name, value in residual.items() if value}
+    residual = mc_residual(table, cochain)
+    identity = verify_mc_aug_identity(table, cochain)
+    rejected = _rejected(runner, table)
     for name in sorted(residual):
         runner.say(f"residual at {name}: {residual[name]}")
     runner.say("series/augmentation identity: " + ("holds" if identity else "FAILS"))
-    solves = not nonzero
+    solves = not any(residual.values())
     runner.say("cochain solves the deformation equation" if solves
                else "cochain is obstructed")
     payload = {
         "residual": {n: residual[n] for n in sorted(residual)},
         "identity_holds": identity,
         "solves": solves,
-        "rejected": [{"entry": r.entry, "reason": r.reason} for r in table.rejected],
+        "rejected": rejected,
     }
-    if solves and identity:
-        return runner.finish("ok", payload, OK)
-    return runner.finish("violations", payload, VIOLATIONS)
+    return runner.finish(payload, OK if solves and identity else VIOLATIONS)
 
 
 def _cmd_deform(args, runner: _Runner) -> int:
-    from .bridge import BoundingCochain, SupportError, check_squared_zero, deformed_differential
+    from .bridge import BoundingCochain, check_squared_zero, deformed_differential
     from .textio import parse_strip_counts, parse_values
     table = runner.load(args.file, parse_strip_counts)
     v0 = runner.load(args.cochain0, parse_values, table.p)
     v1 = runner.load(args.cochain1, parse_values, table.p)
     b0 = BoundingCochain(table.p, v0)
     b1 = BoundingCochain(table.p, v1)
-    try:
-        matrix = deformed_differential(table, b0, b1)
-        squared = check_squared_zero(table, b0, b1)
-    except SupportError as exc:
-        return runner.input_error(str(exc))
+    matrix = deformed_differential(table, b0, b1)
+    squared = check_squared_zero(table, b0, b1)
     entries = matrix.nonzero_entries()
     runner.say(f"twisted differential has {len(entries)} nonzero entr"
                f"{'y' if len(entries) == 1 else 'ies'}")
@@ -213,10 +224,10 @@ def _cmd_deform(args, runner: _Runner) -> int:
     }
     if squared.ok:
         runner.say("twisted differential squares to zero")
-        return runner.finish("ok", payload, OK)
+        return runner.finish(payload, OK)
     runner.say("twisted differential does NOT square to zero:")
     _violation_lines(runner, squared)
-    return runner.finish("violations", payload, VIOLATIONS)
+    return runner.finish(payload, VIOLATIONS)
 
 
 def _cmd_surgery(args, runner: _Runner) -> int:
@@ -236,10 +247,7 @@ def _cmd_surgery(args, runner: _Runner) -> int:
                 runner, "order-reversing marking is not differential-closed:", exc.report)
         runner.say(f"quotiented {len(doc.marked)} order-reversing chord(s)")
     k = sum(1 for role in doc.roles.values() if role.type == "a")
-    try:
-        algebra = SurgeryAlgebra(dga, k, doc.roles)
-    except (ValueError, KeyError) as exc:
-        return runner.input_error(str(exc))
+    algebra = SurgeryAlgebra(dga, k, doc.roles)
     eb = Augmentation(dga.p, base_values)
     try:
         certificate = construct_surgery_augmentation(algebra, eb,
@@ -263,10 +271,10 @@ def _cmd_surgery(args, runner: _Runner) -> int:
     if recheck.ok and not certificate.flags:
         runner.say("certificate verified: all conditions hold and the "
                    "extension vanishes on every differential")
-        return runner.finish("ok", payload, OK)
+        return runner.finish(payload, OK)
     runner.say("certificate verification FAILED:")
     _violation_lines(runner, recheck)
-    return runner.finish("violations", payload, VIOLATIONS)
+    return runner.finish(payload, VIOLATIONS)
 
 
 def _cmd_quotient(args, runner: _Runner) -> int:
@@ -281,104 +289,63 @@ def _cmd_quotient(args, runner: _Runner) -> int:
     runner.emit(serialize_dga(DgaDocument(quotient, (), dict(doc.roles))), args.output)
     payload = {"removed": list(doc.marked),
                "generators": len(quotient.generators)}
-    return runner.finish("ok", payload, OK)
+    return runner.finish(payload, OK)
 
 
 def _cmd_tree_check(args, runner: _Runner) -> int:
-    from .pearly import ConfigError, tree_ledger, tree_verdict
+    from .pearly import tree_ledger, tree_verdict
     from .textio import parse_tree_config
     tree = runner.load(args.file, parse_tree_config)
-    try:
-        ledger = tree_ledger(tree)
-    except ConfigError as exc:
-        return runner.input_error(str(exc))
+    ledger = tree_ledger(tree)
     verdict = tree_verdict(tree, require_global_constraint=not args.no_global)
     runner.say(f"ledger: m={ledger.m} k={ledger.k} lhs={ledger.lhs} "
                f"rhs={ledger.rhs} telescoped={ledger.telescoped}")
-    payload = {
-        "ledger": asdict(ledger),
-        "hypotheses_ok": verdict.hypotheses_ok,
-        "hypothesis_violations": list(verdict.hypothesis_violations),
-        "positivity_propagates": verdict.positivity_propagates,
-        "output_action_positive": verdict.output_action_positive,
-        "global_constraint_satisfied": verdict.global_constraint_satisfied,
-        "forced_disk_count": verdict.forced_disk_count,
-        "single_disk": verdict.single_disk,
-    }
-    if not verdict.hypotheses_ok:
-        runner.say("hypothesis violations:")
-        for violation in verdict.hypothesis_violations:
-            runner.say(f"  {violation}")
-        return runner.finish("violations", payload, VIOLATIONS)
-    runner.say(f"positivity propagates: {verdict.positivity_propagates}; "
-               f"output action positive: {verdict.output_action_positive}")
     if verdict.global_constraint_satisfied is None:
-        runner.say("global degree constraint not applied")
+        constraint = "global degree constraint not applied"
     elif verdict.global_constraint_satisfied:
-        runner.say(f"global constraint holds: forced disk count = "
-                   f"{verdict.forced_disk_count} (single disk: {verdict.single_disk})")
+        constraint = (f"global constraint holds: forced disk count = "
+                      f"{verdict.forced_disk_count} (single disk: {verdict.single_disk})")
     else:
-        runner.say("configuration cannot satisfy the rigid global degree constraint")
-    code = OK if ledger.telescoped else VIOLATIONS
-    return runner.finish("ok" if code == OK else "violations", payload, code)
+        constraint = _NOT_RIGID
+    conclusions = [f"positivity propagates: {verdict.positivity_propagates}; "
+                   f"output action positive: {verdict.output_action_positive}", constraint]
+    return _finish_verdict(runner, ledger, verdict, (
+        "positivity_propagates", "output_action_positive", "global_constraint_satisfied",
+        "forced_disk_count", "single_disk"), conclusions)
 
 
 def _cmd_traj_check(args, runner: _Runner) -> int:
-    from .pearly import ConfigError, trajectory_ledger, trajectory_verdict
+    from .pearly import trajectory_ledger, trajectory_verdict
     from .textio import parse_traj_config
     traj = runner.load(args.file, parse_traj_config)
-    try:
-        ledger = trajectory_ledger(traj)
-    except ConfigError as exc:
-        return runner.input_error(str(exc))
+    ledger = trajectory_ledger(traj)
     verdict = trajectory_verdict(traj)
     runner.say(f"ledger: M={ledger.M} (K={ledger.K}, m0={ledger.m0}, m1={ledger.m1}) "
                f"k={ledger.k} l={ledger.l} lhs={ledger.lhs} rhs={ledger.rhs} "
                f"telescoped={ledger.telescoped}")
-    payload = {
-        "ledger": asdict(ledger),
-        "hypotheses_ok": verdict.hypotheses_ok,
-        "hypothesis_violations": list(verdict.hypothesis_violations),
-        "global_constraint_satisfied": verdict.global_constraint_satisfied,
-        "forced_component_count": verdict.forced_component_count,
-        "unbroken": verdict.unbroken,
-        "no_attached_disks": verdict.no_attached_disks,
-    }
-    if not verdict.hypotheses_ok:
-        runner.say("hypothesis violations:")
-        for violation in verdict.hypothesis_violations:
-            runner.say(f"  {violation}")
-        return runner.finish("violations", payload, VIOLATIONS)
     if verdict.global_constraint_satisfied:
-        runner.say(f"global constraint holds: forced component count = "
-                   f"{verdict.forced_component_count} (unbroken: {verdict.unbroken})")
+        constraint = (f"global constraint holds: forced component count = "
+                      f"{verdict.forced_component_count} (unbroken: {verdict.unbroken})")
     else:
-        runner.say("configuration cannot satisfy the rigid global degree constraint")
-    code = OK if ledger.telescoped else VIOLATIONS
-    return runner.finish("ok" if code == OK else "violations", payload, code)
+        constraint = _NOT_RIGID
+    return _finish_verdict(runner, ledger, verdict, (
+        "global_constraint_satisfied", "forced_component_count", "unbroken",
+        "no_attached_disks"), [constraint])
 
 
 def _cmd_search(args, runner: _Runner) -> int:
-    from .pearly import BoundsTooLargeError, TrajectorySearchBounds, TreeSearchBounds, \
-        exhaustive_search
-    degree_range = (args.degree_lo, args.degree_hi)
-    try:
-        if args.mode == "trees":
-            bounds = TreeSearchBounds(max_disks=args.max_disks,
-                                      max_inputs_per_disk=args.max_inputs,
-                                      degree_range=degree_range,
-                                      max_configs=args.max_configs)
-        else:
-            bounds = TrajectorySearchBounds(max_strips=args.max_strips,
-                                            max_inputs_per_disk=args.max_inputs,
-                                            degree_range=degree_range,
-                                            max_configs=args.max_configs)
-    except ValueError as exc:
-        return runner.input_error(str(exc))
-    try:
-        result = exhaustive_search(bounds)
-    except BoundsTooLargeError as exc:
-        return runner.input_error(str(exc))
+    from .pearly import TrajectorySearchBounds, TreeSearchBounds, exhaustive_search
+    # a bound flag that is not given leaves the dataclass default in place
+    bounds_type, count = ((TreeSearchBounds, "max_disks") if args.mode == "trees"
+                          else (TrajectorySearchBounds, "max_strips"))
+    lo, hi = bounds_type.degree_range
+    given = {count: getattr(args, count), "max_inputs_per_disk": args.max_inputs,
+             "max_configs": args.max_configs}
+    bounds = bounds_type(
+        degree_range=(lo if args.degree_lo is None else args.degree_lo,
+                      hi if args.degree_hi is None else args.degree_hi),
+        **{name: value for name, value in given.items() if value is not None})
+    result = exhaustive_search(bounds)
     runner.say(f"mode {result.mode}: estimated {result.estimated_configs} "
                f"sum tuples, enumerated {result.enumerated}, "
                f"{result.in_window} in degree window")
@@ -394,9 +361,7 @@ def _cmd_search(args, runner: _Runner) -> int:
         "materialized": result.materialized,
         "counterexamples": result.counterexamples,
     }
-    if result.ok:
-        return runner.finish("ok", payload, OK)
-    return runner.finish("violations", payload, VIOLATIONS)
+    return runner.finish(payload, OK if result.ok else VIOLATIONS)
 
 
 def run_corpus() -> list[dict]:
@@ -435,20 +400,16 @@ def run_corpus() -> list[dict]:
 
 def _cmd_corpus(args, runner: _Runner) -> int:
     results = run_corpus()
-    failures = 0
+    failures = sum(not case["passed"] for case in results)
     for case in results:
         status = "PASS" if case["passed"] else "FAIL"
-        if not case["passed"]:
-            failures += 1
         runner.say(f"{status} {case['name']}: exit {case['exit']} "
                    f"(expected {case['expected_exit']})")
         if not case["passed"] and case.get("detail"):
             runner.say(f"     {case['detail']}")
     runner.say(f"{len(results) - failures}/{len(results)} corpus cases behaved as expected")
     payload = {"cases": results, "failures": failures}
-    if failures:
-        return runner.finish("violations", payload, VIOLATIONS)
-    return runner.finish("ok", payload, OK)
+    return runner.finish(payload, VIOLATIONS if failures else OK)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -511,12 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("search", _cmd_search, "exhaustive counterexample search")
     p.add_argument("--mode", choices=("trees", "trajectories"), required=True)
-    p.add_argument("--max-disks", type=int, default=4)
-    p.add_argument("--max-strips", type=int, default=3)
-    p.add_argument("--max-inputs", type=int, default=None)
-    p.add_argument("--degree-lo", type=int, default=-3)
-    p.add_argument("--degree-hi", type=int, default=4)
-    p.add_argument("--max-configs", type=int, default=50_000_000)
+    for flag in ("--max-disks", "--max-strips", "--max-inputs", "--degree-lo",
+                 "--degree-hi", "--max-configs"):
+        p.add_argument(flag, type=int)
 
     add("corpus", _cmd_corpus, "run the bundled example corpus")
     return parser
@@ -525,12 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "max_inputs", None) is None and args.command == "search":
-        args.max_inputs = 3 if args.mode == "trees" else 2
     runner = _Runner(args.command, args.json)
     try:
         return args.func(args, runner)
-    except _InputProblem as exc:
+    except InputError as exc:  # the one place an exception becomes exit 2
         return runner.input_error(str(exc))
     except Exception as exc:  # anything else is a fault of cedga, not of the input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

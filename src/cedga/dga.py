@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .field import check_characteristic, require_same_field
+from .field import InputError, check_characteristic, require_same_field
 from .poly import NcPoly, Word, format_poly
 
 
-class UndeclaredGeneratorError(KeyError):
+class UndeclaredGeneratorError(InputError, KeyError):
     """A polynomial references a generator the algebra does not declare."""
 
 

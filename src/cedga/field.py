@@ -15,6 +15,12 @@ _SMALL_PRIMES = frozenset(
 DEFAULT_CHARACTERISTIC = 2
 
 
+class InputError(ValueError):
+    """The input is refused: a malformed document, a value outside its
+    domain, or a bound that is vacuous or too large.  ``cedga.cli`` maps
+    every InputError, and nothing else, to exit code 2."""
+
+
 class FieldMismatchError(ValueError):
     """Raised when values from two different prime fields are combined."""
 
@@ -22,7 +28,7 @@ class FieldMismatchError(ValueError):
 def check_characteristic(p: int) -> int:
     """Validate a session characteristic: a prime not exceeding 97."""
     if not isinstance(p, int) or p not in _SMALL_PRIMES:
-        raise ValueError(f"field characteristic must be a prime <= 97, got {p!r}")
+        raise InputError(f"field characteristic must be a prime <= 97, got {p!r}")
     return p
 
 

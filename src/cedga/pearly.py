@@ -5,8 +5,9 @@ disk components are constant: the two endpoints of a matched edge carry the
 same generator.  "Rigid" is purely the per-component degree identity
 (2 - n for a disk with n inputs, 1 - n for a strip with n marked points).
 The ledgers verify the telescoping identities obtained by summing the
-per-component identities; the verdicts derive, never assume, the forced
-single-component conclusions; and the exhaustive searches look for
+per-component identities; the verdicts derive the forced single-component
+conclusions from the ledger arithmetic and report the positivity of actions
+that their hypotheses force; and the exhaustive searches look for
 counterexamples inside stated bounds.
 """
 
@@ -18,14 +19,15 @@ from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
 from .dga import Generator, GeneratorKind
+from .field import InputError
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Malformed configuration: bad incidence, mismatched generators, or a
     component that is not rigid where rigidity is required."""
 
 
-class BoundsTooLargeError(ValueError):
+class BoundsTooLargeError(InputError):
     def __init__(self, estimate: int, limit: int):
         super().__init__(f"estimated {estimate} configurations exceed the limit {limit}")
         self.estimate = estimate
@@ -184,14 +186,14 @@ def tree_verdict(tree: PearlyTreeConfig, require_global_constraint: bool = True
 
     Hypotheses: positive-action double-point external inputs, every disk
     rigid and nonconstant with strictly positive energy, at least one disk.
-    Conclusions are derived: ``positivity_propagates`` checks that every
-    disk's output and inputs have positive action (as the strict energy
-    inequalities force from positive external inputs), and under the global
-    degree constraint (lhs = 2 - k) the ledger forces a single disk component.
+    ``positivity_propagates`` (every disk's output and inputs have positive
+    action) and ``output_action_positive`` follow from the hypotheses; under
+    the global degree constraint (lhs = 2 - k) the ledger forces a single
+    disk component.
     """
     violations: list[str] = []
     for gen in tree.external_inputs():
-        if gen.kind is not GeneratorKind.DOUBLE_POINT_POS or gen.action <= 0:
+        if gen.kind is not GeneratorKind.DOUBLE_POINT_POS:  # a dp+ has action > 0
             violations.append(
                 f"external input {gen.name!r} is not a positive-action double point")
     if tree.disk_count == 0:
@@ -205,9 +207,11 @@ def tree_verdict(tree: PearlyTreeConfig, require_global_constraint: bool = True
         return TreeVerdict(False, tuple(violations),
                            global_constraint_applied=require_global_constraint)
 
-    # positivity: every disk's output and inputs have positive action
-    positive = all(g.action > 0 for disk in tree.disks
-                   for g in (disk.output, *disk.inputs))
+    # Positivity holds by construction.  Each input of a disk is an external
+    # input (action > 0) or a child disk's output, and positive energy makes
+    # a disk's output action exceed the sum of its input actions; so by
+    # induction from the leaves every output, and hence every input, has
+    # positive action, the root's output included.
     ledger = tree_ledger(tree)
     satisfied = None
     forced = None
@@ -217,8 +221,8 @@ def tree_verdict(tree: PearlyTreeConfig, require_global_constraint: bool = True
         if satisfied:
             forced = ledger.lhs - 1 + ledger.k  # = m by the ledger identity
             single = forced == 1 and ledger.m == forced
-    return TreeVerdict(True, (), positive, tree.root_output().action > 0,
-                       ledger, require_global_constraint, satisfied, forced, single)
+    return TreeVerdict(True, (), True, True, ledger, require_global_constraint,
+                       satisfied, forced, single)
 
 
 # -- broken trajectories ------------------------------------------------------
@@ -373,7 +377,7 @@ def trajectory_verdict(traj: BrokenTrajectoryConfig) -> TrajectoryVerdict:
     conclusions are derived from the arithmetic, never assumed."""
     violations: list[str] = []
     for gen in traj.bottom_inputs() + traj.top_inputs():
-        if gen.kind is not GeneratorKind.DOUBLE_POINT_POS or gen.action <= 0:
+        if gen.kind is not GeneratorKind.DOUBLE_POINT_POS:  # a dp+ has action > 0
             violations.append(
                 f"external generator {gen.name!r} is not a positive-action double point")
     for nu, strip in enumerate(traj.strips):
@@ -404,14 +408,14 @@ def _check_bounds(bounds, positive: tuple[str, ...], nonnegative: tuple[str, ...
     for name in positive:
         value = getattr(bounds, name)
         if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+            raise InputError(f"{name} must be at least 1, got {value}")
     for name in nonnegative:
         value = getattr(bounds, name)
         if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
+            raise InputError(f"{name} must be nonnegative, got {value}")
     lo, hi = bounds.degree_range
     if lo > hi:
-        raise ValueError(f"empty degree range [{lo}, {hi}]")
+        raise InputError(f"empty degree range [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)

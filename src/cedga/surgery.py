@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 
 from .augment import Augmentation, check_augmentation
 from .dga import ChordRole, Dga, Generator, GeneratorKind, ValidationReport
+from .field import InputError
 from .poly import NcPoly, evaluate_terms, format_poly
 
 
@@ -67,7 +68,7 @@ class SurgeryAlgebra:
         self.k = int(k)
         self.roles: dict[str, ChordRole] = dict(roles)
         if self.k < 1:
-            raise ValueError("need at least one cocore")
+            raise InputError("need at least one cocore")
         a_names: dict[int, str] = {}
         b_names: dict[tuple[int, int, int], str] = {}
         c_names: dict[tuple[int, int, int], str] = {}
@@ -75,23 +76,23 @@ class SurgeryAlgebra:
             dga.generator(name)
             if role.type == "a":
                 if not 1 <= role.i <= self.k:
-                    raise ValueError(f"connector index {role.i} out of range for k={self.k}")
+                    raise InputError(f"connector index {role.i} out of range for k={self.k}")
                 if role.i in a_names:
-                    raise ValueError(f"duplicate connector index {role.i}")
+                    raise InputError(f"duplicate connector index {role.i}")
                 a_names[role.i] = name
             else:
                 if not (1 <= role.i < role.j <= self.k):
-                    raise ValueError(f"chord {name!r} needs 1 <= i < j <= k, "
+                    raise InputError(f"chord {name!r} needs 1 <= i < j <= k, "
                                      f"got i={role.i}, j={role.j}")
                 if role.m < 1:
-                    raise ValueError(f"chord {name!r} multiplicity must be >= 1")
+                    raise InputError(f"chord {name!r} multiplicity must be >= 1")
                 target = b_names if role.type == "b" else c_names
                 key = (role.i, role.j, role.m)
                 if key in target:
-                    raise ValueError(f"duplicate {role.type}-chord index {key}")
+                    raise InputError(f"duplicate {role.type}-chord index {key}")
                 target[key] = name
         if sorted(a_names) != list(range(1, self.k + 1)):
-            raise ValueError(f"connector chords must cover indices 1..{self.k}, "
+            raise InputError(f"connector chords must cover indices 1..{self.k}, "
                              f"got {sorted(a_names)}")
         self._a_names = a_names
         self._b_names = b_names

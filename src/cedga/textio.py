@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .dga import ChordRole, Dga, Generator, GeneratorKind
-from .field import check_characteristic
+from .field import InputError, check_characteristic
 from .poly import NcPoly, format_poly
 
 if TYPE_CHECKING:  # the parsers import these on use, so each format loads only its own
@@ -40,7 +40,7 @@ class ParseIssue:
         return f"{where}: {self.message}"
 
 
-class DocumentError(Exception):
+class DocumentError(InputError):
     def __init__(self, issues):
         self.issues = list(issues)
         super().__init__("\n".join(str(i) for i in self.issues))

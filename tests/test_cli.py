@@ -3,14 +3,17 @@
 import contextlib
 import io
 import json
+import re
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cedga import cli
+from cedga import TrajectorySearchBounds, TreeSearchBounds, cli
 from cedga.cli import main, run_corpus
 from cedga.corpus import CASES, FILES, corpus_text
+from cedga.textio import DocumentError
 from test_stdlib_only import run_fresh
 
 
@@ -282,13 +285,10 @@ _VOCAB = ["field", "ddeg", "gen", "d", "count", "strip", "disk", "set", "mark",
           "mixed", "a", "b", "c"]
 
 
-@st.composite
-def _corpus_mutants(draw):
-    """A corpus case with one of its files mutated: lines deleted or
-    duplicated, tokens swapped for ones from a small vocabulary."""
-    argv = draw(st.sampled_from(_FILE_CASES))
-    target = draw(st.sampled_from([arg for arg in argv if arg in FILES]))
-    lines = corpus_text(target).splitlines()
+def mutate(draw, text):
+    """``text`` after one to three edits, each deleting or duplicating a
+    line or swapping one of its tokens for one from a small vocabulary."""
+    lines = text.splitlines()
     for _ in range(draw(st.integers(1, 3))):
         if not lines:
             break
@@ -302,7 +302,15 @@ def _corpus_mutants(draw):
             tokens = lines[i].split() or [""]
             tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_VOCAB))
             lines[i] = " ".join(tokens)
-    return argv, target, "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _corpus_mutants(draw):
+    """A corpus case with one of its files mutated."""
+    argv = draw(st.sampled_from(_FILE_CASES))
+    target = draw(st.sampled_from([arg for arg in argv if arg in FILES]))
+    return argv, target, mutate(draw, corpus_text(target))
 
 
 @pytest.fixture(scope="module")
@@ -322,3 +330,120 @@ def test_mutated_corpus_keeps_exit_contract(fuzz_dir, mutant):
                 if arg in FILES else arg for arg in argv]
     code, _ = run_cli(resolved)
     assert code in (0, 1, 2)
+
+
+def _parser_of(argv, target):
+    """The parser the CLI applies to ``target`` in ``argv`` (every corpus
+    document declares field 2, so a values file is read over F_2)."""
+    from cedga import textio
+    position = argv.index(target)
+    if argv[position - 1] in ("--cochain", "--cochain0", "--cochain1", "--base-aug"):
+        return lambda text: textio.parse_values(text, 2)
+    if "--field" in argv:
+        field = int(argv[argv.index("--field") + 1])
+        return lambda text: textio.parse_dga(text, field)
+    return {"validate": textio.parse_dga, "augment": textio.parse_dga,
+            "surgery": textio.parse_dga, "quotient": textio.parse_dga,
+            "ce-lift": textio.parse_disk_counts, "mc-check": textio.parse_disk_counts,
+            "deform": textio.parse_strip_counts, "tree-check": textio.parse_tree_config,
+            "traj-check": textio.parse_traj_config}[argv[0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutant=_corpus_mutants())
+def test_mutated_corpus_input_errors_name_a_line(fuzz_dir, mutant):
+    # exit 2 prints one "error:" report on stdout and nothing on stderr; a
+    # document its own parser refuses is reported one diagnostic per line
+    argv, target, text = mutant
+    (fuzz_dir / "mutant.txt").write_text(text, encoding="utf-8")
+    resolved = [str(fuzz_dir / ("mutant.txt" if arg == target else arg))
+                if arg in FILES else arg for arg in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(resolved)
+    try:
+        _parser_of(argv, target)(text)
+        refused = False
+    except DocumentError:
+        refused = True
+    assert code == 2 or not refused
+    if code == 2:
+        assert out.startswith("error: ") and err.getvalue() == ""
+    if refused:
+        for line in out[len("error: "):].splitlines():
+            assert re.match(r"(line \d+|document): ", line), line
+
+
+@pytest.mark.parametrize("name,argv,expected_exit,fragment", CASES + [
+    ("parse-fault-json", ["validate", "fault_parse.txt"], 2, ""),
+    ("limit-json", ["augment", "--limit", "0", "ce_trivial.txt"], 2, ""),
+])
+def test_report_status_follows_exit_code(corpus_dir, name, argv, expected_exit, fragment):
+    resolved = [str(corpus_dir / arg) if arg in FILES else arg for arg in argv]
+    code, out = run_cli([*resolved, "--json", "-"])
+    assert code == expected_exit
+    report = json.loads(out[out.index('{\n  "tool"'):])
+    assert report["status"] == {0: "ok", 1: "violations", 2: "error"}[code]
+
+
+@pytest.mark.parametrize("mode,flag,bounds", [
+    ("trees", "--max-disks", TreeSearchBounds(max_disks=1)),
+    ("trajectories", "--max-strips", TrajectorySearchBounds(max_strips=1)),
+])
+def test_search_flags_default_to_bounds_dataclass(mode, flag, bounds):
+    code, out = run_cli(["search", "--mode", mode, flag, "1", "--json", "-"])
+    assert code == 0
+    report = json.loads(out[out.index("{"):])
+    assert report["bounds"] == json.loads(json.dumps(asdict(bounds)))
+
+
+def test_surgery_internal_fault_is_not_an_input_error(corpus_dir, monkeypatch, capsys):
+    # a plain ValueError from the library is a fault of cedga: exit 3, not 2
+    import cedga.surgery
+
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cedga.surgery, "SurgeryAlgebra", boom)
+    code = main(["surgery", str(corpus_dir / "surgery_k2.txt"),
+                 "--base-aug", str(corpus_dir / "cochain_x1.txt")])
+    assert code == 3
+    assert capsys.readouterr().err == "internal error: ValueError: boom\n"
+
+
+def test_refusals_are_input_errors():
+    import cedga
+    for name in ("DocumentError", "EnumerationBoundError", "SupportError", "ConfigError",
+                 "BoundsTooLargeError", "UndeclaredGeneratorError"):
+        cls = getattr(cedga, name, None) or getattr(cedga.textio, name)
+        assert issubclass(cls, cedga.InputError), name
+    assert issubclass(cedga.UndeclaredGeneratorError, KeyError)
+    assert str(cedga.UndeclaredGeneratorError("a2")) == "'a2'"
+    for cls in (cedga.PreconditionError, cedga.QuotientError, cedga.FieldMismatchError):
+        assert not issubclass(cls, cedga.InputError), cls.__name__
+
+
+def test_only_main_maps_input_errors():
+    # no subcommand reports exit 2 itself or catches a class that would
+    # intercept an InputError on its way to main
+    import ast
+    import builtins
+    import inspect
+
+    import cedga
+    module = ast.parse(inspect.getsource(cli))
+    commands = [node for node in module.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert commands
+    for command in commands:
+        for node in ast.walk(command):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "input_error", command.name
+            if isinstance(node, ast.ExceptHandler):
+                assert node.type is not None, command.name
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                for caught in types:
+                    name = caught.attr if isinstance(caught, ast.Attribute) else caught.id
+                    cls = getattr(cedga, name, None) or getattr(builtins, name)
+                    assert not issubclass(cls, cedga.InputError), (command.name, name)
+                    assert not issubclass(cedga.InputError, cls), (command.name, name)

@@ -134,6 +134,39 @@ def test_positivity_propagation_property():
         assert all(g.action > 0 for g in tree.all_generators())
 
 
+def test_positivity_fields_match_scan_on_random_trees():
+    # the verdict states positivity from its hypotheses; the scan it replaced
+    # is the oracle on seeded random trees that pass them
+    import random
+    rng = random.Random(2024)
+    kinds = [DP, MIXED, GeneratorKind.REEB_CHORD, GeneratorKind.MORSE]
+    for _ in range(300):
+        m = rng.randint(1, 7)
+        parents = [rng.randrange(i) for i in range(1, m)]
+        children = {}
+        for child, parent in enumerate(parents, start=1):
+            children.setdefault(parent, []).append(child)
+        outputs, disks, edges = {}, {}, []
+        for i in range(m - 1, -1, -1):
+            inputs = [outputs[c] for c in children.get(i, [])]
+            inputs += [dp(f"x{i}_{s}", rng.randint(-3, 4),
+                          Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                       for s in range(rng.randint(0, 3))]
+            rng.shuffle(inputs)
+            action = (sum((g.action for g in inputs), Fraction(0))
+                      + Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            outputs[i] = Generator(f"v{i}", 2 - len(inputs) + sum(g.degree for g in inputs),
+                                   action, rng.choice(kinds))
+            disks[i] = DiskComponent(outputs[i], tuple(inputs))
+            edges += [(c, i, inputs.index(outputs[c])) for c in children.get(i, [])]
+        tree = PearlyTreeConfig(tuple(disks[i] for i in range(m)), tuple(edges))
+        verdict = tree_verdict(tree)
+        assert verdict.hypotheses_ok
+        assert verdict.positivity_propagates == all(
+            g.action > 0 for disk in tree.disks for g in (disk.output, *disk.inputs))
+        assert verdict.output_action_positive == (tree.root_output().action > 0)
+
+
 def test_single_strip_ledger():
     strip = StripComponent(chord("cL", 1), chord("cR", 0))
     ledger = trajectory_ledger(BrokenTrajectoryConfig((strip,)))

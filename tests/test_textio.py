@@ -1,6 +1,8 @@
 """Text formats: grammar, exhaustive diagnostics, and round trips."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cedga import GeneratorKind
 from cedga.corpus import ROUND_TRIP, corpus_text
@@ -10,6 +12,7 @@ from cedga.textio import (DocumentError, parse_disk_counts, parse_dga,
                           serialize_disk_counts, serialize_strip_counts,
                           serialize_traj_config, serialize_tree_config,
                           serialize_values)
+from test_cli import mutate
 
 PARSERS = {
     "dga": (parse_dga, serialize_dga),
@@ -27,6 +30,25 @@ def test_corpus_round_trip_identity(fmt, name):
     parse, serialize = PARSERS[fmt]
     text = corpus_text(name)
     assert serialize(parse(text)) == text
+
+
+@st.composite
+def _round_trip_mutants(draw):
+    fmt, name = draw(st.sampled_from(ROUND_TRIP))
+    return fmt, mutate(draw, corpus_text(name))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutant=_round_trip_mutants())
+def test_parsing_mutants_are_serializer_fixed_points(mutant):
+    # whatever a parser accepts, its serialization reads back to itself
+    fmt, text = mutant
+    parse, serialize = PARSERS[fmt]
+    try:
+        once = serialize(parse(text))
+    except DocumentError:
+        return
+    assert serialize(parse(once)) == once
 
 
 def test_empty_document_with_header():
