@@ -336,8 +336,12 @@ def _cmd_traj_check(args, runner: _Runner) -> int:
 def _cmd_search(args, runner: _Runner) -> int:
     from .pearly import TrajectorySearchBounds, TreeSearchBounds, exhaustive_search
     # a bound flag that is not given leaves the dataclass default in place
-    bounds_type, count = ((TreeSearchBounds, "max_disks") if args.mode == "trees"
-                          else (TrajectorySearchBounds, "max_strips"))
+    bounds_type, count, other = (
+        (TreeSearchBounds, "max_disks", "max_strips") if args.mode == "trees"
+        else (TrajectorySearchBounds, "max_strips", "max_disks"))
+    if getattr(args, other) is not None:
+        raise InputError(f"--{other.replace('_', '-')} does not apply to "
+                         f"--mode {args.mode}")
     lo, hi = bounds_type.degree_range
     given = {count: getattr(args, count), "max_inputs_per_disk": args.max_inputs,
              "max_configs": args.max_configs}

@@ -569,12 +569,17 @@ def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
     """One pass per structure.  out_degs[i] = rigid[i] + sums[i] + the
     outputs of i's children, so the ledger lhs = out_degs[0] - sum(sums)
     is sum(rigid) for every tuple, and the in-window tuples are counted by
-    convolving each subtree's output-degree counts from the leaves up."""
+    convolving each subtree's output-degree counts from the leaves up.
+
+    A subtree's clipped counts depend only on its shape, keyed as (extras
+    of its root, sorted keys of its children), so ``shapes`` counts each
+    shape once per search and every later structure reuses it."""
     lo, hi = bounds.degree_range
     estimate = _estimate_trees(bounds)
     if estimate > bounds.max_configs:
         raise BoundsTooLargeError(estimate, bounds.max_configs)
     report = CounterexampleReport("trees", asdict(bounds), estimate)
+    shapes: dict[tuple, dict[int, int]] = {}
     for m, parents, child_counts, extras in _tree_structures(
             bounds.max_disks, bounds.max_inputs_per_disk):
         children: dict[int, list[int]] = {}
@@ -582,13 +587,16 @@ def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
             children.setdefault(parents[child - 1], []).append(child)
         rigid = [2 - child_counts[i] - extras[i] for i in range(m)]
         radices = [(hi - lo) * e + 1 for e in extras]
-        out_counts: dict[int, dict[int, int]] = {}
+        keys: list[tuple] = [()] * m
         for i in range(m - 1, -1, -1):
-            counts = _uniform(rigid[i] + lo * extras[i], radices[i])
-            for c in children.get(i, ()):
-                counts = _convolve(counts, out_counts[c])
-            out_counts[i] = _clip(counts, lo, hi)
-        in_window = sum(out_counts[0].values())
+            child_keys = tuple(sorted(keys[c] for c in children.get(i, ())))
+            keys[i] = key = (extras[i], child_keys)
+            if key not in shapes:
+                counts = _uniform(rigid[i] + lo * extras[i], radices[i])
+                for child_key in child_keys:
+                    counts = _convolve(counts, shapes[child_key])
+                shapes[key] = _clip(counts, lo, hi)
+        in_window = sum(shapes[keys[0]].values())
         first_index = report.enumerated + 1
         report.enumerated += math.prod(radices)
         report.in_window += in_window
@@ -641,13 +649,12 @@ def _traj_digits(marks, attached, disk_inputs, lo, hi):
     order: the input chord degree, one bare sum per nonempty side of each
     strip, one output degree per attached disk.  Returns the bare groups as
     (strip, side, bare count) and each digit's range start and radix."""
-    attach_set = set(attached)
-    bare_groups = []
-    for s, (nb, nt) in enumerate(marks):
-        for side, n in (("bottom", nb), ("top", nt)):
-            if n:
-                bare = sum(1 for pos in range(n) if (s, side, pos) not in attach_set)
-                bare_groups.append((s, side, bare))
+    attached_at: dict[tuple[int, str], int] = {}
+    for s, side, _ in attached:
+        attached_at[s, side] = attached_at.get((s, side), 0) + 1
+    bare_groups = [(s, side, n - attached_at.get((s, side), 0))
+                   for s, (nb, nt) in enumerate(marks)
+                   for side, n in (("bottom", nb), ("top", nt)) if n]
     starts = [lo] + [lo * bare for _, _, bare in bare_groups]
     radices = [hi - lo + 1] + [(hi - lo) * bare + 1 for _, _, bare in bare_groups]
     for n in disk_inputs:
@@ -721,23 +728,42 @@ def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport
     output 2 - n + its input degrees, so the ledger lhs = chord_out - c_in -
     externals is sum(1 - #marked) + sum(2 - n) for every tuple.  The
     in-window tuples are counted by pushing the chord-degree counts through
-    the strips, clipping to the window after each."""
+    the strips, clipping to the window after each.
+
+    A strip's step counts depend only on 1 - #marked and the multiset of
+    (start, radix) digits it owns, and the clipped chord counts after a
+    strip only on the steps so far, so ``steps`` counts each step key and
+    ``prefixes`` each prefix of step keys once per search, and every later
+    structure reuses them."""
     lo, hi = bounds.degree_range
     estimate = _estimate_trajectories(bounds)
     if estimate > bounds.max_configs:
         raise BoundsTooLargeError(estimate, bounds.max_configs)
     report = CounterexampleReport("trajectories", asdict(bounds), estimate)
+    # the empty prefix holds the input chord's digit, the first of every structure
+    prefixes: dict[tuple, dict[int, int]] = {(): _uniform(lo, hi - lo + 1)}
+    steps: dict[tuple, dict[int, int]] = {}
     for K, marks, attached, disk_inputs in _traj_structures(bounds):
         bare_groups, starts, radices = _traj_digits(marks, attached, disk_inputs, lo, hi)
         # the strip each digit after the first (the input chord) belongs to
         owners = [s for s, _, _ in bare_groups] + [point[0] for point in attached]
-        steps = [{1 - nb - nt: 1} for nb, nt in marks]
+        owned: list[list[tuple[int, int]]] = [[] for _ in marks]
         for s, start, radix in zip(owners, starts[1:], radices[1:]):
-            steps[s] = _convolve(steps[s], _uniform(start, radix))
-        chords = _uniform(starts[0], radices[0])
-        for step in steps:
-            chords = _clip(_convolve(chords, step), lo, hi)
-        in_window = sum(chords.values())
+            owned[s].append((start, radix))
+        prefix: tuple = ()
+        for (nb, nt), digits in zip(marks, owned):
+            step_key = (1 - nb - nt, tuple(sorted(digits)))
+            chords = prefixes[prefix]
+            prefix += (step_key,)
+            if prefix not in prefixes:
+                step = steps.get(step_key)
+                if step is None:
+                    step = {step_key[0]: 1}
+                    for start, radix in step_key[1]:
+                        step = _convolve(step, _uniform(start, radix))
+                    steps[step_key] = step
+                prefixes[prefix] = _clip(_convolve(chords, step), lo, hi)
+        in_window = sum(prefixes[prefix].values())
         first_index = report.enumerated + 1
         report.enumerated += math.prod(radices)
         report.in_window += in_window

@@ -241,6 +241,17 @@ def test_search_cli_rejects_vacuous_bounds(flags, message):
     assert "counterexamples" not in out
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--mode", "trajectories", "--max-strips", "1", "--max-disks", "0"],
+     "--max-disks does not apply to --mode trajectories"),
+    (["--mode", "trees", "--max-disks", "1", "--max-strips", "5"],
+     "--max-strips does not apply to --mode trees"),
+])
+def test_search_cli_rejects_the_other_modes_count_flag(flags, message):
+    code, out = run_cli(["search", *flags])
+    assert code == 2 and out.strip() == f"error: {message}"
+
+
 def test_augment_invalid_field_is_input_error(corpus_dir):
     code, out = run_cli(["augment", "--field", "4", str(corpus_dir / "ce_trivial.txt")])
     assert code == 2

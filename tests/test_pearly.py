@@ -1,6 +1,7 @@
 """Disk-tree and broken-trajectory ledgers, verdicts, and searches."""
 
 import itertools
+import math
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -559,3 +560,150 @@ def test_materialized_sample_matches_oracle(monkeypatch, make, stride):
 def test_search_bounds_reject_vacuous_or_invalid(make):
     with pytest.raises(ValueError):
         make()
+
+
+# -- per-structure oracle for the memoized counts -------------------------------
+#
+# The searches count each distinct subtree shape and strip prefix once per call.
+# These oracles recount every structure from scratch with the unmemoized loops
+# (one convolution per edge, one per strip digit and one per strip), at bounds
+# where the brute-force oracle above is too slow and the memo is hit hard.
+
+
+def per_structure_trees(bounds):
+    lo, hi = bounds.degree_range
+    report = CounterexampleReport("trees", asdict(bounds), _estimate_trees(bounds))
+    for m, parents, child_counts, extras in _tree_structures(
+            bounds.max_disks, bounds.max_inputs_per_disk):
+        children = {}
+        for child in range(1, m):
+            children.setdefault(parents[child - 1], []).append(child)
+        rigid = [2 - child_counts[i] - extras[i] for i in range(m)]
+        radices = [(hi - lo) * e + 1 for e in extras]
+        out_counts = {}
+        for i in range(m - 1, -1, -1):
+            counts = pearly._uniform(rigid[i] + lo * extras[i], radices[i])
+            for c in children.get(i, ()):
+                counts = pearly._convolve(counts, out_counts[c])
+            out_counts[i] = pearly._clip(counts, lo, hi)
+        in_window = sum(out_counts[0].values())
+        first_index = report.enumerated + 1
+        report.enumerated += math.prod(radices)
+        report.in_window += in_window
+        k, lhs = sum(extras), sum(rigid)
+        if lhs != m + 1 - k:
+            report.telescope_failures += in_window
+        if lhs == 2 - k and m >= 2:
+            if in_window:
+                report.counterexamples.append(
+                    {"disks": m, "externals": k, "lhs": lhs, "in_window": in_window})
+            continue
+        for digits in pearly._sample(first_index, radices, bounds.materialize_stride):
+            sums = [lo * e + d for e, d in zip(extras, digits)]
+            out_degs = [0] * m
+            for i in range(m - 1, -1, -1):
+                out_degs[i] = (rigid[i] + sums[i]
+                               + sum(out_degs[c] for c in children.get(i, ())))
+            if all(lo <= d <= hi for d in out_degs):
+                tree = _materialize_tree(m, parents, child_counts, extras,
+                                         sums, out_degs, lo, hi)
+                report.materialized += 1
+                if not tree_ledger(tree).telescoped:
+                    report.telescope_failures += 1
+    return report
+
+
+def per_structure_trajectories(bounds):
+    lo, hi = bounds.degree_range
+    report = CounterexampleReport("trajectories", asdict(bounds),
+                                  _estimate_trajectories(bounds))
+    for K, marks, attached, disk_inputs in _traj_structures(bounds):
+        bare_groups, starts, radices = pearly._traj_digits(
+            marks, attached, disk_inputs, lo, hi)
+        owners = [s for s, _, _ in bare_groups] + [point[0] for point in attached]
+        steps = [{1 - nb - nt: 1} for nb, nt in marks]
+        for s, start, radix in zip(owners, starts[1:], radices[1:]):
+            steps[s] = pearly._convolve(steps[s], pearly._uniform(start, radix))
+        chords = pearly._uniform(starts[0], radices[0])
+        for step in steps:
+            chords = pearly._clip(pearly._convolve(chords, step), lo, hi)
+        in_window = sum(chords.values())
+        first_index = report.enumerated + 1
+        report.enumerated += math.prod(radices)
+        report.in_window += in_window
+        a_count = len(attached)
+        M = K + a_count
+        k_plus_l = sum(nb + nt for nb, nt in marks) - a_count + sum(disk_inputs)
+        lhs = sum(1 - nb - nt for nb, nt in marks) + sum(2 - n for n in disk_inputs)
+        if lhs != M - k_plus_l:
+            report.telescope_failures += in_window
+        if lhs == 1 - k_plus_l and M >= 2:
+            if in_window:
+                report.counterexamples.append(
+                    {"strips": K, "attached": a_count, "lhs": lhs,
+                     "in_window": in_window})
+            continue
+        for digits in pearly._sample(first_index, radices, bounds.materialize_stride):
+            values = [start + d for start, d in zip(starts, digits)]
+            deltas = [1 - nb - nt for nb, nt in marks]
+            for s, value in zip(owners, values[1:]):
+                deltas[s] += value
+            if all(lo <= c <= hi
+                   for c in itertools.accumulate(deltas, initial=values[0])):
+                split = 1 + len(bare_groups)
+                traj = _materialize_trajectory(
+                    K, marks, attached, disk_inputs, values[0], bare_groups,
+                    values[1:split], values[split:], lo, hi)
+                report.materialized += 1
+                if not trajectory_ledger(traj).telescoped:
+                    report.telescope_failures += 1
+    return report
+
+
+MID_SIZE = [
+    TreeSearchBounds(max_disks=5, max_inputs_per_disk=2, degree_range=(-3, 4),
+                     max_configs=10**9, materialize_stride=997),
+    TreeSearchBounds(max_disks=5, max_inputs_per_disk=2, degree_range=(-2, 2),
+                     max_configs=10**9, materialize_stride=97),
+    TrajectorySearchBounds(max_strips=4, max_attached_disks=1, degree_range=(-2, 3),
+                           max_configs=10**9, materialize_stride=997),
+    # an attached disk with no inputs has output degree 2, above the window,
+    # so its digit has radix 0 and its structures count nothing
+    TrajectorySearchBounds(max_strips=4, max_attached_disks=2, degree_range=(-3, 1),
+                           max_configs=10**9, materialize_stride=997),
+]
+
+
+@pytest.mark.parametrize("bounds", MID_SIZE, ids=lambda b: f"{type(b).__name__}"
+                         f"{b.degree_range}")
+def test_memoized_search_matches_per_structure_oracle(bounds):
+    oracle = (per_structure_trees if isinstance(bounds, TreeSearchBounds)
+              else per_structure_trajectories)(bounds)
+    report = exhaustive_search(bounds)
+    assert asdict(report) == asdict(oracle)
+    assert report.in_window and report.materialized
+
+
+def test_mid_size_grid_reaches_radix_zero_digits():
+    bounds = MID_SIZE[-1]
+    lo, hi = bounds.degree_range
+    assert any(0 in pearly._traj_digits(marks, attached, inputs, lo, hi)[2]
+               for _, marks, attached, inputs in _traj_structures(bounds))
+
+
+def test_memo_bounds_convolutions_at_acceptance_bounds(monkeypatch):
+    # the parent of the memo made 19,438 convolutions here, one per edge,
+    # strip digit and strip of every structure
+    calls = []
+
+    def counting(a, b, real=pearly._convolve):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(pearly, "_convolve", counting)
+    trees = exhaustive_search(TreeSearchBounds(max_disks=4, max_inputs_per_disk=3,
+                                               degree_range=(-3, 4)))
+    trajectories = exhaustive_search(TrajectorySearchBounds(
+        max_strips=3, max_attached_disks=2, degree_range=(-3, 4)))
+    assert (trees.in_window, trajectories.in_window) == (313_228, 1_995_121)
+    assert len(calls) <= 2_000
