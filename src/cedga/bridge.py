@@ -9,7 +9,9 @@ of aborting the load.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .augment import Augmentation
@@ -39,7 +41,9 @@ class DiskCountTable:
 
     Every named generator must be a declared positive-action double point.
     Entries violating the degree identity deg(out) - sum deg(in) = 2 - #in
-    or the energy inequality a(out) > sum a(in) are rejected at load.
+    or the energy inequality a(out) > sum a(in) are rejected at load; the
+    energy inequality is decided exactly on integer action numerators over
+    the table's common denominator, and a reason prints both sides reduced.
     """
 
     __slots__ = ("p", "double_points", "counts", "rejected")
@@ -63,6 +67,10 @@ class DiskCountTable:
             if gen.name in points:
                 raise ValueError(f"duplicate double point {gen.name!r}")
             points[gen.name] = gen
+        # each point's degree and action numerator over the common denominator
+        scale = math.lcm(*(g.action.denominator for g in points.values()))
+        scaled = {n: (g.degree, g.action.numerator * (scale // g.action.denominator))
+                   for n, g in points.items()}
         counts: dict[str, dict[tuple[str, ...], int]] = {}
         rejected: list[RejectedEntry] = []
         for output, inputs, coeff in entries:
@@ -76,18 +84,22 @@ class DiskCountTable:
             coeff %= p
             if not coeff:
                 continue
-            out = points[output]
-            in_degree = sum(points[n].degree for n in word)
-            if out.degree - in_degree != 2 - len(word):
+            out_degree, out_num = scaled[output]
+            in_degree = in_num = 0
+            for name in word:
+                degree, num = scaled[name]
+                in_degree += degree
+                in_num += num
+            if out_degree - in_degree != 2 - len(word):
                 rejected.append(RejectedEntry(
                     _entry_text(output, word),
-                    f"degree {out.degree} - {in_degree} != 2 - {len(word)}"))
+                    f"degree {out_degree} - {in_degree} != 2 - {len(word)}"))
                 continue
-            in_action = sum((points[n].action for n in word), 0)
-            if out.action <= in_action:
+            if out_num <= in_num:
                 rejected.append(RejectedEntry(
                     _entry_text(output, word),
-                    f"action {out.action} not above input total {in_action}"))
+                    f"action {points[output].action} not above input total "
+                    f"{Fraction(in_num, scale)}"))
                 continue
             words = counts.setdefault(output, {})
             words[word] = (words.get(word, 0) + coeff) % p

@@ -49,7 +49,8 @@ class Generator:
     kind: GeneratorKind = GeneratorKind.REEB_CHORD
 
     def __post_init__(self):
-        object.__setattr__(self, "action", Fraction(self.action))
+        if type(self.action) is not Fraction:
+            object.__setattr__(self, "action", Fraction(self.action))
         if self.kind is GeneratorKind.DOUBLE_POINT_POS and self.action <= 0:
             raise ValueError(f"double point {self.name!r} tagged positive must have action > 0")
         if self.kind is GeneratorKind.DOUBLE_POINT_NEG and self.action >= 0:

@@ -664,10 +664,19 @@ def _traj_digits(marks, attached, disk_inputs, lo, hi):
     return bare_groups, starts, radices
 
 
-def _estimate_trajectories(bounds: TrajectorySearchBounds) -> int:
+def _traj_plan(bounds: TrajectorySearchBounds) -> list[tuple]:
+    """Every structure with its digits, each derived once:
+    (K, marks, attached, disk_inputs, bare_groups, starts, radices)."""
     lo, hi = bounds.degree_range
-    return sum(math.prod(_traj_digits(marks, attached, disk_inputs, lo, hi)[2])
-               for _, marks, attached, disk_inputs in _traj_structures(bounds))
+    return [(K, marks, attached, disk_inputs,
+             *_traj_digits(marks, attached, disk_inputs, lo, hi))
+            for K, marks, attached, disk_inputs in _traj_structures(bounds)]
+
+
+def _estimate_trajectories(bounds: TrajectorySearchBounds, plan=None) -> int:
+    if plan is None:
+        plan = _traj_plan(bounds)
+    return sum(math.prod(radices) for *_, radices in plan)
 
 
 def _materialize_trajectory(K, marks, attached, disk_inputs, c_in_deg,
@@ -736,15 +745,15 @@ def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport
     ``prefixes`` each prefix of step keys once per search, and every later
     structure reuses them."""
     lo, hi = bounds.degree_range
-    estimate = _estimate_trajectories(bounds)
+    plan = _traj_plan(bounds)
+    estimate = _estimate_trajectories(bounds, plan)
     if estimate > bounds.max_configs:
         raise BoundsTooLargeError(estimate, bounds.max_configs)
     report = CounterexampleReport("trajectories", asdict(bounds), estimate)
     # the empty prefix holds the input chord's digit, the first of every structure
     prefixes: dict[tuple, dict[int, int]] = {(): _uniform(lo, hi - lo + 1)}
     steps: dict[tuple, dict[int, int]] = {}
-    for K, marks, attached, disk_inputs in _traj_structures(bounds):
-        bare_groups, starts, radices = _traj_digits(marks, attached, disk_inputs, lo, hi)
+    for K, marks, attached, disk_inputs, bare_groups, starts, radices in plan:
         # the strip each digit after the first (the input chord) belongs to
         owners = [s for s, _, _ in bare_groups] + [point[0] for point in attached]
         owned: list[list[tuple[int, int]]] = [[] for _ in marks]

@@ -39,6 +39,98 @@ def test_build_filters():
     assert any("degree" in r for r in reasons)
 
 
+def reference_build(p, points, entries):
+    """The load filters with Fraction action sums: the slow oracle for the
+    integer filter of DiskCountTable.build."""
+    by_name = {g.name: g for g in points}
+    counts, rejected = {}, []
+    for output, word, coeff in entries:
+        coeff %= p
+        if not coeff:
+            continue
+        entry = f"({output}; {', '.join(word)})"
+        out = by_name[output]
+        in_degree = sum(by_name[n].degree for n in word)
+        in_action = sum((by_name[n].action for n in word), 0)
+        if out.degree - in_degree != 2 - len(word):
+            rejected.append((entry, f"degree {out.degree} - {in_degree} != 2 - {len(word)}"))
+        elif out.action <= in_action:
+            rejected.append((entry, f"action {out.action} not above input total {in_action}"))
+        else:
+            words = counts.setdefault(output, {})
+            words[word] = (words.get(word, 0) + coeff) % p
+            if not words[word]:
+                del words[word]
+                if not words:
+                    del counts[output]
+    return counts, rejected
+
+
+def test_build_filters_match_fraction_reference():
+    rng = random.Random(10)
+    denominators = [1, 2, 3, 7, 41, 97, 100, 6, 1000]
+    kept = by_action = 0
+    for _ in range(1500):
+        p = rng.choice([2, 3, 5])
+        points = []
+        for i in range(rng.randint(1, 6)):
+            den = rng.choice(denominators)
+            points.append(dp(f"g{i}", rng.randint(-1, 3), Fraction(rng.randint(1, 3 * den), den)))
+        entries = []
+        for _ in range(rng.randint(0, 10)):
+            word = tuple(rng.choice(points).name for _ in range(rng.randint(0, 4)))
+            # mostly an output that passes the degree filter, so the energy filter decides
+            want = 2 - len(word) + sum(g.degree for n in word for g in points if g.name == n)
+            fits = [g.name for g in points if g.degree == want]
+            output = rng.choice(fits) if fits and rng.random() < 0.7 else rng.choice(points).name
+            entries.append((output, word, rng.randint(-2, 5)))
+        t = table(points, entries, p)
+        counts, rejected = reference_build(p, points, entries)
+        assert t.counts == counts
+        assert [(r.entry, r.reason) for r in t.rejected] == rejected
+        kept += sum(map(len, counts.values()))
+        by_action += sum(reason.startswith("action") for _, reason in rejected)
+    assert kept > 100 and by_action > 500
+
+
+def test_build_energy_edge_and_rejection_text():
+    points = [dp("x1", 1, "1/100"), dp("x2", 1, "1/50"), dp("z", 2, "1/50"), dp("w", 2, 2)]
+    t = table(points, [("z", ("x1", "x2"), 1),   # 1/50 < 3/100
+                       ("w", ("x2", "x1"), 2),
+                       ("z", ("x1", "x1"), 1),   # 1/50 == 1/100 + 1/100: not above
+                       ("w", (), 1)], p=3)
+    assert t.counts == {"w": {("x2", "x1"): 2, (): 1}}
+    assert [(r.entry, r.reason) for r in t.rejected] == [
+        ("(z; x1, x2)", "action 1/50 not above input total 3/100"),
+        ("(z; x1, x1)", "action 1/50 not above input total 1/50")]
+
+
+def test_build_empty_word_input_total_is_zero():
+    # a declared positive point cannot have action 0, so the frozen field is
+    # overwritten to reach the empty word's rejection text
+    y = dp("y", 2, 1)
+    object.__setattr__(y, "action", Fraction(0))
+    t = table([y], [("y", (), 1)])
+    assert [(r.entry, r.reason) for r in t.rejected] == [
+        ("(y; )", "action 0 not above input total 0")]
+
+
+def test_build_accepting_every_entry_adds_no_fractions(monkeypatch):
+    points = [dp("y", 2, 3), dp("x1", 1, "1/2"), dp("x2", 1, "1/3"), dp("z", 2, "7/6"),
+              dp("w", 3, 2)]
+    entries = [("y", ("x1", "x2"), 1), ("y", ("x2", "x1", "x1"), 1), ("z", ("x2", "x2"), 1),
+               ("w", ("z",), 1), ("y", (), 1)]
+
+    def no_addition(self, other):
+        raise AssertionError("Fraction addition in DiskCountTable.build")
+
+    monkeypatch.setattr(Fraction, "__add__", no_addition)
+    monkeypatch.setattr(Fraction, "__radd__", no_addition)
+    t = table(points, entries)
+    assert t.rejected == ()
+    assert sum(map(len, t.counts.values())) == len(entries)
+
+
 def test_build_drops_cancelled_outputs():
     points = [dp("y", 2, 2), dp("z", 2, 3), dp("x", 1, "1/4")]
     t = table(points, [("y", ("x",), 1), ("z", ("x",), 1), ("y", ("x",), 1)])

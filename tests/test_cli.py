@@ -126,6 +126,31 @@ def test_ce_lift_writes_dga(corpus_dir, tmp_path):
     assert "d y = 1 + x1 + x1 x2" in text
 
 
+REJECTED_LIFT = ("field 2\nddeg 1\ngen x1 0 1/4 reeb\ngen y -1 2/1 reeb\ngen z -1 1/8 reeb\n"
+                 "d y = x1\nd z = 1\n"
+                 "rejected (z; x1, x1): action 1/8 not above input total 1/2\n")
+
+
+def test_ce_lift_rejection_bytes(corpus_dir):
+    path = str(corpus_dir / "fault_counts_rejected.txt")
+    assert run_cli(["ce-lift", path]) == (0, REJECTED_LIFT)
+    assert run_cli(["ce-lift", path, "--json", "-"]) == (0, REJECTED_LIFT + """{
+  "tool": "cedga",
+  "version": "0.1.0",
+  "command": "ce-lift",
+  "input_sha256": "ed6f2b16b8ae7bf10d21935ed39a914b695df30c7d56cbcd3bbbf5ee775454cc",
+  "status": "ok",
+  "generators": 3,
+  "rejected": [
+    {
+      "entry": "(z; x1, x1)",
+      "reason": "action 1/8 not above input total 1/2"
+    }
+  ]
+}
+""")
+
+
 def test_mc_check_exit_codes(corpus_dir):
     code, out = run_cli(["mc-check", str(corpus_dir / "mc_two_points.txt"),
                          "--cochain", str(corpus_dir / "cochain_x1.txt")])

@@ -17,6 +17,30 @@ def test_dp_sign_invariants():
         Generator("x", 1, Fraction(1, 2), GeneratorKind.DOUBLE_POINT_NEG)
 
 
+class Half(Fraction):
+    pass
+
+
+@pytest.mark.parametrize("action, negated, value", [
+    (3, -3, Fraction(3)), ("3/4", "-3/4", Fraction(3, 4)),
+    (Half(1, 2), Half(-1, 2), Fraction(1, 2)), (Fraction(5, 7), Fraction(-5, 7), Fraction(5, 7))])
+def test_action_is_exactly_fraction(action, negated, value):
+    for kind, given, expected in ((GeneratorKind.REEB_CHORD, action, value),
+                                  (GeneratorKind.DOUBLE_POINT_POS, action, value),
+                                  (GeneratorKind.DOUBLE_POINT_NEG, negated, -value)):
+        g = Generator("x", 1, given, kind)
+        assert type(g.action) is Fraction and g.action == expected
+    with pytest.raises(ValueError, match="tagged negative"):
+        Generator("x", 1, action, GeneratorKind.DOUBLE_POINT_NEG)
+    with pytest.raises(ValueError, match="tagged positive"):
+        Generator("x", 1, negated, GeneratorKind.DOUBLE_POINT_POS)
+
+
+def test_fraction_action_is_kept_not_copied():
+    action = Fraction(2, 3)
+    assert Generator("x", 1, action).action is action
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(ValueError):
         Dga.build(2, gens=[("x", 0, 1), ("x", 1, 2)])

@@ -707,3 +707,29 @@ def test_memo_bounds_convolutions_at_acceptance_bounds(monkeypatch):
         max_strips=3, max_attached_disks=2, degree_range=(-3, 4)))
     assert (trees.in_window, trajectories.in_window) == (313_228, 1_995_121)
     assert len(calls) <= 2_000
+
+
+def test_trajectory_digits_derived_once_per_structure(monkeypatch):
+    bounds = TrajectorySearchBounds(max_strips=3, max_attached_disks=2, degree_range=(-3, 4))
+    structures = sum(1 for _ in _traj_structures(bounds))
+    calls = []
+
+    def counting(*args, real=pearly._traj_digits):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(pearly, "_traj_digits", counting)
+    report = exhaustive_search(bounds)
+    assert (report.enumerated, report.in_window, report.materialized) == (
+        4_211_384, 1_995_121, 79)
+    assert len(calls) == structures == 2_667
+
+
+def test_trajectory_estimate_checked_before_counting(monkeypatch):
+    def no_counting(*args):
+        raise AssertionError("counted before the estimate was checked")
+
+    monkeypatch.setattr(pearly, "_convolve", no_counting)
+    monkeypatch.setattr(pearly, "_uniform", no_counting)
+    with pytest.raises(BoundsTooLargeError):
+        exhaustive_search(TrajectorySearchBounds(max_configs=1))
