@@ -107,6 +107,19 @@ def _constraints_by_depth(dga: Dga, names: list[str]):
     return by_depth, False
 
 
+def _walk(depth, names, ready, p, values, found):
+    """Set names[depth:] in turn, appending each augmentation to ``found``.
+    The state is passed in, not closed over, so a call leaves no cycle."""
+    if depth == len(names):
+        found.append(Augmentation(p, values))
+        return
+    name, checks = names[depth], ready[depth]
+    for v in range(p):
+        values[name] = v
+        if not any(evaluate_terms(terms, values, p) for terms in checks):
+            _walk(depth + 1, names, ready, p, values, found)
+
+
 def enumerate_augmentations(dga: Dga, max_degree_zero: int = 24) -> list[Augmentation]:
     """All augmentations of a validated Dga, in lexicographic order by sorted
     generator name then value.  Refuses to run when the degree-0 generator
@@ -118,21 +131,7 @@ def enumerate_augmentations(dga: Dga, max_degree_zero: int = 24) -> list[Augment
     by_depth, infeasible = _constraints_by_depth(dga, names)
     if infeasible:
         return []
-    p = dga.p
-    n = len(names)
-    values: dict[str, int] = {}
+    ready = [by_depth.get(depth, ()) for depth in range(len(names))]
     found: list[Augmentation] = []
-
-    def walk(depth: int) -> None:
-        if depth == n:
-            found.append(Augmentation(p, values))
-            return
-        name = names[depth]
-        ready = by_depth.get(depth, ())
-        for v in range(p):
-            values[name] = v
-            if not any(evaluate_terms(terms, values, p) for terms in ready):
-                walk(depth + 1)
-
-    walk(0)
+    _walk(0, names, ready, dga.p, {}, found)
     return found

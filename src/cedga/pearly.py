@@ -29,7 +29,7 @@ class ConfigError(InputError):
 
 class BoundsTooLargeError(InputError):
     def __init__(self, estimate: int, limit: int):
-        super().__init__(f"estimated {estimate} configurations exceed the limit {limit}")
+        super().__init__(f"at least {estimate} configurations exceed the limit {limit}")
         self.estimate = estimate
         self.limit = limit
 
@@ -451,12 +451,10 @@ class TrajectorySearchBounds:
 @dataclass
 class CounterexampleReport:
     """``enumerated`` counts sum tuples; ``in_window`` counts those whose
-    derived degrees all lie in the degree range, counted per structure, not
-    visited one by one.  The ledger is derived once per structure, so a
-    mismatch adds all of the structure's in-window tuples to
-    ``telescope_failures`` and a counterexample entry stands for all of
-    them.  ``materialized`` counts the sampled tuples re-checked through
-    real configurations; a failed re-check adds one telescope failure."""
+    derived degrees all lie in the degree range, per structure, not one by
+    one.  ``materialized`` counts the sampled tuples re-checked through real
+    configurations; each failed re-check adds a telescope failure.  The
+    searches prove that no structure is a counterexample."""
 
     mode: str
     bounds: dict
@@ -515,133 +513,161 @@ def _sample(first_index: int, radices: list[int], stride: int):
         yield digits
 
 
-def _tree_structures(max_disks: int, max_inputs: int):
-    """All rooted-tree shapes with external slot counts.  Disk 0 is the
-    root; parents precede children, which enumerates every shape up to the
-    relabeling the degree assignment already quantifies over."""
+def _bounded_sum(sizes, limit: int) -> int:
+    """Sum ``sizes``; once past ``limit``, refuse with the sum so far (a lower bound)."""
+    total = 0
+    for total in itertools.accumulate(sizes):
+        if total > limit:
+            raise BoundsTooLargeError(total, limit)
+    return total
+
+
+def _tree_shapes(max_disks: int, max_inputs: int):
+    """Rooted-tree shapes (m, parents, child_counts) with at most
+    ``max_inputs`` children per disk, parents in lexicographic order.  Disk
+    0 is the root and disk i hangs below parents[i - 1] < i, which
+    enumerates every shape up to the relabeling the degree assignment
+    already quantifies over."""
+    level = [((), (0,))]
     for m in range(1, max_disks + 1):
-        for parents in itertools.product(*[range(i) for i in range(1, m)]):
-            child_counts = [0] * m
-            for parent in parents:
-                child_counts[parent] += 1
-            if any(c > max_inputs for c in child_counts):
-                continue
-            extras_ranges = [range(max_inputs - c + 1) for c in child_counts]
-            for extras in itertools.product(*extras_ranges):
-                yield m, parents, tuple(child_counts), extras
+        for parents, counts in level:
+            yield m, parents, counts
+        level = [(parents + (p,), counts[:p] + (counts[p] + 1,) + counts[p + 1:] + (0,))
+                 for parents, counts in level for p in range(m) if counts[p] < max_inputs]
+
+
+def _tree_structures(max_disks: int, max_inputs: int):
+    for m, parents, child_counts in _tree_shapes(max_disks, max_inputs):
+        for extras in itertools.product(*[range(max_inputs - c + 1) for c in child_counts]):
+            yield m, parents, child_counts, extras
 
 
 def _estimate_trees(bounds: TreeSearchBounds) -> int:
+    """The disks' extras vary independently, so a shape's tuple count is the
+    product over its disks of their radices summed over the extras."""
     lo, hi = bounds.degree_range
-    return sum(math.prod((hi - lo) * e + 1 for e in extras)
-               for _, _, _, extras in _tree_structures(bounds.max_disks,
-                                                       bounds.max_inputs_per_disk))
+    cap = bounds.max_inputs_per_disk
+    per_disk = [sum((hi - lo) * e + 1 for e in range(cap - c + 1)) for c in range(cap + 1)]
+    return _bounded_sum((math.prod(per_disk[c] for c in child_counts)
+                         for _, _, child_counts in _tree_shapes(bounds.max_disks, cap)),
+                        bounds.max_configs)
 
 
 def _materialize_tree(m, parents, child_counts, extras, sums, out_degs, lo, hi
                       ) -> PearlyTreeConfig:
-    children: dict[int, list[int]] = {}
-    for child in range(1, m):
-        children.setdefault(parents[child - 1], []).append(child)
-    ext_degs = {i: _distribute(sums[i], extras[i], lo, hi) for i in range(m)}
-
-    outputs: dict[int, Generator] = {}
-    disks: list[DiskComponent] = []
-    edges: list[tuple[int, int, int]] = []
-    ext_gens: dict[int, list[Generator]] = {}
+    children: list[list[int]] = [[] for _ in range(m)]
+    for child, parent in enumerate(parents, start=1):
+        children[parent].append(child)
+    outputs: list[Generator] = [None] * m
+    disks: list[DiskComponent] = [None] * m
     for i in range(m - 1, -1, -1):
-        ext_gens[i] = [
+        inputs = [outputs[c] for c in children[i]] + [
             Generator(f"x{i}_{s}", d, Fraction(1), GeneratorKind.DOUBLE_POINT_POS)
-            for s, d in enumerate(ext_degs[i])]
-        action = sum((outputs[c].action for c in children.get(i, ())), Fraction(0))
-        action += sum((g.action for g in ext_gens[i]), Fraction(0)) + 1
-        outputs[i] = Generator(f"v{i}", out_degs[i], action,
-                               GeneratorKind.DOUBLE_POINT_POS)
-    for i in range(m):
-        inputs = [outputs[c] for c in children.get(i, ())] + ext_gens[i]
-        disks.append(DiskComponent(outputs[i], tuple(inputs)))
-        for slot, c in enumerate(children.get(i, ())):
-            edges.append((c, i, slot))
+            for s, d in enumerate(_distribute(sums[i], extras[i], lo, hi))]
+        action = sum((g.action for g in inputs), Fraction(1))
+        outputs[i] = Generator(f"v{i}", out_degs[i], action, GeneratorKind.DOUBLE_POINT_POS)
+        disks[i] = DiskComponent(outputs[i], tuple(inputs))
+    edges = [(c, i, slot) for i in range(m) for slot, c in enumerate(children[i])]
     return PearlyTreeConfig(tuple(disks), tuple(edges))
 
 
 def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
-    """One pass per structure.  out_degs[i] = rigid[i] + sums[i] + the
-    outputs of i's children, so the ledger lhs = out_degs[0] - sum(sums)
-    is sum(rigid) for every tuple, and the in-window tuples are counted by
-    convolving each subtree's output-degree counts from the leaves up.
+    """out_degs[i] = rigid[i] + sums[i] + the outputs of i's children, with
+    rigid[i] = 2 - child_counts[i] - extras[i], so the ledger lhs =
+    out_degs[0] - sum(sums) is sum(rigid) for every tuple.  Every disk but
+    the root is one child, so sum(rigid) = 2m - (m - 1) - k = m + 1 - k, the
+    rhs, and the counterexample test lhs = 2 - k forces m = 1.  Both hold by
+    construction and are not tested per structure.
 
-    A subtree's clipped counts depend only on its shape, keyed as (extras
-    of its root, sorted keys of its children), so ``shapes`` counts each
-    shape once per search and every later structure reuses it."""
+    A subtree's tuple count and clipped output-degree counts depend only on
+    its class: the extras of its root and the sorted classes of its
+    children.  Each class is interned as an int and counted once, from the
+    leaves up; a structure counts as its root's class.  Digits are decoded
+    only for a structure with in-window tuples that holds a sampled rank."""
     lo, hi = bounds.degree_range
-    estimate = _estimate_trees(bounds)
-    if estimate > bounds.max_configs:
-        raise BoundsTooLargeError(estimate, bounds.max_configs)
-    report = CounterexampleReport("trees", asdict(bounds), estimate)
-    shapes: dict[tuple, dict[int, int]] = {}
-    for m, parents, child_counts, extras in _tree_structures(
-            bounds.max_disks, bounds.max_inputs_per_disk):
-        children: dict[int, list[int]] = {}
-        for child in range(1, m):
-            children.setdefault(parents[child - 1], []).append(child)
-        rigid = [2 - child_counts[i] - extras[i] for i in range(m)]
-        radices = [(hi - lo) * e + 1 for e in extras]
-        keys: list[tuple] = [()] * m
-        for i in range(m - 1, -1, -1):
-            child_keys = tuple(sorted(keys[c] for c in children.get(i, ())))
-            keys[i] = key = (extras[i], child_keys)
-            if key not in shapes:
-                counts = _uniform(rigid[i] + lo * extras[i], radices[i])
-                for child_key in child_keys:
-                    counts = _convolve(counts, shapes[child_key])
-                shapes[key] = _clip(counts, lo, hi)
-        in_window = sum(shapes[keys[0]].values())
-        first_index = report.enumerated + 1
-        report.enumerated += math.prod(radices)
-        report.in_window += in_window
-        k = sum(extras)
-        lhs = sum(rigid)
-        if lhs != m + 1 - k:
-            report.telescope_failures += in_window
-        if lhs == 2 - k and m >= 2:
-            if in_window:
-                report.counterexamples.append(
-                    {"disks": m, "externals": k, "lhs": lhs, "in_window": in_window})
-            continue
-        for digits in _sample(first_index, radices, bounds.materialize_stride):
-            sums = [lo * e + d for e, d in zip(extras, digits)]
-            out_degs = [0] * m
+    cap, stride = bounds.max_inputs_per_disk, bounds.materialize_stride
+    report = CounterexampleReport("trees", asdict(bounds), _estimate_trees(bounds))
+    class_ids: dict[tuple[int, tuple[int, ...]], int] = {}
+    # per class: clipped output-degree counts, tuple count, in-window count
+    classes: list[tuple[dict[int, int], int, int]] = []
+    for m, parents, child_counts in _tree_shapes(bounds.max_disks, cap):
+        children: list[list[int]] = [[] for _ in range(m)]
+        for child, parent in enumerate(parents, start=1):
+            children[parent].append(child)
+        node = [0] * m
+        for extras in itertools.product(*[range(cap - c + 1) for c in child_counts]):
             for i in range(m - 1, -1, -1):
-                out_degs[i] = (rigid[i] + sums[i]
-                               + sum(out_degs[c] for c in children.get(i, ())))
-            if all(lo <= d <= hi for d in out_degs):
-                tree = _materialize_tree(m, parents, child_counts, extras,
-                                         sums, out_degs, lo, hi)
-                report.materialized += 1
-                if not tree_ledger(tree).telescoped:
-                    report.telescope_failures += 1
+                key = (extras[i], tuple(sorted([node[c] for c in children[i]])))
+                node[i] = class_ids.get(key, -1)
+                if node[i] < 0:
+                    count = (hi - lo) * extras[i] + 1
+                    counts = _uniform(2 - len(key[1]) - extras[i] + lo * extras[i], count)
+                    for c in key[1]:
+                        counts = _convolve(counts, classes[c][0])
+                        count *= classes[c][1]
+                    counts = _clip(counts, lo, hi)
+                    class_ids[key] = node[i] = len(classes)
+                    classes.append((counts, count, sum(counts.values())))
+            _, count, in_window = classes[node[0]]
+            before = report.enumerated
+            report.enumerated += count
+            report.in_window += in_window
+            if not in_window or report.enumerated // stride == before // stride:
+                continue
+            rigid = [2 - child_counts[i] - extras[i] for i in range(m)]
+            for digits in _sample(before + 1, [(hi - lo) * e + 1 for e in extras], stride):
+                sums = [lo * e + d for e, d in zip(extras, digits)]
+                out_degs = [0] * m
+                for i in range(m - 1, -1, -1):
+                    out_degs[i] = rigid[i] + sums[i] + sum(out_degs[c] for c in children[i])
+                if all(lo <= d <= hi for d in out_degs):
+                    tree = _materialize_tree(m, parents, child_counts, extras,
+                                             sums, out_degs, lo, hi)
+                    report.materialized += 1
+                    if not tree_ledger(tree).telescoped:
+                        report.telescope_failures += 1
     return report
 
 
-def _traj_structures(bounds: TrajectorySearchBounds):
+def _traj_shapes(bounds: TrajectorySearchBounds):
+    """Every (K, marks, attached): the strip count, the (bottom, top) marked
+    counts per strip in ``itertools.product`` order, and the attachment
+    points (strip, side, position)."""
     per_strip = [(nb, nt)
                  for nb in range(bounds.max_marked_per_strip + 1)
                  for nt in range(bounds.max_marked_per_strip + 1 - nb)]
+    level = [((), 0)]  # marks, marked points used
     for K in range(1, bounds.max_strips + 1):
-        for marks in itertools.product(per_strip, repeat=K):
-            if sum(nb + nt for nb, nt in marks) > bounds.max_total_marked:
-                continue
+        level = [(marks + ((nb, nt),), used + nb + nt) for marks, used in level
+                 for nb, nt in per_strip if used + nb + nt <= bounds.max_total_marked]
+        for marks, _ in level:
             points = [(s, side, pos)
                       for s, (nb, nt) in enumerate(marks)
                       for side, n in (("bottom", nb), ("top", nt))
                       for pos in range(n)]
-            max_attach = min(bounds.max_attached_disks, len(points))
-            for a_count in range(max_attach + 1):
+            for a_count in range(min(bounds.max_attached_disks, len(points)) + 1):
                 for attached in itertools.combinations(points, a_count):
-                    for disk_inputs in itertools.product(
-                            range(bounds.max_inputs_per_disk + 1), repeat=a_count):
-                        yield K, marks, attached, disk_inputs
+                    yield K, marks, attached
+
+
+def _traj_structures(bounds: TrajectorySearchBounds):
+    for K, marks, attached in _traj_shapes(bounds):
+        for disk_inputs in itertools.product(
+                range(bounds.max_inputs_per_disk + 1), repeat=len(attached)):
+            yield K, marks, attached, disk_inputs
+
+
+def _bare_groups(marks, attached) -> list[tuple[int, str, int]]:
+    """(strip, side, bare count) for each nonempty side of each strip."""
+    return [(s, side, n - sum(1 for point in attached if point[:2] == (s, side)))
+            for s, (nb, nt) in enumerate(marks)
+            for side, n in (("bottom", nb), ("top", nt)) if n]
+
+
+def _disk_digit(n: int, lo: int, hi: int) -> tuple[int, int]:
+    """Range start and radix of the output degree of a disk with n inputs."""
+    start = max(lo, 2 - n + lo * n)
+    return start, max(0, min(hi, 2 - n + hi * n) - start + 1)
 
 
 def _traj_digits(marks, attached, disk_inputs, lo, hi):
@@ -649,159 +675,136 @@ def _traj_digits(marks, attached, disk_inputs, lo, hi):
     order: the input chord degree, one bare sum per nonempty side of each
     strip, one output degree per attached disk.  Returns the bare groups as
     (strip, side, bare count) and each digit's range start and radix."""
-    attached_at: dict[tuple[int, str], int] = {}
-    for s, side, _ in attached:
-        attached_at[s, side] = attached_at.get((s, side), 0) + 1
-    bare_groups = [(s, side, n - attached_at.get((s, side), 0))
-                   for s, (nb, nt) in enumerate(marks)
-                   for side, n in (("bottom", nb), ("top", nt)) if n]
-    starts = [lo] + [lo * bare for _, _, bare in bare_groups]
-    radices = [hi - lo + 1] + [(hi - lo) * bare + 1 for _, _, bare in bare_groups]
-    for n in disk_inputs:
-        start = max(lo, 2 - n + lo * n)
-        starts.append(start)
-        radices.append(max(0, min(hi, 2 - n + hi * n) - start + 1))
-    return bare_groups, starts, radices
+    bare_groups = _bare_groups(marks, attached)
+    digits = ([(lo, hi - lo + 1)] + [(lo * bare, (hi - lo) * bare + 1)
+                                     for _, _, bare in bare_groups]
+              + [_disk_digit(n, lo, hi) for n in disk_inputs])
+    return bare_groups, [start for start, _ in digits], [radix for _, radix in digits]
 
 
-def _traj_plan(bounds: TrajectorySearchBounds) -> list[tuple]:
-    """Every structure with its digits, each derived once:
-    (K, marks, attached, disk_inputs, bare_groups, starts, radices)."""
+def _estimate_trajectories(bounds: TrajectorySearchBounds) -> int:
+    """The attached disks' input counts vary independently, so a shape counts
+    its chord and bare radices times the summed disk radices per disk."""
     lo, hi = bounds.degree_range
-    return [(K, marks, attached, disk_inputs,
-             *_traj_digits(marks, attached, disk_inputs, lo, hi))
-            for K, marks, attached, disk_inputs in _traj_structures(bounds)]
-
-
-def _estimate_trajectories(bounds: TrajectorySearchBounds, plan=None) -> int:
-    if plan is None:
-        plan = _traj_plan(bounds)
-    return sum(math.prod(radices) for *_, radices in plan)
+    disks = sum(_disk_digit(n, lo, hi)[1] for n in range(bounds.max_inputs_per_disk + 1))
+    return _bounded_sum(((hi - lo + 1) * disks ** len(attached)
+                         * math.prod((hi - lo) * bare + 1
+                                     for _, _, bare in _bare_groups(marks, attached))
+                         for _, marks, attached in _traj_shapes(bounds)),
+                        bounds.max_configs)
 
 
 def _materialize_trajectory(K, marks, attached, disk_inputs, c_in_deg,
                             bare_groups, bare_sums, disk_outs, lo, hi
                             ) -> BrokenTrajectoryConfig:
     """bare_groups pairs each bare-sum value with its (strip, side, count)."""
-    attach_list = list(zip(attached, disk_inputs, disk_outs))
-    bare_points: dict[tuple[int, str], list[int]] = {}
-    for (s, side, bare), total in zip(bare_groups, bare_sums):
-        if bare:
-            bare_points[(s, side)] = _distribute(total, bare, lo, hi)
+    bare_degs = {(s, side): iter(_distribute(total, bare, lo, hi))
+                 for (s, side, bare), total in zip(bare_groups, bare_sums)}
     disks_at: dict[tuple[int, str, int], DiskComponent] = {}
-    for (point, n, out_deg) in attach_list:
-        s_deg = out_deg - 2 + n
-        in_degs = _distribute(s_deg, n, lo, hi)
-        inputs = tuple(Generator(f"di{point[0]}_{point[2]}_{t}", d, Fraction(1),
+    for (s, side, pos), n, out_deg in zip(attached, disk_inputs, disk_outs):
+        inputs = tuple(Generator(f"di{s}_{pos}_{t}", d, Fraction(1),
                                  GeneratorKind.DOUBLE_POINT_POS)
-                       for t, d in enumerate(in_degs))
-        out_action = sum((g.action for g in inputs), Fraction(0)) + 1
-        output = Generator(f"do{point[0]}_{point[1]}_{point[2]}", out_deg,
-                           out_action, GeneratorKind.DOUBLE_POINT_POS)
-        disks_at[point] = DiskComponent(output, inputs)
-
-    strips = []
-    chord_deg = c_in_deg
-    prev_chord = Generator("q0", chord_deg, Fraction(1), GeneratorKind.MIXED_CHORD)
-    bottom_attach = []
-    top_attach = []
+                       for t, d in enumerate(_distribute(out_deg - 2 + n, n, lo, hi)))
+        output = Generator(f"do{s}_{side}_{pos}", out_deg, Fraction(n + 1),
+                           GeneratorKind.DOUBLE_POINT_POS)
+        disks_at[s, side, pos] = DiskComponent(output, inputs)
+    strips: list[StripComponent] = []
+    attachments: dict[str, list] = {"bottom": [], "top": []}
+    chord = Generator("q0", c_in_deg, Fraction(1), GeneratorKind.MIXED_CHORD)
     for s, (nb, nt) in enumerate(marks):
-        sides: dict[str, list[Generator]] = {}
+        sides: dict[str, list[Generator]] = {"bottom": [], "top": []}
         for side, n in (("bottom", nb), ("top", nt)):
-            gens = []
-            bare_vals = list(bare_points.get((s, side), ()))
             for pos in range(n):
-                point = (s, side, pos)
-                if point in disks_at:
-                    gens.append(disks_at[point].output)
-                    target = bottom_attach if side == "bottom" else top_attach
-                    target.append((s, pos, disks_at[point]))
-                else:
-                    gens.append(Generator(f"m{s}_{side}_{pos}", bare_vals.pop(0),
-                                          Fraction(1), GeneratorKind.DOUBLE_POINT_POS))
-            sides[side] = gens
-        marked_total = sum(g.degree for g in sides["bottom"] + sides["top"])
-        chord_deg = chord_deg + 1 - (nb + nt) + marked_total
-        next_chord = Generator(f"q{s + 1}", chord_deg, Fraction(1),
-                               GeneratorKind.MIXED_CHORD)
-        strips.append(StripComponent(next_chord, prev_chord,
-                                     tuple(sides["bottom"]), tuple(sides["top"])))
-        prev_chord = next_chord
-    return BrokenTrajectoryConfig(tuple(strips), tuple(bottom_attach),
-                                  tuple(top_attach))
+                disk = disks_at.get((s, side, pos))
+                if disk is not None:
+                    attachments[side].append((s, pos, disk))
+                sides[side].append(disk.output if disk is not None else Generator(
+                    f"m{s}_{side}_{pos}", next(bare_degs[s, side]), Fraction(1),
+                    GeneratorKind.DOUBLE_POINT_POS))
+        degree = chord.degree + 1 - nb - nt + sum(g.degree for g in sides["bottom"] + sides["top"])
+        next_chord = Generator(f"q{s + 1}", degree, Fraction(1), GeneratorKind.MIXED_CHORD)
+        strips.append(StripComponent(next_chord, chord, tuple(sides["bottom"]),
+                                     tuple(sides["top"])))
+        chord = next_chord
+    return BrokenTrajectoryConfig(tuple(strips), tuple(attachments["bottom"]),
+                                  tuple(attachments["top"]))
 
 
 def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport:
-    """One pass per structure.  Strip s moves the chord by 1 - #marked plus
-    its bare sums and attached disk outputs, and a disk with n inputs has
-    output 2 - n + its input degrees, so the ledger lhs = chord_out - c_in -
-    externals is sum(1 - #marked) + sum(2 - n) for every tuple.  The
-    in-window tuples are counted by pushing the chord-degree counts through
-    the strips, clipping to the window after each.
+    """Strip s moves the chord by 1 - #marked plus its bare sums and attached
+    disk outputs, and a disk with n inputs has output 2 - n + its input
+    degrees, so the ledger lhs = chord_out - c_in - externals is sum(1 -
+    #marked) + sum(2 - n) for every tuple.  With a attached disks, k + l =
+    sum(#marked) - a + sum(n), so lhs = M - k - l for M = K + a, the rhs,
+    and the counterexample test lhs = 1 - k - l forces M = 1.  Both hold by
+    construction and are not tested per structure.
 
     A strip's step counts depend only on 1 - #marked and the multiset of
     (start, radix) digits it owns, and the clipped chord counts after a
-    strip only on the steps so far, so ``steps`` counts each step key and
-    ``prefixes`` each prefix of step keys once per search, and every later
-    structure reuses them."""
+    strip only on the steps so far.  Each prefix of steps is interned as an
+    int, ``prefix_ids[prefix, step]`` naming the longer prefix, and counted
+    once by pushing the chord counts through the step (each step is counted
+    once too); a structure counts as its last prefix.  Digits are decoded only for a
+    structure with in-window tuples that holds a sampled rank."""
     lo, hi = bounds.degree_range
-    plan = _traj_plan(bounds)
-    estimate = _estimate_trajectories(bounds, plan)
-    if estimate > bounds.max_configs:
-        raise BoundsTooLargeError(estimate, bounds.max_configs)
-    report = CounterexampleReport("trajectories", asdict(bounds), estimate)
-    # the empty prefix holds the input chord's digit, the first of every structure
-    prefixes: dict[tuple, dict[int, int]] = {(): _uniform(lo, hi - lo + 1)}
-    steps: dict[tuple, dict[int, int]] = {}
-    for K, marks, attached, disk_inputs, bare_groups, starts, radices in plan:
-        # the strip each digit after the first (the input chord) belongs to
-        owners = [s for s, _, _ in bare_groups] + [point[0] for point in attached]
-        owned: list[list[tuple[int, int]]] = [[] for _ in marks]
-        for s, start, radix in zip(owners, starts[1:], radices[1:]):
-            owned[s].append((start, radix))
-        prefix: tuple = ()
-        for (nb, nt), digits in zip(marks, owned):
-            step_key = (1 - nb - nt, tuple(sorted(digits)))
-            chords = prefixes[prefix]
-            prefix += (step_key,)
-            if prefix not in prefixes:
-                step = steps.get(step_key)
-                if step is None:
-                    step = {step_key[0]: 1}
-                    for start, radix in step_key[1]:
-                        step = _convolve(step, _uniform(start, radix))
-                    steps[step_key] = step
-                prefixes[prefix] = _clip(_convolve(chords, step), lo, hi)
-        in_window = sum(prefixes[prefix].values())
-        first_index = report.enumerated + 1
-        report.enumerated += math.prod(radices)
-        report.in_window += in_window
-        a_count = len(attached)
-        M = K + a_count
-        k_plus_l = sum(nb + nt for nb, nt in marks) - a_count + sum(disk_inputs)
-        lhs = sum(1 - nb - nt for nb, nt in marks) + sum(2 - n for n in disk_inputs)
-        if lhs != M - k_plus_l:
-            report.telescope_failures += in_window
-        if lhs == 1 - k_plus_l and M >= 2:
-            if in_window:
-                report.counterexamples.append(
-                    {"strips": K, "attached": a_count, "lhs": lhs,
-                     "in_window": in_window})
-            continue
-        for digits in _sample(first_index, radices, bounds.materialize_stride):
-            values = [start + d for start, d in zip(starts, digits)]
-            deltas = [1 - nb - nt for nb, nt in marks]
-            for s, value in zip(owners, values[1:]):
-                deltas[s] += value
-            if all(lo <= c <= hi
-                   for c in itertools.accumulate(deltas, initial=values[0])):
-                split = 1 + len(bare_groups)
-                traj = _materialize_trajectory(
-                    K, marks, attached, disk_inputs, values[0], bare_groups,
-                    values[1:split], values[split:], lo, hi)
-                report.materialized += 1
-                if not trajectory_ledger(traj).telescoped:
-                    report.telescope_failures += 1
+    stride = bounds.materialize_stride
+    report = CounterexampleReport("trajectories", asdict(bounds),
+                                  _estimate_trajectories(bounds))
+    disk_digits = [_disk_digit(n, lo, hi) for n in range(bounds.max_inputs_per_disk + 1)]
+    steps: dict[tuple, tuple[dict[int, int], int]] = {}  # degree-change counts, tuple count
+    prefix_ids: dict[tuple[int, tuple], int] = {}
+    # per prefix: clipped chord counts, tuple count, in-window count; the
+    # empty prefix holds the input chord's digit, the first of every structure
+    prefixes: list[tuple[dict[int, int], int, int]] = [
+        (_uniform(lo, hi - lo + 1), hi - lo + 1, hi - lo + 1)]
+    for K, marks, attached in _traj_shapes(bounds):
+        bare: list[list[tuple[int, int]]] = [[] for _ in marks]
+        for s, _, count in _bare_groups(marks, attached):
+            bare[s].append((lo * count, (hi - lo) * count + 1))
+        for disk_inputs in itertools.product(range(len(disk_digits)), repeat=len(attached)):
+            owned = [list(digits) for digits in bare]
+            for point, n in zip(attached, disk_inputs):
+                owned[point[0]].append(disk_digits[n])
+            prefix = 0
+            for (nb, nt), digits in zip(marks, owned):
+                step_key = (1 - nb - nt, tuple(sorted(digits)))
+                longer = prefix_ids.get((prefix, step_key), -1)
+                if longer < 0:
+                    step = steps.get(step_key)
+                    if step is None:
+                        counts, count = {step_key[0]: 1}, 1
+                        for start, radix in step_key[1]:
+                            counts = _convolve(counts, _uniform(start, radix))
+                            count *= radix
+                        steps[step_key] = step = (counts, count)
+                    counts = _clip(_convolve(prefixes[prefix][0], step[0]), lo, hi)
+                    prefix_ids[prefix, step_key] = longer = len(prefixes)
+                    prefixes.append((counts, prefixes[prefix][1] * step[1],
+                                     sum(counts.values())))
+                prefix = longer
+            _, count, in_window = prefixes[prefix]
+            before = report.enumerated
+            report.enumerated += count
+            report.in_window += in_window
+            if not in_window or report.enumerated // stride == before // stride:
+                continue
+            bare_groups, starts, radices = _traj_digits(marks, attached, disk_inputs, lo, hi)
+            # the strip each digit after the first (the input chord) belongs to
+            owners = [s for s, _, _ in bare_groups] + [point[0] for point in attached]
+            for digits in _sample(before + 1, radices, stride):
+                values = [start + d for start, d in zip(starts, digits)]
+                deltas = [1 - nb - nt for nb, nt in marks]
+                for s, value in zip(owners, values[1:]):
+                    deltas[s] += value
+                if all(lo <= c <= hi
+                       for c in itertools.accumulate(deltas, initial=values[0])):
+                    split = 1 + len(bare_groups)
+                    traj = _materialize_trajectory(
+                        K, marks, attached, disk_inputs, values[0], bare_groups,
+                        values[1:split], values[split:], lo, hi)
+                    report.materialized += 1
+                    if not trajectory_ledger(traj).telescoped:
+                        report.telescope_failures += 1
     return report
 
 
@@ -815,18 +818,14 @@ def exhaustive_search(bounds) -> CounterexampleReport:
     and each sum value in range is realizable, so the reduction is complete
     for the counterexample question.
 
-    The sum tuples are counted, not visited.  Per structure, the ledger lhs
-    is derived once from the per-component rigidity constants (it is the
-    same for every sum tuple) and checked against rhs and the
-    counterexample test; a structure failing either accounts for all of its
-    in-window tuples.  ``enumerated`` advances by each structure's full
-    tuple count, so it equals ``estimated_configs``; ``in_window``, the
-    tuples whose derived degrees (disk outputs, chords of the chain) all lie
-    in the degree range, is counted exactly by convolving degree counts
-    clipped to that range.  Only a deterministic sample is decoded: every
-    tuple whose 1-based position in the unpruned enumeration is a multiple
-    of ``materialize_stride`` and that lies in the window is materialized
-    and pushed through the full ledger objects.
+    The sum tuples are counted, not visited, and the per-structure ledger
+    and counterexample tests hold by construction (each search states the
+    proof).  ``estimated_configs`` is summed, and refused past
+    ``max_configs``, before any counting; ``enumerated`` equals it.
+    ``in_window`` is counted exactly by convolving degree counts clipped to
+    the degree range.  Every tuple whose 1-based position in the unpruned
+    enumeration is a multiple of ``materialize_stride`` and that lies in the
+    window is materialized and pushed through the full ledger objects.
     """
     if isinstance(bounds, TreeSearchBounds):
         return _search_trees(bounds)

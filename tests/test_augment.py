@@ -1,5 +1,6 @@
 """Augmentations: evaluation, checking, and exhaustive enumeration."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -100,6 +101,21 @@ def test_enumeration_order_is_lexicographic():
     found = enumerate_augmentations(dga)
     listed = [tuple(e.value(n) for n in ("a", "b")) for e in found]
     assert listed == sorted(itertools.product(range(3), repeat=2))
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    # a self-referencing walk closure left a cycle per call for the cyclic GC
+    dga = Dga.build(3, gens=[("y", -1, 3), ("a", 0, 1), ("b", 0, 2)],
+                    diffs={"y": [(1, ("a", "b")), (2, ())]})
+    assert len(enumerate_augmentations(dga)) == 2
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            enumerate_augmentations(dga)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumeration_invariant_under_renaming_and_order():

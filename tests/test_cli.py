@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import re
+import time
 from dataclasses import asdict
 
 import pytest
@@ -251,6 +252,15 @@ def test_search_cli_refusal():
     code, out = run_cli(["search", "--mode", "trees", "--max-disks", "4",
                          "--max-configs", "10"])
     assert code == 2 and "exceed" in out
+
+
+@pytest.mark.parametrize("flags", [["--mode", "trees", "--max-disks", "99"],
+                                   ["--mode", "trajectories", "--max-strips", "99"]])
+def test_search_cli_refuses_huge_bounds_at_once(flags):
+    start = time.perf_counter()
+    code, out = run_cli(["search", *flags])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "exceed the limit 50000000" in out
 
 
 @pytest.mark.parametrize("flags,message", [

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -709,9 +710,26 @@ def test_memo_bounds_convolutions_at_acceptance_bounds(monkeypatch):
     assert len(calls) <= 2_000
 
 
-def test_trajectory_digits_derived_once_per_structure(monkeypatch):
+def holding_a_sample(bounds):
+    """How many structures hold a rank that is a multiple of the stride."""
+    lo, hi = bounds.degree_range
+    if isinstance(bounds, TreeSearchBounds):
+        counts = [math.prod((hi - lo) * e + 1 for e in extras) for *_, extras in
+                  _tree_structures(bounds.max_disks, bounds.max_inputs_per_disk)]
+    else:
+        counts = [math.prod(pearly._traj_digits(marks, attached, inputs, lo, hi)[2])
+                  for _, marks, attached, inputs in _traj_structures(bounds)]
+    first_ranks = itertools.accumulate(counts, initial=0)
+    return sum((first + count) // bounds.materialize_stride > first // bounds.materialize_stride
+               for first, count in zip(first_ranks, counts))
+
+
+def test_trajectory_digits_derived_only_where_a_sample_falls(monkeypatch):
+    # digits are derived once for each of the 210 of the 2,667 structures
+    # that hold a sampled rank, and for no other (all 210 hold in-window tuples)
     bounds = TrajectorySearchBounds(max_strips=3, max_attached_disks=2, degree_range=(-3, 4))
-    structures = sum(1 for _ in _traj_structures(bounds))
+    assert sum(1 for _ in _traj_structures(bounds)) == 2_667
+    assert holding_a_sample(bounds) == 210
     calls = []
 
     def counting(*args, real=pearly._traj_digits):
@@ -722,7 +740,69 @@ def test_trajectory_digits_derived_once_per_structure(monkeypatch):
     report = exhaustive_search(bounds)
     assert (report.enumerated, report.in_window, report.materialized) == (
         4_211_384, 1_995_121, 79)
-    assert len(calls) == structures == 2_667
+    assert len(calls) == 210
+
+
+@pytest.mark.parametrize("bounds,holding,decoded", [
+    (TreeSearchBounds(max_disks=3, max_inputs_per_disk=2, degree_range=(2, 3),
+                      materialize_stride=7), 15, 1),
+    (TrajectorySearchBounds(max_strips=2, degree_range=(2, 3), materialize_stride=7),
+     230, 0),
+])
+def test_no_decoding_where_no_tuple_is_in_window(monkeypatch, bounds, holding, decoded):
+    # a structure whose in-window count is 0 holds no sampled tuple that
+    # could be materialized, so its sample is not decoded
+    assert holding_a_sample(bounds) == holding
+    calls = []
+
+    def counting(*args, real=pearly._sample):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(pearly, "_sample", counting)
+    report = assert_matches_oracle(bounds)
+    assert len(calls) == decoded and report.materialized == decoded
+
+
+def test_structure_ledgers_hold_by_construction():
+    # the searches do not test these per structure: the ledger telescopes
+    # and the counterexample test fails for every structure
+    trees = 0
+    for m, parents, child_counts, extras in _tree_structures(6, 3):
+        k, lhs = sum(extras), sum(2 - c - e for c, e in zip(child_counts, extras))
+        assert lhs == m + 1 - k
+        assert not (lhs == 2 - k and m >= 2)
+        trees += 1
+    trajectories = 0
+    for K, marks, attached, disk_inputs in _traj_structures(TrajectorySearchBounds(max_strips=6)):
+        M = K + len(attached)
+        k_plus_l = sum(nb + nt for nb, nt in marks) - len(attached) + sum(disk_inputs)
+        lhs = sum(1 - nb - nt for nb, nt in marks) + sum(2 - n for n in disk_inputs)
+        assert lhs == M - k_plus_l
+        assert not (lhs == 1 - k_plus_l and M >= 2)
+        trajectories += 1
+    assert (trees, trajectories) == (82_160, 29_322)
+
+
+@pytest.mark.parametrize("bounds", [TreeSearchBounds(max_disks=99),
+                                    TrajectorySearchBounds(max_strips=99)],
+                         ids=["trees", "trajectories"])
+def test_guard_refuses_huge_bounds_at_once(bounds):
+    # the size walk stops once its running sum passes max_configs
+    start = time.perf_counter()
+    with pytest.raises(BoundsTooLargeError) as exc:
+        exhaustive_search(bounds)
+    assert time.perf_counter() - start < 1.0
+    assert bounds.max_configs < exc.value.estimate < 2 * bounds.max_configs
+    assert "at least" in str(exc.value) and "exceed" in str(exc.value)
+
+
+def test_shape_walk_skips_overfull_parents():
+    # one input per disk leaves only chains; the walk must not visit the 98!
+    # parent vectors of 99 disks to find them
+    report = exhaustive_search(TreeSearchBounds(max_disks=99, max_inputs_per_disk=1))
+    assert report.enumerated == report.estimated_configs == 99 * 9
+    assert report.in_window and not report.counterexamples
 
 
 def test_trajectory_estimate_checked_before_counting(monkeypatch):
