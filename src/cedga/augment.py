@@ -14,7 +14,8 @@ from __future__ import annotations
 from typing import Mapping
 
 from .dga import Dga, ValidationReport
-from .field import InputError, check_characteristic, require_same_field
+from .field import (InputError, SparseValues, check_characteristic, reduce_mod,
+                    require_same_field)
 from .poly import NcPoly, evaluate_terms, format_poly
 
 
@@ -22,26 +23,15 @@ class EnumerationBoundError(InputError):
     """The degree-0 generator count exceeds the configured search bound."""
 
 
-class Augmentation:
+class Augmentation(SparseValues):
     """Finitely supported scalar assignment, extended multiplicatively."""
 
     __slots__ = ("p", "values")
+    _values = "values"
 
     def __init__(self, p: int, values: Mapping[str, int] | None = None):
-        check_characteristic(p)
-        self.p = p
-        self.values: dict[str, int] = {}
-        for name, value in (values or {}).items():
-            if not isinstance(value, int):
-                raise TypeError(f"value of {name!r} must be an int, "
-                                f"got {type(value).__name__}")
-            v = value % p
-            if v:
-                self.values[name] = v
-
-    @classmethod
-    def trivial(cls, p: int) -> "Augmentation":
-        return cls(p)
+        self.p = check_characteristic(p)
+        self.values: dict[str, int] = reduce_mod(p, values or {}, "value of {!r}")
 
     def value(self, name: str) -> int:
         return self.values.get(name, 0)
@@ -51,16 +41,6 @@ class Augmentation:
         contributes its coefficient."""
         require_same_field(self.p, q.p)
         return evaluate_terms(q.terms.items(), self.values, self.p)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Augmentation)
-                and self.p == other.p and self.values == other.values)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        inside = ", ".join(f"{n}={v}" for n, v in sorted(self.values.items()))
-        return f"Augmentation(p={self.p}, {{{inside}}})"
 
 
 def check_augmentation(dga: Dga, e: Augmentation) -> ValidationReport:

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .augment import Augmentation
 from .dga import Dga, Generator, GeneratorKind, ValidationReport
-from .field import InputError, check_characteristic, require_same_field
+from .field import (InputError, SparseValues, check_characteristic, reduce_mod,
+                    require_same_field)
 from .poly import NcPoly, evaluate_terms
 
 
@@ -32,6 +33,21 @@ class RejectedEntry:
 
 def _entry_text(output: str, inputs: tuple[str, ...]) -> str:
     return f"({output}; {', '.join(inputs) if inputs else ''})"
+
+
+def _declare(gens: Iterable[Generator], kind: GeneratorKind, wrong_kind: str,
+             duplicate: str, taken: Container[str] = ()) -> dict[str, Generator]:
+    """Declared generators by name.  A generator of another kind raises
+    ValueError with ``wrong_kind`` formatted on it; a name seen before or in
+    ``taken`` raises ValueError with ``duplicate`` formatted on the name."""
+    declared: dict[str, Generator] = {}
+    for gen in gens:
+        if gen.kind is not kind:
+            raise ValueError(wrong_kind.format(gen))
+        if gen.name in declared or gen.name in taken:
+            raise ValueError(duplicate.format(gen.name))
+        declared[gen.name] = gen
+    return declared
 
 
 class DiskCountTable:
@@ -60,13 +76,9 @@ class DiskCountTable:
     def build(cls, p: int, double_points: Iterable[Generator],
               entries: Iterable[tuple[str, Iterable[str], int]]) -> "DiskCountTable":
         check_characteristic(p)
-        points: dict[str, Generator] = {}
-        for gen in double_points:
-            if gen.kind is not GeneratorKind.DOUBLE_POINT_POS:
-                raise ValueError(f"{gen.name!r} must be a positive double point, got {gen.kind}")
-            if gen.name in points:
-                raise ValueError(f"duplicate double point {gen.name!r}")
-            points[gen.name] = gen
+        points = _declare(double_points, GeneratorKind.DOUBLE_POINT_POS,
+                          "{0.name!r} must be a positive double point, got {0.kind}",
+                          "duplicate double point {!r}")
         # each point's degree and action numerator over the common denominator
         scale = math.lcm(*(g.action.denominator for g in points.values()))
         scaled = {n: (g.degree, g.action.numerator * (scale // g.action.denominator))
@@ -109,9 +121,6 @@ class DiskCountTable:
                     del counts[output]
         return cls(p, points, counts, tuple(rejected))
 
-    def degree_one_names(self) -> list[str]:
-        return sorted(n for n, g in self.double_points.items() if g.degree == 1)
-
     def outputs(self) -> list[str]:
         return sorted(self.counts)
 
@@ -121,39 +130,16 @@ class DiskCountTable:
                 f"rejected={len(self.rejected)})")
 
 
-class BoundingCochain:
+class BoundingCochain(SparseValues):
     """Finitely supported coefficients on positive-action double points."""
 
     __slots__ = ("p", "coefficients")
+    _values = "coefficients"
 
     def __init__(self, p: int, coefficients: Mapping[str, int] | None = None):
-        check_characteristic(p)
-        self.p = p
-        self.coefficients: dict[str, int] = {}
-        for name, value in (coefficients or {}).items():
-            if not isinstance(value, int):
-                raise TypeError(f"coefficient of {name!r} must be an int, "
-                                f"got {type(value).__name__}")
-            v = value % p
-            if v:
-                self.coefficients[name] = v
-
-    @classmethod
-    def trivial(cls, p: int) -> "BoundingCochain":
-        return cls(p)
-
-    def coefficient(self, name: str) -> int:
-        return self.coefficients.get(name, 0)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BoundingCochain)
-                and self.p == other.p and self.coefficients == other.coefficients)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        inside = ", ".join(f"{n}={v}" for n, v in sorted(self.coefficients.items()))
-        return f"BoundingCochain(p={self.p}, {{{inside}}})"
+        self.p = check_characteristic(p)
+        self.coefficients: dict[str, int] = reduce_mod(p, coefficients or {},
+                                                       "coefficient of {!r}")
 
 
 def _require_degree_one(table: DiskCountTable, support: Iterable[str], message: str) -> None:
@@ -275,23 +261,13 @@ class StripCountTable:
               entries: Iterable[tuple[str, str, Iterable[str], Iterable[str], int]]
               ) -> "StripCountTable":
         check_characteristic(p)
-        chord_map: dict[str, Generator] = {}
-        for gen in chords:
-            if gen.kind is not GeneratorKind.MIXED_CHORD:
-                raise ValueError(f"chord {gen.name!r} must have the mixed kind")
-            if gen.name in chord_map:
-                raise ValueError(f"duplicate chord {gen.name!r}")
-            chord_map[gen.name] = gen
-        bottom: dict[str, Generator] = {}
-        top: dict[str, Generator] = {}
-        for side, gens in (("bottom", dp_bottom), ("top", dp_top)):
-            target = bottom if side == "bottom" else top
-            for gen in gens:
-                if gen.kind is not GeneratorKind.DOUBLE_POINT_POS:
-                    raise ValueError(f"{gen.name!r} must be a positive double point")
-                if gen.name in chord_map or gen.name in target:
-                    raise ValueError(f"duplicate generator {gen.name!r}")
-                target[gen.name] = gen
+        chord_map = _declare(chords, GeneratorKind.MIXED_CHORD,
+                             "chord {0.name!r} must have the mixed kind", "duplicate chord {!r}")
+        # a double point may sit on both sides, but never share a chord's name
+        bottom, top = (_declare(gens, GeneratorKind.DOUBLE_POINT_POS,
+                                "{0.name!r} must be a positive double point",
+                                "duplicate generator {!r}", chord_map)
+                       for gens in (dp_bottom, dp_top))
         counts: dict[tuple[str, str, tuple[str, ...], tuple[str, ...]], int] = {}
         rejected: list[RejectedEntry] = []
         for c_out, c_in, b_word, t_word, coeff in entries:
@@ -330,29 +306,18 @@ class StripCountTable:
                 f"entries={len(self.counts)}, rejected={len(self.rejected)})")
 
 
-class ChordMap:
+class ChordMap(SparseValues):
     """Linear endomorphism of the chord module, stored as a sparse matrix
     keyed by (output chord, input chord)."""
 
     __slots__ = ("p", "chords", "entries")
+    _values = "entries"
 
     def __init__(self, p: int, chords: Iterable[str],
                  entries: Mapping[tuple[str, str], int] | None = None):
-        check_characteristic(p)
-        self.p = p
+        self.p = check_characteristic(p)
         self.chords = tuple(chords)
-        self.entries: dict[tuple[str, str], int] = {}
-        for key, value in (entries or {}).items():
-            if not isinstance(value, int):
-                raise TypeError(f"entry {key!r} must be an int, "
-                                f"got {type(value).__name__}")
-            v = value % p
-            if v:
-                self.entries[key] = v
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
+        self.entries: dict[tuple[str, str], int] = reduce_mod(p, entries or {}, "entry {!r}")
 
     def entry(self, out: str, inp: str) -> int:
         return self.entries.get((out, inp), 0)
@@ -371,12 +336,6 @@ class ChordMap:
 
     def nonzero_entries(self) -> list[tuple[str, str, int]]:
         return sorted((out, inp, c) for (out, inp), c in self.entries.items())
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ChordMap) and self.p == other.p
-                and self.entries == other.entries)
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"ChordMap(p={self.p}, entries={self.nonzero_entries()!r})"

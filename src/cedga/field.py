@@ -3,9 +3,14 @@
 Coefficients are plain ints reduced into ``[0, p)``; the object that owns
 them (polynomial, algebra, count table, cochain) carries the characteristic.
 Mixing values from different characteristics is always an error.
+``reduce_mod`` is the one place where the sparse values of a polynomial,
+augmentation, cochain or chord map are type-checked and reduced; count
+tables reduce their entries one by one, before summing, as they load.
 """
 
 from __future__ import annotations
+
+from typing import Mapping
 
 _SMALL_PRIMES = frozenset(
     {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -35,3 +40,38 @@ def check_characteristic(p: int) -> int:
 def require_same_field(p: int, q: int) -> None:
     if p != q:
         raise FieldMismatchError(f"mixed field characteristics {p} and {q}")
+
+
+def reduce_mod(p: int, mapping: Mapping, label: str) -> dict:
+    """The nonzero residues mod p of ``mapping``'s values, in input order.
+    A value that is not an int raises TypeError, naming its key through the
+    ``label`` template (``"value of {!r}"``)."""
+    reduced = {}
+    for key, value in mapping.items():
+        if not isinstance(value, int):
+            raise TypeError(f"{label.format(key)} must be an int, "
+                            f"got {type(value).__name__}")
+        value %= p
+        if value:
+            reduced[key] = value
+    return reduced
+
+
+class SparseValues:
+    """Nonzero values mod p by key, held in the dict attribute that
+    ``_values`` names: equal when the characteristic and the values are,
+    unhashable (the dict is mutable), and shown as ``key=value`` sorted by key."""
+
+    __slots__ = ()
+    _values: str
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, type(self)) and self.p == other.p
+                and getattr(self, self._values) == getattr(other, self._values))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        values = sorted(getattr(self, self._values).items())
+        inside = ", ".join(f"{n}={v}" for n, v in values)
+        return f"{type(self).__name__}(p={self.p}, {{{inside}}})"

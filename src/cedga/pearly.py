@@ -571,6 +571,18 @@ def _materialize_tree(m, parents, child_counts, extras, sums, out_degs, lo, hi
     return PearlyTreeConfig(tuple(disks), tuple(edges))
 
 
+def _tally(report: CounterexampleReport, count: int, in_window: int, stride: int) -> int:
+    """Add one structure's counts to ``report``.  Return the 1-based rank of
+    its first tuple if it is sampled (it has in-window tuples and a multiple
+    of ``stride`` among its ranks), else 0."""
+    before = report.enumerated
+    report.enumerated += count
+    report.in_window += in_window
+    if not in_window or report.enumerated // stride == before // stride:
+        return 0
+    return before + 1
+
+
 def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
     """out_degs[i] = rigid[i] + sums[i] + the outputs of i's children, with
     rigid[i] = 2 - child_counts[i] - extras[i], so the ledger lhs =
@@ -609,13 +621,11 @@ def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
                     class_ids[key] = node[i] = len(classes)
                     classes.append((counts, count, sum(counts.values())))
             _, count, in_window = classes[node[0]]
-            before = report.enumerated
-            report.enumerated += count
-            report.in_window += in_window
-            if not in_window or report.enumerated // stride == before // stride:
+            first = _tally(report, count, in_window, stride)
+            if not first:
                 continue
             rigid = [2 - child_counts[i] - extras[i] for i in range(m)]
-            for digits in _sample(before + 1, [(hi - lo) * e + 1 for e in extras], stride):
+            for digits in _sample(first, [(hi - lo) * e + 1 for e in extras], stride):
                 sums = [lo * e + d for e, d in zip(extras, digits)]
                 out_degs = [0] * m
                 for i in range(m - 1, -1, -1):
@@ -783,15 +793,13 @@ def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport
                                      sum(counts.values())))
                 prefix = longer
             _, count, in_window = prefixes[prefix]
-            before = report.enumerated
-            report.enumerated += count
-            report.in_window += in_window
-            if not in_window or report.enumerated // stride == before // stride:
+            first = _tally(report, count, in_window, stride)
+            if not first:
                 continue
             bare_groups, starts, radices = _traj_digits(marks, attached, disk_inputs, lo, hi)
             # the strip each digit after the first (the input chord) belongs to
             owners = [s for s, _, _ in bare_groups] + [point[0] for point in attached]
-            for digits in _sample(before + 1, radices, stride):
+            for digits in _sample(first, radices, stride):
                 values = [start + d for start, d in zip(starts, digits)]
                 deltas = [1 - nb - nt for nb, nt in marks]
                 for s, value in zip(owners, values[1:]):

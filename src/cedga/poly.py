@@ -11,31 +11,23 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .field import check_characteristic, require_same_field
+from .field import SparseValues, check_characteristic, reduce_mod, require_same_field
 
 Word = tuple[str, ...]
 
 UNIT_WORD: Word = ()
 
 
-class NcPoly:
+class NcPoly(SparseValues):
     """Finite formal sum of words with coefficients in F_p."""
 
     __slots__ = ("p", "terms")
+    _values = "terms"
 
     def __init__(self, p: int, terms: Mapping[Word, int] | None = None):
-        check_characteristic(p)
-        canonical: dict[Word, int] = {}
-        if terms:
-            for word, coeff in terms.items():
-                if not isinstance(coeff, int):
-                    raise TypeError(f"coefficient of {word!r} must be an int, "
-                                    f"got {type(coeff).__name__}")
-                c = coeff % p
-                if c:
-                    canonical[tuple(word)] = c
-        self.p = p
-        self.terms = canonical
+        self.p = check_characteristic(p)
+        # the empty check skips a call for the many zero polynomials
+        self.terms: dict[Word, int] = reduce_mod(p, terms, "coefficient of {!r}") if terms else {}
 
     # -- constructors -------------------------------------------------
 
@@ -58,11 +50,10 @@ class NcPoly:
     @classmethod
     def from_pairs(cls, p: int, pairs: Iterable[tuple[int, Iterable[str]]]) -> "NcPoly":
         """Sum of ``coeff * word`` contributions; repeated words accumulate."""
-        check_characteristic(p)
         acc: dict[Word, int] = {}
         for coeff, word in pairs:
             key = tuple(word)
-            acc[key] = (acc.get(key, 0) + coeff) % p
+            acc[key] = acc.get(key, 0) + coeff
         return cls(p, acc)
 
     # -- queries ------------------------------------------------------
@@ -70,9 +61,6 @@ class NcPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, word: Iterable[str]) -> int:
-        return self.terms.get(tuple(word), 0)
 
     def words(self) -> list[Word]:
         return sorted(self.terms, key=lambda w: (len(w), w))
@@ -120,11 +108,6 @@ class NcPoly:
         if isinstance(other, int):
             return self * other
         return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NcPoly) and self.p == other.p and self.terms == other.terms
-
-    __hash__ = None  # mutable dict inside; compare by value only
 
     def __repr__(self) -> str:
         return f"NcPoly({self.p}, {format_poly(self)!r})"

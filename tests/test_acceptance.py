@@ -82,8 +82,8 @@ def _random_tables(count, seed):
             word = tuple(rng.choice(names) for _ in range(rng.randint(0, 3)))
             entries.append((out, word, 1))
         table = DiskCountTable.build(2, gens, entries)
-        b = BoundingCochain(2, {name: rng.randrange(2)
-                                for name in table.degree_one_names()})
+        b = BoundingCochain(2, {name: rng.randrange(2) for name, g in
+                                sorted(table.double_points.items()) if g.degree == 1})
         yield table, b
 
 

@@ -10,7 +10,7 @@ import pytest
 import cedga.augment
 import cedga.bridge
 from cedga import (Augmentation, BoundingCochain, ChordMap, DiskCountTable,
-                   Generator, GeneratorKind, StripCountTable, SupportError,
+                   Generator, GeneratorKind, NcPoly, StripCountTable, SupportError,
                    b_from_eps, check_augmentation, check_squared_zero,
                    deformed_differential, derive_ce, eps_from_b, mc_residual,
                    verify_mc_aug_identity)
@@ -146,6 +146,30 @@ def test_build_rejects_undeclared_and_bad_points():
         DiskCountTable.build(2, [Generator("y", 2, 1, GeneratorKind.REEB_CHORD)], [])
 
 
+def test_declaration_message_text():
+    c, x = Generator("c", 0, -1, MIXED), dp("x", 1, "1/5")
+    y = Generator("y", 1, 1, GeneratorKind.REEB_CHORD)
+    cases = [
+        (lambda: DiskCountTable.build(2, [y], []),
+         "'y' must be a positive double point, got GeneratorKind.REEB_CHORD"),
+        (lambda: DiskCountTable.build(2, [x, x], []), "duplicate double point 'x'"),
+        (lambda: StripCountTable.build(2, [y], [], [], []),
+         "chord 'y' must have the mixed kind"),
+        (lambda: StripCountTable.build(2, [c, c], [], [], []), "duplicate chord 'c'"),
+        (lambda: StripCountTable.build(2, [c], [x], [y], []),
+         "'y' must be a positive double point"),
+        (lambda: StripCountTable.build(2, [c], [x, x], [], []), "duplicate generator 'x'"),
+        (lambda: StripCountTable.build(2, [c], [], [dp("c", 1, 1)], []),
+         "duplicate generator 'c'"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+    # a double point may sit on both sides
+    assert list(StripCountTable.build(2, [c], [x], [x], []).dp_top) == ["x"]
+
+
 def test_derive_ce_empty_table():
     t = table([dp("x", 1, 1)], [])
     ce = derive_ce(t)
@@ -224,8 +248,8 @@ def _random_table(rng, p=2, max_points=5):
 
 
 def _random_cochain(rng, t):
-    return BoundingCochain(t.p, {name: rng.randrange(t.p)
-                                 for name in t.degree_one_names()})
+    return BoundingCochain(t.p, {name: rng.randrange(t.p) for name, g in
+                                 sorted(t.double_points.items()) if g.degree == 1})
 
 
 def test_bridge_identity_randomized():
@@ -276,7 +300,7 @@ def test_identity_builds_no_chord_algebra(monkeypatch):
 
     for name in built:
         monkeypatch.setattr(cedga.bridge, name, counting(name))
-    names = t.degree_one_names()
+    names = sorted(n for n, g in t.double_points.items() if g.degree == 1)
     for values in itertools.product(range(t.p), repeat=len(names)):
         assert verify_mc_aug_identity(t, BoundingCochain(t.p, dict(zip(names, values))))
     assert built == {"Generator": 0, "Dga": 0}
@@ -316,6 +340,43 @@ def test_non_int_strip_count_rejected():
 def test_non_int_chord_map_entry_rejected():
     with pytest.raises(TypeError):
         ChordMap(2, ["a"], {("a", "a"): Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: NcPoly(2, {("x",): Fraction(1, 2)}), "coefficient of ('x',)"),
+    (lambda: Augmentation(2, {"x": Fraction(1, 2)}), "value of 'x'"),
+    (lambda: BoundingCochain(2, {"x": Fraction(1, 2)}), "coefficient of 'x'"),
+    (lambda: ChordMap(2, ["a"], {("a", "a"): Fraction(1, 2)}), "entry ('a', 'a')"),
+    (lambda: table([dp("y", 2, 1), dp("x", 1, "1/4")], [("y", ("x",), Fraction(1, 2))]),
+     "count of (y; x)"),
+    (lambda: _strip_table([("cout", "cin", (), (), Fraction(1, 2))]),
+     "count of strip (cout <- cin)"),
+])
+def test_non_int_message_text(build, message):
+    with pytest.raises(TypeError) as info:
+        build()
+    assert str(info.value) == f"{message} must be an int, got Fraction"
+
+
+def test_sparse_reprs():
+    assert repr(NcPoly(3, {("x", "y"): 2, (): 4})) == "NcPoly(3, '1 + 2 x y')"
+    assert repr(Augmentation(3, {"y": 2, "x": 4, "z": 3})) == "Augmentation(p=3, {x=1, y=2})"
+    assert (repr(BoundingCochain(3, {"y": 5, "x": 1}))
+            == "BoundingCochain(p=3, {x=1, y=2})")
+    assert (repr(ChordMap(3, ["a", "b"], {("b", "a"): 2, ("a", "b"): 4, ("a", "a"): 3}))
+            == "ChordMap(p=3, entries=[('a', 'b', 1), ('b', 'a', 2)])")
+
+
+def test_sparse_equality():
+    assert Augmentation(3, {"x": 4, "y": 0}) == Augmentation(3, {"x": 1})
+    assert Augmentation(3, {"x": 1}) != Augmentation(5, {"x": 1})
+    assert Augmentation(3, {"x": 1}) != BoundingCochain(3, {"x": 1})
+    assert BoundingCochain(3, {"x": 1}) != Augmentation(3, {"x": 1})
+    assert ChordMap(3, ["a"], {("a", "a"): 3}) == ChordMap(3, ["a", "b"])
+    assert NcPoly(3, {("x",): 1}) != NcPoly(3, {("x",): 2})
+    for value in (NcPoly(2), Augmentation(2), BoundingCochain(2), ChordMap(2, [])):
+        with pytest.raises(TypeError):
+            hash(value)
 
 
 def test_bridge_identity_with_rejected_entries():
@@ -363,7 +424,7 @@ def test_strip_degree_filter():
 def test_deformed_differential_weights():
     t = _strip_table([("cout", "cin", ("xb",), (), 1)])
     zero = BoundingCochain(2)
-    assert deformed_differential(t, zero, zero).is_zero
+    assert not deformed_differential(t, zero, zero).entries
     weighted = deformed_differential(t, BoundingCochain(2, {"xb": 1}), zero)
     assert weighted.entry("cout", "cin") == 1
 

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 import cedga.surgery
-from cedga import (Augmentation, ChordRole, Dga, NcPoly,
-                   PreconditionError, QuotientError, SurgeryAlgebra,
+from cedga import (Augmentation, ChordRole, Dga, GenerationBudgetError, NcPoly,
+                   PreconditionError, QuotientError, SurgeryAlgebra, ValidationReport,
                    check_augmentation, construct_surgery_augmentation,
                    enumerate_augmentations, quotient_order_reversing,
                    random_surgery_instance, validate_surgery_shape,
@@ -345,6 +345,24 @@ def test_random_instances_validate_and_extend():
                 cert = construct_surgery_augmentation(S, eb)
                 assert cert.ok
                 assert verify_certificate(S, cert, eb).ok
+
+
+def test_random_instances_pass_without_retry():
+    # one candidate per seed: a failing one raises GenerationBudgetError
+    for p in (2, 3):
+        for k in range(1, 7):
+            for chords in range(1, 7):
+                for seed in range(5):
+                    S = random_surgery_instance(k, chords, seed, p)
+                    assert S.precondition_report.ok and S.dga.validate_grading().ok
+
+
+def test_random_instance_that_fails_validation_raises(monkeypatch):
+    failing = ValidationReport()
+    failing.add("grading", "x", "forced")
+    monkeypatch.setattr(Dga, "validate_grading", lambda self: failing)
+    with pytest.raises(GenerationBudgetError, match="invalid instance for k=2, seed=4"):
+        random_surgery_instance(2, seed=4)
 
 
 def test_random_instance_rejects_bad_k():
