@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .dga import Dga, ValidationReport
+from .dga import Dga, ValidationReport, Violation
 from .field import (InputError, SparseValues, check_characteristic, reduce_mod,
                     require_same_field)
 from .poly import NcPoly, evaluate_terms, format_poly
@@ -47,56 +47,59 @@ def check_augmentation(dga: Dga, e: Augmentation) -> ValidationReport:
     """List every generator g with e(d(g)) != 0; support violations (nonzero
     value on a generator of nonzero degree, or on an undeclared name) are
     reported distinctly."""
-    report = ValidationReport()
     require_same_field(dga.p, e.p)
-    for name, value in sorted(e.values.items()):
-        if name not in dga.generators:
-            report.add("augmentation.support", name,
-                       f"value {value} on undeclared generator")
-        elif dga.generators[name].degree != 0:
-            report.add("augmentation.support", name,
-                       f"value {value} on generator of degree "
-                       f"{dga.generators[name].degree}")
-    for name, poly in sorted(dga.nonzero_differentials().items()):
-        residual = e.evaluate(poly)
+    support, residuals = [], []
+    for name, value in e.values.items():
+        g = dga.generators.get(name)
+        if g is None or g.degree != 0:
+            on = "undeclared generator" if g is None else f"generator of degree {g.degree}"
+            support.append(("augmentation.support", name, f"value {value} on {on}"))
+    for name, poly in dga.nonzero_differentials().items():
+        residual = evaluate_terms(poly.terms.items(), e.values, e.p)
         if residual:
-            report.add("augmentation.residual", name,
-                       f"e(d({name})) = {residual} with d({name}) = {format_poly(poly)}")
-    return report
+            residuals.append(("augmentation.residual", name, f"e(d({name})) = {residual} "
+                              f"with d({name}) = {format_poly(poly)}"))
+    return ValidationReport(Violation(*v) for v in sorted(support) + sorted(residuals))
 
 
 def _constraints_by_depth(dga: Dga, names: list[str]):
     """Reduce every differential to a constraint over the degree-0 variables.
 
     Words containing a nonzero-degree letter evaluate to 0 identically and
-    are dropped.  Returns (by_depth, infeasible) where by_depth[d] holds the
-    constraints, as (word, coeff) pairs, whose last variable (in the fixed
-    ordering) is names[d].
+    are dropped.  Returns ready, where ready[d] holds the constraints, as
+    (word, coeff) pairs, whose last variable (in the fixed ordering) is
+    names[d], or None when some constraint is a nonzero constant.
     """
     index = {name: i for i, name in enumerate(names)}
-    by_depth: dict[int, list[list[tuple[tuple[str, ...], int]]]] = {}
+    ready: list[list[list[tuple[tuple[str, ...], int]]]] = [[] for _ in names]
     for poly in dga.nonzero_differentials().values():
-        terms = [(word, coeff) for word, coeff in poly.terms.items()
-                 if all(letter in index for letter in word)]
-        ready = max((index[letter] for word, _ in terms for letter in word), default=None)
-        if ready is None:
-            if terms:
-                return None, True  # constraint 0 = nonzero constant is unsatisfiable
-            continue
-        by_depth.setdefault(ready, []).append(terms)
-    return by_depth, False
+        terms, last = [], -1
+        for word, coeff in poly.terms.items():
+            try:
+                last = max([last, *map(index.__getitem__, word)])
+            except KeyError:  # a letter of nonzero degree: the word is 0
+                continue
+            terms.append((word, coeff))
+        if last >= 0:
+            ready[last].append(terms)
+        elif terms:
+            return None  # constraint 0 = nonzero constant is unsatisfiable
+    return ready
 
 
 def _walk(depth, names, ready, p, values, found):
     """Set names[depth:] in turn, appending each augmentation to ``found``.
     The state is passed in, not closed over, so a call leaves no cycle."""
     if depth == len(names):
-        found.append(Augmentation(p, values))
+        found.append(Augmentation._trusted(p, {n: v for n, v in values.items() if v}))
         return
     name, checks = names[depth], ready[depth]
     for v in range(p):
         values[name] = v
-        if not any(evaluate_terms(terms, values, p) for terms in checks):
+        for terms in checks:
+            if evaluate_terms(terms, values, p):
+                break
+        else:
             _walk(depth + 1, names, ready, p, values, found)
 
 
@@ -108,10 +111,9 @@ def enumerate_augmentations(dga: Dga, max_degree_zero: int = 24) -> list[Augment
     if len(names) > max_degree_zero:
         raise EnumerationBoundError(
             f"{len(names)} degree-0 generators exceed the bound {max_degree_zero}")
-    by_depth, infeasible = _constraints_by_depth(dga, names)
-    if infeasible:
+    ready = _constraints_by_depth(dga, names)
+    if ready is None:
         return []
-    ready = [by_depth.get(depth, ()) for depth in range(len(names))]
     found: list[Augmentation] = []
     _walk(0, names, ready, dga.p, {}, found)
     return found

@@ -53,7 +53,7 @@ def _declare(gens: Iterable[Generator], kind: GeneratorKind, wrong_kind: str,
 class DiskCountTable:
     """Rigid-disk counts, stored by output: ``counts[output][word]`` is the
     nonzero count of disks with that output double point and ordered input
-    word; outputs without a count are absent.
+    word; outputs without a count are absent, the rest sorted.
 
     Every named generator must be a declared positive-action double point.
     Entries violating the degree identity deg(out) - sum deg(in) = 2 - #in
@@ -119,10 +119,11 @@ class DiskCountTable:
                 del words[word]
                 if not words:
                     del counts[output]
+        counts = dict(sorted(counts.items()))
         return cls(p, points, counts, tuple(rejected))
 
     def outputs(self) -> list[str]:
-        return sorted(self.counts)
+        return list(self.counts)
 
     def __repr__(self) -> str:
         return (f"DiskCountTable(p={self.p}, points={len(self.double_points)}, "
@@ -142,26 +143,26 @@ class BoundingCochain(SparseValues):
                                                        "coefficient of {!r}")
 
 
-def _require_degree_one(table: DiskCountTable, support: Iterable[str], message: str) -> None:
-    """Raise SupportError, with ``message`` formatted on the name, at the
-    first name of ``support`` in sorted order that is not a degree-1 double
-    point of ``table``."""
-    for name in sorted(support):
-        g = table.double_points.get(name)
-        if g is None or g.degree != 1:
-            raise SupportError(message.format(name))
-
-
-def _check_cochain_support(table: DiskCountTable, b: BoundingCochain) -> None:
-    require_same_field(table.p, b.p)
-    _require_degree_one(table, b.coefficients,
-                        "cochain supported on {!r}, which is not a degree-1 double point")
+def _require_degree_one(table: DiskCountTable, p: int, support: Iterable[str],
+                        message: str = "cochain supported on {!r}, which is not a "
+                                       "degree-1 double point") -> None:
+    """Raise FieldMismatchError unless p is the table's characteristic, then
+    SupportError, with ``message`` formatted on the name, at the first name of
+    ``support`` in sorted order that is not a degree-1 double point of ``table``."""
+    require_same_field(table.p, p)
+    points, first = table.double_points, None
+    for name in support:
+        g = points.get(name)
+        if (g is None or g.degree != 1) and (first is None or name < first):
+            first = name
+    if first is not None:
+        raise SupportError(message.format(first))
 
 
 def _derived_differential(table: DiskCountTable, output: str) -> NcPoly:
     """Differential of the chord at ``output`` in the derived algebra: the
-    stored counts at that output, inputs kept in written order."""
-    return NcPoly(table.p, table.counts[output])
+    stored counts at that output, inputs kept in written order, held as is."""
+    return NcPoly._trusted(table.p, table.counts[output])
 
 
 def derive_ce(table: DiskCountTable) -> Dga:
@@ -174,17 +175,16 @@ def derive_ce(table: DiskCountTable) -> Dga:
     return Dga(table.p, gens, diff, d_degree=1)
 
 
-def _weighted_series(table: DiskCountTable, weights: Mapping[str, int],
-                     output: str) -> int:
-    """The finite series sum over entries at one output of
+def _weighted_series(words: Mapping[tuple[str, ...], int], weights: Mapping[str, int],
+                     p: int) -> int:
+    """The finite series sum over the entries ``words`` at one output of
     count * product of input weights (missing weight = 0).
 
     This loop deliberately does not call ``poly.evaluate_terms``: it reads
     the raw table, so that ``verify_mc_aug_identity`` compares it against
     the kernel-evaluated derived differential along independent code paths."""
     total = 0
-    p = table.p
-    for word, coeff in table.counts.get(output, {}).items():
+    for word, coeff in words.items():
         prod = coeff
         for name in word:
             v = weights.get(name, 0)
@@ -200,27 +200,26 @@ def mc_residual(table: DiskCountTable, b: BoundingCochain) -> dict[str, int]:
     """Obstruction series evaluated at every degree-2 output present in the
     table; b solves the deformation equation iff the residual is identically
     zero.  Outputs absent from the table are implicitly unobstructed."""
-    _check_cochain_support(table, b)
+    _require_degree_one(table, b.p, b.coefficients)
     out: dict[str, int] = {}
-    for output in table.outputs():
+    for output, words in table.counts.items():
         if table.double_points[output].degree == 2:
-            out[output] = _weighted_series(table, b.coefficients, output)
+            out[output] = _weighted_series(words, b.coefficients, table.p)
     return out
 
 
 def eps_from_b(b: BoundingCochain) -> Augmentation:
     """Coefficientwise transcription onto the corresponding chords."""
-    return Augmentation(b.p, dict(b.coefficients))
+    return Augmentation._trusted(b.p, dict(b.coefficients))
 
 
 def b_from_eps(table: DiskCountTable, e: Augmentation) -> BoundingCochain:
     """Inverse transcription; rejects augmentations supported on chords whose
     underlying double point does not have degree 1 (those chords have nonzero
     degree in the chord algebra)."""
-    require_same_field(table.p, e.p)
-    _require_degree_one(table, e.values, "augmentation value on {!r}, which is not a "
-                                         "degree-0 chord of this table")
-    return BoundingCochain(table.p, dict(e.values))
+    _require_degree_one(table, e.p, e.values, "augmentation value on {!r}, which is not a "
+                                              "degree-0 chord of this table")
+    return BoundingCochain._trusted(table.p, dict(e.values))
 
 
 def verify_mc_aug_identity(table: DiskCountTable, b: BoundingCochain) -> bool:
@@ -229,10 +228,10 @@ def verify_mc_aug_identity(table: DiskCountTable, b: BoundingCochain) -> bool:
     to the derived differential.  Holds for every table and cochain; the two
     sides are computed along independent code paths.  Only the differentials
     read are derived: no chord algebra is built."""
-    _check_cochain_support(table, b)
+    _require_degree_one(table, b.p, b.coefficients)
     eps = eps_from_b(b)
-    for output in table.outputs():
-        lhs = _weighted_series(table, b.coefficients, output)
+    for output, words in table.counts.items():
+        lhs = _weighted_series(words, b.coefficients, table.p)
         rhs = eps.evaluate(_derived_differential(table, output))
         if lhs != rhs:
             return False

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .field import InputError, check_characteristic, require_same_field
@@ -165,11 +166,12 @@ class Dga:
         return [n for n, g in self.generators.items() if g.degree == 0]
 
     def differential_of(self, name: str) -> NcPoly:
-        self.generator(name)
-        return self._diff.get(name, NcPoly.zero(self.p))
+        if name not in self._diff:
+            self.generator(name)  # an undeclared name raises
+        return self._diff.get(name) or NcPoly.zero(self.p)
 
-    def nonzero_differentials(self) -> dict[str, NcPoly]:
-        return dict(self._diff)
+    def nonzero_differentials(self) -> Mapping[str, NcPoly]:
+        return MappingProxyType(self._diff)
 
     # -- word bookkeeping -----------------------------------------------
 

@@ -60,10 +60,19 @@ def reduce_mod(p: int, mapping: Mapping, label: str) -> dict:
 class SparseValues:
     """Nonzero values mod p by key, held in the dict attribute that
     ``_values`` names: equal when the characteristic and the values are,
-    unhashable (the dict is mutable), and shown as ``key=value`` sorted by key."""
+    unhashable (the dict is mutable), and shown as ``key=value`` sorted by key.
+    Instances are treated as immutable, so a checked object's values stay
+    canonical for its p and ``_trusted`` holds them without ``reduce_mod``."""
 
     __slots__ = ()
     _values: str
+
+    @classmethod
+    def _trusted(cls, p: int, values: dict):
+        obj = cls.__new__(cls)
+        obj.p = p
+        setattr(obj, cls._values, values)
+        return obj
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, type(self)) and self.p == other.p

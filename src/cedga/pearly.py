@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
@@ -693,15 +694,32 @@ def _traj_digits(marks, attached, disk_inputs, lo, hi):
 
 
 def _estimate_trajectories(bounds: TrajectorySearchBounds) -> int:
-    """The attached disks' input counts vary independently, so a shape counts
-    its chord and bare radices times the summed disk radices per disk."""
-    lo, hi = bounds.degree_range
+    """A shape counts its chord radix times, per side with n marked points of
+    which j carry a disk, the summed disk radices to the j times the bare
+    radix (hi - lo) * (n - j) + 1.  One-strip shapes are added by side pair,
+    so large per-strip bounds refuse early; longer strip counts sum at once."""
+    (lo, hi), attach = bounds.degree_range, bounds.max_attached_disks
     disks = sum(_disk_digit(n, lo, hi)[1] for n in range(bounds.max_inputs_per_disk + 1))
-    return _bounded_sum(((hi - lo + 1) * disks ** len(attached)
-                         * math.prod((hi - lo) * bare + 1
-                                     for _, _, bare in _bare_groups(marks, attached))
-                         for _, marks, attached in _traj_shapes(bounds)),
-                        bounds.max_configs)
+    side = [[(j, math.comb(n, j) * disks ** j * ((hi - lo) * (n - j) + 1))
+             for j in range(min(n, attach) + 1)]
+            for n in range(min(bounds.max_marked_per_strip, bounds.max_total_marked) + 1)]
+
+    def sizes():
+        level: dict[tuple[int, int], int] = defaultdict(int)  # weights by (marked, disks)
+        for nb in range(len(side)):
+            for nt in range(len(side) - nb):
+                for (jb, wb), (jt, wt) in itertools.product(side[nb], side[nt]):
+                    if jb + jt <= attach:
+                        level[nb + nt, jb + jt] += wb * wt
+                        yield (hi - lo + 1) * wb * wt
+        step = level
+        for _ in range(bounds.max_strips - 1):
+            level, last = defaultdict(int), level
+            for ((used, a), count), ((n, j), w) in itertools.product(last.items(), step.items()):
+                if used + n <= bounds.max_total_marked and a + j <= attach:
+                    level[used + n, a + j] += count * w
+            yield (hi - lo + 1) * sum(level.values())
+    return _bounded_sum(sizes(), bounds.max_configs)
 
 
 def _materialize_trajectory(K, marks, attached, disk_inputs, c_in_deg,

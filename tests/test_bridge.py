@@ -8,12 +8,13 @@ from fractions import Fraction
 import pytest
 
 import cedga.augment
+import cedga.field
 import cedga.bridge
 from cedga import (Augmentation, BoundingCochain, ChordMap, DiskCountTable,
                    Generator, GeneratorKind, NcPoly, StripCountTable, SupportError,
                    b_from_eps, check_augmentation, check_squared_zero,
-                   deformed_differential, derive_ce, eps_from_b, mc_residual,
-                   verify_mc_aug_identity)
+                   deformed_differential, derive_ce, enumerate_augmentations, eps_from_b,
+                   mc_residual, verify_mc_aug_identity)
 
 DP = GeneratorKind.DOUBLE_POINT_POS
 MIXED = GeneratorKind.MIXED_CHORD
@@ -478,3 +479,114 @@ def test_relabeling_equivariance():
     m2 = deformed_differential(t2, BoundingCochain(2, {"ub": 1}),
                                BoundingCochain(2, {"ut": 1}))
     assert m1.entries == m2.entries
+
+
+def _values_of(obj):
+    return list(getattr(obj, obj._values).items())
+
+
+def _assert_twins(fast, checked):
+    assert type(fast) is type(checked) and fast.p == checked.p
+    assert fast == checked and repr(fast) == repr(checked)
+    assert _values_of(fast) == _values_of(checked)
+
+
+def _shuffled_cochain(rng, t):
+    names = [name for name, g in t.double_points.items() if g.degree == 1]
+    rng.shuffle(names)
+    return BoundingCochain(t.p, {name: rng.randrange(t.p) for name in names})
+
+
+def test_fast_paths_match_checked_constructors():
+    # every object the bridge and the enumeration build from values a checked
+    # object already holds equals the public constructor's result, value order
+    # included
+    rng = random.Random(13)
+    leaves = 0
+    for i in range(2000):
+        p = (2, 3, 5)[i % 3]
+        t = _random_table(rng, p=p)
+        b = _shuffled_cochain(rng, t)
+        eps = eps_from_b(b)
+        _assert_twins(eps, Augmentation(p, b.coefficients))
+        _assert_twins(b_from_eps(t, eps), BoundingCochain(p, eps.values))
+        for output in t.outputs():
+            _assert_twins(cedga.bridge._derived_differential(t, output),
+                          NcPoly(p, t.counts[output]))
+        ce = derive_ce(t)
+        names = sorted(ce.degree_zero_names())
+        for e in enumerate_augmentations(ce):
+            _assert_twins(e, Augmentation(p, {n: e.value(n) for n in names}))
+            leaves += 1
+    assert leaves > 2000
+
+
+def test_outputs_and_residual_keys_keep_sorted_order():
+    rng = random.Random(14)
+    unsorted = 0
+    for p in (2, 3):
+        for _ in range(200):
+            points = [dp(f"g{i}", rng.choice((1, 2, 2)), Fraction(rng.randint(1, 9), 11))
+                      for i in range(rng.randint(1, 6))]
+            anchor = points[0] = dp(points[0].name, 1, "1/99")
+            rng.shuffle(points)
+            entries = [(g.name, (anchor.name,) * (g.degree != 1), 1) for g in points]
+            rng.shuffle(entries)
+            t = table(points, entries, p=p)
+            assert t.outputs() == sorted(t.counts)
+            arrived = list(dict.fromkeys(o for o, _, _ in entries if o in t.counts))
+            unsorted += arrived != sorted(arrived)
+            b = _shuffled_cochain(rng, t)
+            assert list(mc_residual(t, b)) == [
+                o for o in sorted(t.counts) if t.double_points[o].degree == 2]
+    assert unsorted  # some entries arrived out of sorted output order
+
+
+def test_first_offender_is_named_in_sorted_order():
+    t = table([dp("y", 2, 1), dp("x", 1, "1/4"), dp("m", 2, 2)], [("y", ("x",), 1)])
+    support = {"z": 1, "y": 1, "x": 1, "m": 1, "c": 1}  # c, m, y, z all fail
+    with pytest.raises(SupportError) as residual:
+        mc_residual(t, BoundingCochain(2, support))
+    assert str(residual.value) == ("cochain supported on 'c', "
+                                   "which is not a degree-1 double point")
+    with pytest.raises(SupportError) as inverse:
+        b_from_eps(t, Augmentation(2, support))
+    assert str(inverse.value) == ("augmentation value on 'c', "
+                                  "which is not a degree-0 chord of this table")
+
+
+def test_fast_paths_skip_reduce_mod(monkeypatch):
+    # values a checked object already holds are not reduced again; the public
+    # constructors still reduce once each
+    real = cedga.field.reduce_mod
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("cedga") \
+                and getattr(module, "reduce_mod", None) is real:
+            monkeypatch.setattr(module, "reduce_mod", counting)
+    t = table([dp("y", 2, 2), dp("x", 1, "1/4"), dp("w", 1, "1/3"), dp("z", 2, 3)],
+              [("y", ("x",), 1), ("y", ("x", "w", "x"), 1), ("z", ("w",), 1), ("z", (), 1)],
+              p=3)
+    ce = derive_ce(t)
+    cochains = [BoundingCochain(3, {"x": x, "w": w}) for x in range(3) for w in range(3)]
+    augmentations = [Augmentation(3, {"x": x, "w": w}) for x in range(3) for w in range(3)]
+    assert len(calls) == len(cochains) + len(augmentations)
+    calls.clear()
+    for b in cochains:
+        assert verify_mc_aug_identity(t, b)
+        eps_from_b(b)
+    for e in augmentations:
+        b_from_eps(t, e)
+    found = enumerate_augmentations(ce)
+    assert found and calls == []
+    for build in (lambda: NcPoly(3, {("x",): 4}), lambda: Augmentation(3, {"x": 4}),
+                  lambda: BoundingCochain(3, {"x": 4}),
+                  lambda: ChordMap(3, ["a"], {("a", "a"): 4})):
+        calls.clear()
+        build()
+        assert len(calls) == 1

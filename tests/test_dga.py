@@ -206,3 +206,22 @@ def test_build_round_trips_kinds(seed):
     action = 1 if kind is not GeneratorKind.DOUBLE_POINT_NEG else -1
     dga = Dga.build(2, gens=[("g", 0, action, kind.value)])
     assert dga.generator("g").kind is kind
+
+
+def test_differential_of_builds_zero_only_when_missing(monkeypatch):
+    dga = Dga.build(3, gens=[("y", -1, 2), ("x", 0, 1)], diffs={"y": [(1, ("x",))]})
+    zeros = []
+    real = NcPoly.zero.__func__
+
+    def counting(cls, p):
+        zeros.append(p)
+        return real(cls, p)
+
+    monkeypatch.setattr(NcPoly, "zero", classmethod(counting))
+    assert dga.differential_of("y") is dga.differential_of("y")
+    assert zeros == []
+    assert dga.differential_of("x").is_zero and zeros == [3]
+    with pytest.raises(UndeclaredGeneratorError):
+        dga.differential_of("w")
+    with pytest.raises(TypeError):
+        dga.nonzero_differentials()["x"] = NcPoly.zero(3)

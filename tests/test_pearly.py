@@ -797,6 +797,32 @@ def test_guard_refuses_huge_bounds_at_once(bounds):
     assert "at least" in str(exc.value) and "exceed" in str(exc.value)
 
 
+def test_guard_refuses_degenerate_trajectory_window_at_once():
+    # every shape counts about one tuple here, so a shape-by-shape size walk
+    # would visit tens of millions of shapes before passing max_configs
+    bounds = TrajectorySearchBounds(max_strips=99, degree_range=(0, 0))
+    start = time.perf_counter()
+    with pytest.raises(BoundsTooLargeError) as exc:
+        exhaustive_search(bounds)
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.estimate > bounds.max_configs
+
+
+@pytest.mark.parametrize("degree_range", [(-3, 4), (0, 0), (1, 3), (-2, -2)])
+def test_trajectory_estimate_matches_structure_counts(degree_range):
+    # slow oracle: the closed-form level sums against the tuple count of every
+    # structure the search walks
+    lo, hi = degree_range
+    for K, m, T, A, inputs in itertools.product((1, 2, 4), range(3), range(4), range(3),
+                                                (0, 2)):
+        bounds = TrajectorySearchBounds(max_strips=K, max_marked_per_strip=m,
+                                        max_total_marked=T, max_attached_disks=A,
+                                        max_inputs_per_disk=inputs, degree_range=degree_range)
+        walked = sum(math.prod(pearly._traj_digits(marks, attached, disk_inputs, lo, hi)[2])
+                     for _, marks, attached, disk_inputs in _traj_structures(bounds))
+        assert _estimate_trajectories(bounds) == walked
+
+
 def test_shape_walk_skips_overfull_parents():
     # one input per disk leaves only chains; the walk must not visit the 98!
     # parent vectors of 99 disks to find them
