@@ -356,15 +356,8 @@ def _cmd_search(args, runner: _Runner) -> int:
     runner.say(f"telescope failures: {result.telescope_failures}; "
                f"materialized cross-checks: {result.materialized}")
     runner.say(f"counterexamples: {len(result.counterexamples)}")
-    payload = {
-        "mode": result.mode,
-        "bounds": result.bounds,
-        "estimated_configs": result.estimated_configs,
-        "enumerated": result.enumerated,
-        "telescope_failures": result.telescope_failures,
-        "materialized": result.materialized,
-        "counterexamples": result.counterexamples,
-    }
+    payload = asdict(result)
+    del payload["in_window"]  # reported in the text only
     return runner.finish(payload, OK if result.ok else VIOLATIONS)
 
 

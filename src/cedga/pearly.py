@@ -545,10 +545,14 @@ def _tree_structures(max_disks: int, max_inputs: int):
 
 def _estimate_trees(bounds: TreeSearchBounds) -> int:
     """The disks' extras vary independently, so a shape's tuple count is the
-    product over its disks of their radices summed over the extras."""
+    product over its disks of their radices summed over the extras.  A disk
+    with c children takes e = 0..E extras, E = cap - c, and the radices
+    (hi - lo) * e + 1 sum to (E + 1) + (hi - lo) * E * (E + 1) / 2.  No disk
+    has more than max_disks - 1 children."""
     lo, hi = bounds.degree_range
     cap = bounds.max_inputs_per_disk
-    per_disk = [sum((hi - lo) * e + 1 for e in range(cap - c + 1)) for c in range(cap + 1)]
+    per_disk = [(cap - c + 1) + (hi - lo) * (cap - c) * (cap - c + 1) // 2
+                for c in range(min(cap, bounds.max_disks - 1) + 1)]
     return _bounded_sum((math.prod(per_disk[c] for c in child_counts)
                          for _, _, child_counts in _tree_shapes(bounds.max_disks, cap)),
                         bounds.max_configs)
@@ -681,6 +685,18 @@ def _disk_digit(n: int, lo: int, hi: int) -> tuple[int, int]:
     return start, max(0, min(hi, 2 - n + hi * n) - start + 1)
 
 
+def _disk_radix_sum(cap: int, lo: int, hi: int) -> int:
+    """The disk radices summed over n = 0..cap inputs.  For n >= 2 the output
+    degree runs from lo if lo <= 0, else from 2 + (lo - 1) n, to hi if hi >= 1,
+    else to 2 + (hi - 1) n.  So from n0 = |lo| + |hi| + 3 on the radix is
+    constant: hi - lo + 1 when lo <= 0 < hi, hi - 1 when lo = 1, and 0 when
+    lo >= 2 (the start passes hi once n >= hi - 1) or hi <= 0 (the end falls
+    below lo once n > 2 - lo).  The head is summed, the tail multiplied."""
+    n0 = abs(lo) + abs(hi) + 3
+    head = sum(_disk_digit(n, lo, hi)[1] for n in range(min(cap, n0) + 1))
+    return head + max(0, cap - n0) * _disk_digit(n0, lo, hi)[1]
+
+
 def _traj_digits(marks, attached, disk_inputs, lo, hi):
     """The digits of a structure's sum tuples in ``itertools.product``
     order: the input chord degree, one bare sum per nonempty side of each
@@ -699,7 +715,7 @@ def _estimate_trajectories(bounds: TrajectorySearchBounds) -> int:
     radix (hi - lo) * (n - j) + 1.  One-strip shapes are added by side pair,
     so large per-strip bounds refuse early; longer strip counts sum at once."""
     (lo, hi), attach = bounds.degree_range, bounds.max_attached_disks
-    disks = sum(_disk_digit(n, lo, hi)[1] for n in range(bounds.max_inputs_per_disk + 1))
+    disks = _disk_radix_sum(bounds.max_inputs_per_disk, lo, hi)
     side = [[(j, math.comb(n, j) * disks ** j * ((hi - lo) * (n - j) + 1))
              for j in range(min(n, attach) + 1)]
             for n in range(min(bounds.max_marked_per_strip, bounds.max_total_marked) + 1)]

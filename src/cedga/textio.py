@@ -1,9 +1,12 @@
 """Line-oriented text formats.
 
-One declaration per line, ``#`` starts a comment.  Algebra documents use
-``field``, ``ddeg``, ``gen``, ``d``, ``mark`` and ``surgery`` lines; count
-tables use ``count`` / ``strip`` entry lines; value files use ``set`` lines;
-configuration files use ``disk`` / ``edge`` / ``strip`` / ``attach`` lines.
+One declaration per line, ``#`` starts a comment.  Every format accepts a
+``field`` line; each names the rest of its directives once, its grammar:
+algebra documents ``ddeg``, ``gen``, ``d``, ``mark`` and ``surgery``; disk
+count tables ``gen`` and ``count``; strip count tables ``gen`` and
+``strip``; value files ``set``; tree configurations ``gen``, ``disk`` and
+``edge``; trajectory configurations ``gen``, ``strip``, ``disk`` and
+``attach``.  Configuration files check a ``field`` line but ignore its value.
 Rationals are written ``p/q`` with the sign on p and gcd(p, q) = 1.
 
 Parsers collect every diagnostic (line-addressed) before failing, and
@@ -13,21 +16,22 @@ Parsers collect every diagnostic (line-addressed) before failing, and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .dga import ChordRole, Dga, Generator, GeneratorKind
-from .field import InputError, check_characteristic
+from .field import DEFAULT_CHARACTERISTIC, InputError, check_characteristic
 from .poly import NcPoly, format_poly
 
 if TYPE_CHECKING:  # the parsers import these on use, so each format loads only its own
     from .bridge import DiskCountTable, StripCountTable
-    from .pearly import BrokenTrajectoryConfig, PearlyTreeConfig
+    from .pearly import BrokenTrajectoryConfig, DiskComponent, PearlyTreeConfig
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
+_HEADER_USAGE = {"field": "field <prime>", "ddeg": "ddeg <integer>"}
 
 
 @dataclass(frozen=True)
@@ -46,13 +50,6 @@ class DocumentError(InputError):
         super().__init__("\n".join(str(i) for i in self.issues))
 
 
-def _lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            yield lineno, stripped.split()
-
-
 def _parse_rational(token: str):
     match = _RATIONAL_RE.match(token)
     if not match:
@@ -69,55 +66,54 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _gen_line(gen: Generator) -> str:
-    return f"gen {gen.name} {gen.degree} {format_rational(gen.action)} {gen.kind.value}"
-
-
 class _DocReader:
-    """Shared bookkeeping: header lines, generator lines, issue collection."""
+    """The one read loop of every format.  ``lines`` strips comments, reads
+    ``field`` lines and, where the grammar lists them, ``ddeg`` and ``gen``
+    lines, reports any directive outside the grammar, and yields the other
+    lines to the parser.  Issues are collected in line order."""
 
-    def __init__(self, allowed_kinds=None):
-        self.issues: list[ParseIssue] = []
-        self.p: int | None = None
-        self.d_degree: int | None = None
-        self.gens: list[Generator] = []
-        self.gen_lines: dict[str, int] = {}
+    def __init__(self, grammar: str, allowed_kinds=None):
+        self.grammar = {"field", *grammar.split()}
         self.allowed_kinds = allowed_kinds
+        self.issues: list[ParseIssue] = []
+        self.header: dict[str, int] = {}  # "field" and "ddeg" values as declared
+        self.gens: dict[str, Generator] = {}
+        self.gen_lines: dict[str, int] = {}
 
     def issue(self, lineno: int, message: str) -> None:
         self.issues.append(ParseIssue(lineno, message))
 
-    def read_field(self, lineno, args) -> bool:
-        if args and args[0] == "field":
-            if self.p is not None:
-                self.issue(lineno, "duplicate field declaration")
-            elif len(args) != 2 or not _INT_RE.match(args[1]):
-                self.issue(lineno, "usage: field <prime>")
+    def lines(self, text: str):
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            args = raw.split("#", 1)[0].split()
+            if not args:
+                continue
+            if args[0] not in self.grammar:
+                self.issue(lineno, f"unknown directive {args[0]!r}")
+            elif args[0] in _HEADER_USAGE:
+                self._read_header(lineno, args)
+            elif args[0] == "gen":
+                self._read_gen(lineno, args)
             else:
-                try:
-                    self.p = check_characteristic(int(args[1]))
-                except ValueError as exc:
-                    self.issue(lineno, str(exc))
-            return True
-        return False
+                yield lineno, args
 
-    def read_ddeg(self, lineno, args) -> bool:
-        if args and args[0] == "ddeg":
-            if self.d_degree is not None:
-                self.issue(lineno, "duplicate ddeg declaration")
-            elif len(args) != 2 or not _INT_RE.match(args[1]):
-                self.issue(lineno, "usage: ddeg <integer>")
-            else:
-                self.d_degree = int(args[1])
-            return True
-        return False
+    def _read_header(self, lineno, args) -> None:
+        key = args[0]
+        if key in self.header:
+            self.issue(lineno, f"duplicate {key} declaration")
+        elif len(args) != 2 or not _INT_RE.match(args[1]):
+            self.issue(lineno, f"usage: {_HEADER_USAGE[key]}")
+        else:
+            try:
+                value = int(args[1])
+                self.header[key] = check_characteristic(value) if key == "field" else value
+            except ValueError as exc:
+                self.issue(lineno, str(exc))
 
-    def read_gen(self, lineno, args) -> bool:
-        if not args or args[0] != "gen":
-            return False
+    def _read_gen(self, lineno, args) -> None:
         if len(args) != 5:
             self.issue(lineno, "usage: gen <name> <degree> <p/q> <kind>")
-            return True
+            return
         _, name, degree_tok, action_tok, kind_tok = args
         ok = True
         if not _NAME_RE.match(name):
@@ -145,26 +141,46 @@ class _DocReader:
                 ok = False
         if ok:
             try:
-                self.gens.append(Generator(name, int(degree_tok), action, kind))
+                self.gens[name] = Generator(name, int(degree_tok), action, kind)
                 self.gen_lines[name] = lineno
             except ValueError as exc:
                 self.issue(lineno, str(exc))
-        return True
 
-    def gen_names(self) -> set[str]:
-        return set(self.gen_lines)
+    def characteristic(self) -> int:
+        return self.header.get("field", DEFAULT_CHARACTERISTIC)
 
-    def characteristic(self, override: int | None) -> int:
-        if override is not None:
-            return check_characteristic(override)
-        return self.p if self.p is not None else 2
+    def resolve(self, lineno: int, names) -> list[Generator] | None:
+        """The declared generators named, or None after reporting each
+        undeclared name."""
+        missing = [name for name in names if name not in self.gens]
+        for name in missing:
+            self.issue(lineno, f"undeclared generator {name!r}")
+        return None if missing else [self.gens[name] for name in names]
 
     def finish(self) -> None:
         if self.issues:
             raise DocumentError(self.issues)
 
 
-def _parse_poly_tokens(tokens, declared, lineno, reader):
+def _gen_lines(gens) -> list[str]:
+    """One ``gen`` line for the first generator seen under each name, in
+    first-seen order."""
+    first: dict[str, Generator] = {}
+    for gen in gens:
+        first.setdefault(gen.name, gen)
+    return [f"gen {g.name} {g.degree} {format_rational(g.action)} {g.kind.value}"
+            for g in first.values()]
+
+
+def _entry_coeff(args, heads: int) -> int | None:
+    """The coefficient of an entry line ``<directive> <heads>... = <coeff>``,
+    or None when the ``= <coeff>`` tail is malformed."""
+    if len(args) < heads + 3 or args[-2] != "=" or not _INT_RE.match(args[-1]):
+        return None
+    return int(args[-1])
+
+
+def _parse_poly_tokens(tokens, lineno, reader):
     """`+`-separated monomials; each monomial is an optional integer
     coefficient followed by generator names; a bare integer multiplies the
     unit word."""
@@ -190,7 +206,7 @@ def _parse_poly_tokens(tokens, declared, lineno, reader):
             if not _NAME_RE.match(name):
                 reader.issue(lineno, f"invalid generator name {name!r} in polynomial")
                 ok = False
-            elif name not in declared:
+            elif name not in reader.gens:
                 reader.issue(lineno, f"undeclared generator {name!r} in polynomial")
                 ok = False
             else:
@@ -207,23 +223,15 @@ def _parse_poly_tokens(tokens, declared, lineno, reader):
 class DgaDocument:
     dga: Dga
     marked: tuple[str, ...] = ()
-    roles: dict[str, ChordRole] | None = None
-
-    def __post_init__(self):
-        if self.roles is None:
-            self.roles = {}
+    roles: dict[str, ChordRole] = field(default_factory=dict)
 
 
 def parse_dga(text: str, field_override: int | None = None) -> DgaDocument:
-    reader = _DocReader()
+    reader = _DocReader("ddeg gen d mark surgery")
     d_lines: list[tuple[int, str, list[str]]] = []
     mark_lines: list[tuple[int, str]] = []
-    role_lines: list[tuple[int, str, ChordRole]] = []
-    seen_roles: dict[str, int] = {}
-    for lineno, args in _lines(text):
-        if reader.read_field(lineno, args) or reader.read_ddeg(lineno, args) \
-                or reader.read_gen(lineno, args):
-            continue
+    role_lines: dict[str, tuple[int, ChordRole]] = {}
+    for lineno, args in reader.lines(text):
         if args[0] == "d":
             if len(args) < 4 or args[2] != "=":
                 reader.issue(lineno, "usage: d <name> = <poly>")
@@ -234,32 +242,22 @@ def parse_dga(text: str, field_override: int | None = None) -> DgaDocument:
                 reader.issue(lineno, "usage: mark <name>")
             else:
                 mark_lines.append((lineno, args[1]))
-        elif args[0] == "surgery":
-            if len(args) not in (4, 6) or args[2] not in ("a", "b", "c"):
-                reader.issue(lineno, "usage: surgery <name> <a|b|c> <i> [<j> <m>]")
-            elif not all(_INT_RE.match(t) for t in args[3:]):
-                reader.issue(lineno, "surgery indices must be integers")
-            elif args[2] == "a" and len(args) != 4:
-                reader.issue(lineno, "connector roles take a single index")
-            elif args[2] in ("b", "c") and len(args) != 6:
-                reader.issue(lineno, "hook/transit roles take three indices")
-            else:
-                name = args[1]
-                if name in seen_roles:
-                    reader.issue(lineno, f"duplicate surgery role for {name!r}")
-                else:
-                    seen_roles[name] = lineno
-                    if args[2] == "a":
-                        role = ChordRole("a", int(args[3]))
-                    else:
-                        role = ChordRole(args[2], int(args[3]), int(args[4]),
-                                         int(args[5]))
-                    role_lines.append((lineno, name, role))
+        elif len(args) not in (4, 6) or args[2] not in ("a", "b", "c"):  # surgery
+            reader.issue(lineno, "usage: surgery <name> <a|b|c> <i> [<j> <m>]")
+        elif not all(_INT_RE.match(t) for t in args[3:]):
+            reader.issue(lineno, "surgery indices must be integers")
+        elif args[2] == "a" and len(args) != 4:
+            reader.issue(lineno, "connector roles take a single index")
+        elif args[2] in ("b", "c") and len(args) != 6:
+            reader.issue(lineno, "hook/transit roles take three indices")
+        elif args[1] in role_lines:
+            reader.issue(lineno, f"duplicate surgery role for {args[1]!r}")
         else:
-            reader.issue(lineno, f"unknown directive {args[0]!r}")
+            role_lines[args[1]] = (lineno, ChordRole(args[2], *map(int, args[3:])))
 
-    declared = reader.gen_names()
-    p = reader.characteristic(field_override)
+    declared = reader.gens
+    p = (reader.characteristic() if field_override is None
+         else check_characteristic(field_override))
     diff_pairs: dict[str, list] = {}
     d_seen: dict[str, int] = {}
     for lineno, name, tokens in d_lines:
@@ -271,7 +269,7 @@ def parse_dga(text: str, field_override: int | None = None) -> DgaDocument:
                                  f"(first on line {d_seen[name]})")
             continue
         d_seen[name] = lineno
-        diff_pairs[name] = _parse_poly_tokens(tokens, declared, lineno, reader)
+        diff_pairs[name] = _parse_poly_tokens(tokens, lineno, reader)
     marked: list[str] = []
     for lineno, name in mark_lines:
         if name not in declared:
@@ -281,7 +279,7 @@ def parse_dga(text: str, field_override: int | None = None) -> DgaDocument:
         else:
             marked.append(name)
     roles: dict[str, ChordRole] = {}
-    for lineno, name, role in role_lines:
+    for name, (lineno, role) in role_lines.items():
         if name not in declared:
             reader.issue(lineno, f"surgery role on undeclared generator {name!r}")
         else:
@@ -289,7 +287,7 @@ def parse_dga(text: str, field_override: int | None = None) -> DgaDocument:
     reader.finish()
     differential = {name: NcPoly.from_pairs(p, pairs)
                     for name, pairs in diff_pairs.items()}
-    dga = Dga(p, reader.gens, differential, reader.d_degree if reader.d_degree is not None else 1)
+    dga = Dga(p, declared.values(), differential, reader.header.get("ddeg", 1))
     return DgaDocument(dga, tuple(marked), roles)
 
 
@@ -297,8 +295,7 @@ def serialize_dga(doc: DgaDocument | Dga) -> str:
     if isinstance(doc, Dga):
         doc = DgaDocument(doc)
     dga = doc.dga
-    lines = [f"field {dga.p}", f"ddeg {dga.d_degree}"]
-    lines.extend(_gen_line(gen) for gen in dga.generators.values())
+    lines = [f"field {dga.p}", f"ddeg {dga.d_degree}", *_gen_lines(dga.generators.values())]
     for name in dga.generators:
         role = doc.roles.get(name)
         if role is not None:
@@ -318,37 +315,30 @@ def serialize_dga(doc: DgaDocument | Dga) -> str:
 # -- count tables -------------------------------------------------------------
 
 
-def parse_disk_counts(text: str, field_override: int | None = None) -> DiskCountTable:
+def parse_disk_counts(text: str) -> DiskCountTable:
     from .bridge import DiskCountTable
-    reader = _DocReader(allowed_kinds={GeneratorKind.DOUBLE_POINT_POS})
+    reader = _DocReader("gen count", allowed_kinds={GeneratorKind.DOUBLE_POINT_POS})
     entries: list[tuple[int, str, tuple[str, ...], int]] = []
-    for lineno, args in _lines(text):
-        if reader.read_field(lineno, args) or reader.read_gen(lineno, args):
-            continue
-        if args[0] == "count":
-            if len(args) < 4 or args[-2] != "=" or not _INT_RE.match(args[-1]):
-                reader.issue(lineno, "usage: count <out> [<in>*] = <coeff>")
-            else:
-                entries.append((lineno, args[1], tuple(args[2:-2]), int(args[-1])))
+    for lineno, args in reader.lines(text):
+        coeff = _entry_coeff(args, 1)
+        if coeff is None:
+            reader.issue(lineno, "usage: count <out> [<in>*] = <coeff>")
         else:
-            reader.issue(lineno, f"unknown directive {args[0]!r}")
-    declared = reader.gen_names()
+            entries.append((lineno, args[1], tuple(args[2:-2]), coeff))
     for lineno, out, inputs, _ in entries:
         for name in (out,) + inputs:
-            if name not in declared:
+            if name not in reader.gens:
                 reader.issue(lineno, f"undeclared double point {name!r}")
     reader.finish()
-    return DiskCountTable.build(reader.characteristic(field_override), reader.gens,
+    return DiskCountTable.build(reader.characteristic(), reader.gens.values(),
                                 [(out, inputs, coeff) for _, out, inputs, coeff in entries])
 
 
 def serialize_disk_counts(table: DiskCountTable) -> str:
-    lines = [f"field {table.p}"]
-    lines.extend(_gen_line(gen) for gen in table.double_points.values())
+    lines = [f"field {table.p}", *_gen_lines(table.double_points.values())]
     for out, words in sorted(table.counts.items()):
         for inputs, coeff in sorted(words.items()):
-            middle = (" " + " ".join(inputs)) if inputs else ""
-            lines.append(f"count {out}{middle} = {coeff}")
+            lines.append(" ".join(["count", out, *inputs, "=", str(coeff)]))
     return "\n".join(lines) + "\n"
 
 
@@ -368,73 +358,62 @@ def _split_marked_groups(tokens):
     return head, bottom, top
 
 
-def parse_strip_counts(text: str, field_override: int | None = None) -> StripCountTable:
-    from .bridge import StripCountTable
-    reader = _DocReader(allowed_kinds={GeneratorKind.MIXED_CHORD,
-                                       GeneratorKind.DOUBLE_POINT_POS})
-    entries = []
-    for lineno, args in _lines(text):
-        if reader.read_field(lineno, args) or reader.read_gen(lineno, args):
-            continue
-        if args[0] == "strip":
-            body = args[1:]
-            if len(body) < 4 or body[-2] != "=" or not _INT_RE.match(body[-1]):
-                reader.issue(lineno, "usage: strip <out> <in> [bottom: <names>] "
-                                     "[top: <names>] = <coeff>")
-                continue
-            coeff = int(body[-1])
-            head, bottom, top = _split_marked_groups(body[:-2])
-            if len(head) != 2:
-                reader.issue(lineno, "strip entries need exactly two chords")
-                continue
-            entries.append((lineno, head[0], head[1], tuple(bottom), tuple(top), coeff))
-        else:
-            reader.issue(lineno, f"unknown directive {args[0]!r}")
+def _strip_line(c_out: str, c_in: str, bottom, top) -> str:
+    parts = ["strip", c_out, c_in]
+    if bottom:
+        parts += ["bottom:", *bottom]
+    if top:
+        parts += ["top:", *top]
+    return " ".join(parts)
 
-    chords = [g for g in reader.gens if g.kind is GeneratorKind.MIXED_CHORD]
-    points = {g.name: g for g in reader.gens
-              if g.kind is GeneratorKind.DOUBLE_POINT_POS}
-    chord_names = {g.name for g in chords}
-    used_bottom: set[str] = set()
-    used_top: set[str] = set()
+
+def parse_strip_counts(text: str) -> StripCountTable:
+    from .bridge import StripCountTable
+    reader = _DocReader("gen strip", allowed_kinds={GeneratorKind.MIXED_CHORD,
+                                                    GeneratorKind.DOUBLE_POINT_POS})
+    entries = []
+    for lineno, args in reader.lines(text):
+        coeff = _entry_coeff(args, 2)
+        if coeff is None:
+            reader.issue(lineno, "usage: strip <out> <in> [bottom: <names>] "
+                                 "[top: <names>] = <coeff>")
+            continue
+        head, bottom, top = _split_marked_groups(args[1:-2])
+        if len(head) != 2:
+            reader.issue(lineno, "strip entries need exactly two chords")
+        else:
+            entries.append((lineno, head[0], head[1], tuple(bottom), tuple(top), coeff))
+
+    kinds = {name: gen.kind for name, gen in reader.gens.items()}
+    used: dict[str, set[str]] = {"bottom": set(), "top": set()}
     for lineno, c_out, c_in, bottom, top, _ in entries:
         for name in (c_out, c_in):
-            if name not in chord_names:
+            if kinds.get(name) is not GeneratorKind.MIXED_CHORD:
                 reader.issue(lineno, f"undeclared chord {name!r}")
-        for name in bottom:
-            if name not in points:
-                reader.issue(lineno, f"undeclared double point {name!r}")
-            else:
-                used_bottom.add(name)
-        for name in top:
-            if name not in points:
-                reader.issue(lineno, f"undeclared double point {name!r}")
-            else:
-                used_top.add(name)
-    for name in sorted(used_bottom & used_top):
+        for side, names in (("bottom", bottom), ("top", top)):
+            for name in names:
+                if kinds.get(name) is not GeneratorKind.DOUBLE_POINT_POS:
+                    reader.issue(lineno, f"undeclared double point {name!r}")
+                else:
+                    used[side].add(name)
+    for name in sorted(used["bottom"] & used["top"]):
         reader.issue(0, f"double point {name!r} appears on both boundary sides")
     reader.finish()
+    chords = [g for g in reader.gens.values() if g.kind is GeneratorKind.MIXED_CHORD]
+    points = [g for g in reader.gens.values() if g.kind is GeneratorKind.DOUBLE_POINT_POS]
     # double points never used in an entry default to the bottom side
-    dp_bottom = [g for n, g in points.items() if n not in used_top]
-    dp_top = [g for n, g in points.items() if n in used_top]
     return StripCountTable.build(
-        reader.characteristic(field_override), chords, dp_bottom, dp_top,
+        reader.characteristic(), chords, [g for g in points if g.name not in used["top"]],
+        [g for g in points if g.name in used["top"]],
         [(c_out, c_in, bottom, top, coeff)
          for _, c_out, c_in, bottom, top, coeff in entries])
 
 
 def serialize_strip_counts(table: StripCountTable) -> str:
-    lines = [f"field {table.p}"]
-    for group in (table.chords, table.dp_bottom, table.dp_top):
-        lines.extend(_gen_line(gen) for gen in group.values())
+    lines = [f"field {table.p}", *_gen_lines(
+        [*table.chords.values(), *table.dp_bottom.values(), *table.dp_top.values()])]
     for (c_out, c_in, bottom, top), coeff in sorted(table.counts.items()):
-        parts = [f"strip {c_out} {c_in}"]
-        if bottom:
-            parts.append("bottom: " + " ".join(bottom))
-        if top:
-            parts.append("top: " + " ".join(top))
-        parts.append(f"= {coeff}")
-        lines.append(" ".join(parts))
+        lines.append(f"{_strip_line(c_out, c_in, bottom, top)} = {coeff}")
     return "\n".join(lines) + "\n"
 
 
@@ -442,26 +421,19 @@ def serialize_strip_counts(table: StripCountTable) -> str:
 
 
 def parse_values(text: str, p: int) -> dict[str, int]:
-    reader = _DocReader()
+    reader = _DocReader("set")
     values: dict[str, int] = {}
-    seen: dict[str, int] = {}
-    for lineno, args in _lines(text):
-        if reader.read_field(lineno, args):
-            continue
-        if args[0] == "set":
-            if len(args) != 4 or args[2] != "=" or not _INT_RE.match(args[3]):
-                reader.issue(lineno, "usage: set <name> = <value>")
-            elif not _NAME_RE.match(args[1]):
-                reader.issue(lineno, f"invalid generator name {args[1]!r}")
-            elif args[1] in seen:
-                reader.issue(lineno, f"duplicate assignment for {args[1]!r}")
-            else:
-                seen[args[1]] = lineno
-                values[args[1]] = int(args[3]) % p
+    for lineno, args in reader.lines(text):
+        if len(args) != 4 or args[2] != "=" or not _INT_RE.match(args[3]):
+            reader.issue(lineno, "usage: set <name> = <value>")
+        elif not _NAME_RE.match(args[1]):
+            reader.issue(lineno, f"invalid generator name {args[1]!r}")
+        elif args[1] in values:
+            reader.issue(lineno, f"duplicate assignment for {args[1]!r}")
         else:
-            reader.issue(lineno, f"unknown directive {args[0]!r}")
-    if reader.p is not None and reader.p != p:
-        reader.issue(0, f"value file declares field {reader.p}, expected {p}")
+            values[args[1]] = int(args[3]) % p
+    if reader.header.get("field", p) != p:
+        reader.issue(0, f"value file declares field {reader.header['field']}, expected {p}")
     reader.finish()
     return values
 
@@ -477,159 +449,111 @@ def serialize_values(p: int, values: dict[str, int]) -> str:
 # -- configuration files ------------------------------------------------------
 
 
-def parse_tree_config(text: str) -> PearlyTreeConfig:
-    from .pearly import ConfigError, DiskComponent, PearlyTreeConfig
-    reader = _DocReader()
-    disk_lines: list[tuple[int, list[str]]] = []
-    edge_lines: list[tuple[int, list[str]]] = []
-    for lineno, args in _lines(text):
-        if reader.read_field(lineno, args) or reader.read_gen(lineno, args):
-            continue
-        if args[0] == "disk":
-            if len(args) < 2:
-                reader.issue(lineno, "usage: disk <output> [<inputs>*]")
-            else:
-                disk_lines.append((lineno, args[1:]))
-        elif args[0] == "edge":
-            if len(args) != 4 or not all(_INT_RE.match(t) for t in args[1:]):
-                reader.issue(lineno, "usage: edge <srcDisk> <dstDisk> <slot>")
-            else:
-                edge_lines.append((lineno, args[1:]))
-        else:
-            reader.issue(lineno, f"unknown directive {args[0]!r}")
-    table = {g.name: g for g in reader.gens}
+def _read_disk(reader: _DocReader, lineno: int, args, disk_lines: list) -> None:
+    if len(args) < 2:
+        reader.issue(lineno, "usage: disk <output> [<inputs>*]")
+    else:
+        disk_lines.append((lineno, args[1:]))
+
+
+def _resolve_disks(reader: _DocReader, disk_lines) -> list[DiskComponent | None]:
+    """One entry per disk line, None where a name is undeclared."""
+    from .pearly import DiskComponent
     disks = []
     for lineno, names in disk_lines:
-        missing = [n for n in names if n not in table]
-        for name in missing:
-            reader.issue(lineno, f"undeclared generator {name!r}")
-        if not missing:
-            disks.append(DiskComponent(table[names[0]],
-                                       tuple(table[n] for n in names[1:])))
-    edges = [(int(a), int(b), int(c)) for _, (a, b, c) in edge_lines]
+        gens = reader.resolve(lineno, names)
+        disks.append(gens and DiskComponent(gens[0], tuple(gens[1:])))
+    return disks
+
+
+def _build_config(reader: _DocReader, build, *parts):
+    """Refuse on the collected issues, then build the configuration with a
+    ConfigError reported as a document-level issue."""
+    from .pearly import ConfigError
     reader.finish()
     try:
-        return PearlyTreeConfig(tuple(disks), tuple(edges))
+        return build(*parts)
     except ConfigError as exc:
         raise DocumentError([ParseIssue(0, str(exc))]) from exc
 
 
+def _disk_line(disk: DiskComponent) -> str:
+    return " ".join(["disk", disk.output.name, *(g.name for g in disk.inputs)])
+
+
+def parse_tree_config(text: str) -> PearlyTreeConfig:
+    from .pearly import PearlyTreeConfig
+    reader = _DocReader("gen disk edge")
+    disk_lines: list[tuple[int, list[str]]] = []
+    edges: list[tuple[int, int, int]] = []
+    for lineno, args in reader.lines(text):
+        if args[0] == "disk":
+            _read_disk(reader, lineno, args, disk_lines)
+        elif len(args) != 4 or not all(_INT_RE.match(t) for t in args[1:]):  # edge
+            reader.issue(lineno, "usage: edge <srcDisk> <dstDisk> <slot>")
+        else:
+            edges.append((int(args[1]), int(args[2]), int(args[3])))
+    disks = _resolve_disks(reader, disk_lines)
+    return _build_config(reader, PearlyTreeConfig, tuple(disks), tuple(edges))
+
+
 def serialize_tree_config(tree: PearlyTreeConfig) -> str:
-    lines = []
-    seen: dict[str, Generator] = {}
-    for gen in tree.all_generators():
-        if gen.name not in seen:
-            seen[gen.name] = gen
-            lines.append(_gen_line(gen))
-    for disk in tree.disks:
-        names = " ".join(g.name for g in (disk.output,) + disk.inputs)
-        lines.append(f"disk {names}")
-    for src, dst, slot in tree.edges:
-        lines.append(f"edge {src} {dst} {slot}")
+    lines = _gen_lines(tree.all_generators())
+    lines.extend(_disk_line(disk) for disk in tree.disks)
+    lines.extend(f"edge {src} {dst} {slot}" for src, dst, slot in tree.edges)
     return "\n".join(lines) + "\n"
 
 
 def parse_traj_config(text: str) -> BrokenTrajectoryConfig:
-    from .pearly import (BrokenTrajectoryConfig, ConfigError, DiskComponent,
-                         StripComponent)
-    reader = _DocReader()
-    strip_lines = []
+    from .pearly import BrokenTrajectoryConfig, StripComponent
+    reader = _DocReader("gen strip disk attach")
+    strip_lines: list[tuple[int, list[str], int]] = []
     disk_lines: list[tuple[int, list[str]]] = []
-    attach_lines = []
-    for lineno, args in _lines(text):
-        if reader.read_field(lineno, args) or reader.read_gen(lineno, args):
-            continue
+    attach_lines: list[tuple[int, int, str, int, int]] = []
+    for lineno, args in reader.lines(text):
         if args[0] == "strip":
             head, bottom, top = _split_marked_groups(args[1:])
             if len(head) != 2:
                 reader.issue(lineno, "usage: strip <out> <in> [bottom: <names>] "
                                      "[top: <names>]")
             else:
-                strip_lines.append((lineno, head[0], head[1],
-                                    tuple(bottom), tuple(top)))
+                strip_lines.append((lineno, head + bottom + top, len(bottom)))
         elif args[0] == "disk":
-            if len(args) < 2:
-                reader.issue(lineno, "usage: disk <output> [<inputs>*]")
-            else:
-                disk_lines.append((lineno, args[1:]))
-        elif args[0] == "attach":
-            if (len(args) != 5 or args[2] not in ("bottom", "top")
-                    or not _INT_RE.match(args[1]) or not _INT_RE.match(args[3])
-                    or not _INT_RE.match(args[4])):
-                reader.issue(lineno, "usage: attach <strip> <bottom|top> <pos> <disk>")
-            else:
-                attach_lines.append((lineno, int(args[1]), args[2],
-                                     int(args[3]), int(args[4])))
+            _read_disk(reader, lineno, args, disk_lines)
+        elif (len(args) != 5 or args[2] not in ("bottom", "top")  # attach
+                or not all(_INT_RE.match(args[i]) for i in (1, 3, 4))):
+            reader.issue(lineno, "usage: attach <strip> <bottom|top> <pos> <disk>")
         else:
-            reader.issue(lineno, f"unknown directive {args[0]!r}")
-    table = {g.name: g for g in reader.gens}
-
-    def resolve(lineno, names):
-        out = []
-        for name in names:
-            if name not in table:
-                reader.issue(lineno, f"undeclared generator {name!r}")
-            else:
-                out.append(table[name])
-        return out
-
+            attach_lines.append((lineno, int(args[1]), args[2], int(args[3]), int(args[4])))
     strips = []
-    for lineno, out, inp, bottom, top in strip_lines:
-        gens = resolve(lineno, (out, inp) + bottom + top)
-        if len(gens) == 2 + len(bottom) + len(top):
-            strips.append(StripComponent(gens[0], gens[1],
-                                         tuple(gens[2:2 + len(bottom)]),
-                                         tuple(gens[2 + len(bottom):])))
-    disks = []
-    for lineno, names in disk_lines:
-        gens = resolve(lineno, names)
-        if len(gens) == len(names):
-            disks.append(DiskComponent(gens[0], tuple(gens[1:])))
-    bottom_attach = []
-    top_attach = []
+    for lineno, names, n_bottom in strip_lines:
+        gens = reader.resolve(lineno, names)
+        if gens:
+            strips.append(StripComponent(gens[0], gens[1], tuple(gens[2:2 + n_bottom]),
+                                         tuple(gens[2 + n_bottom:])))
+    disks = _resolve_disks(reader, disk_lines)
+    attached: dict[str, list] = {"bottom": [], "top": []}
     for lineno, strip_idx, side, pos, disk_idx in attach_lines:
-        if not 0 <= disk_idx < len(disks):
+        # indexed by disk line, so an unresolved disk does not shift later ones
+        if 0 <= disk_idx < len(disks):
+            attached[side].append((strip_idx, pos, disks[disk_idx]))
+        else:
             reader.issue(lineno, f"attach references missing disk {disk_idx}")
-            continue
-        target = bottom_attach if side == "bottom" else top_attach
-        target.append((strip_idx, pos, disks[disk_idx]))
-    reader.finish()
-    try:
-        return BrokenTrajectoryConfig(tuple(strips), tuple(bottom_attach),
-                                      tuple(top_attach))
-    except ConfigError as exc:
-        raise DocumentError([ParseIssue(0, str(exc))]) from exc
+    return _build_config(reader, BrokenTrajectoryConfig, tuple(strips),
+                         tuple(attached["bottom"]), tuple(attached["top"]))
 
 
 def serialize_traj_config(traj: BrokenTrajectoryConfig) -> str:
-    lines = []
-    seen: dict[str, Generator] = {}
-
-    def declare(gen: Generator):
-        if gen.name not in seen:
-            seen[gen.name] = gen
-            lines.append(_gen_line(gen))
-
     disks = [d for _, _, d in traj.bottom_disks + traj.top_disks]
-    for strip in traj.strips:
-        for gen in (strip.output_chord, strip.input_chord) + strip.marked():
-            declare(gen)
-    for disk in disks:
-        for gen in (disk.output,) + disk.inputs:
-            declare(gen)
-    for strip in traj.strips:
-        parts = [f"strip {strip.output_chord.name} {strip.input_chord.name}"]
-        if strip.bottom_marked:
-            parts.append("bottom: " + " ".join(g.name for g in strip.bottom_marked))
-        if strip.top_marked:
-            parts.append("top: " + " ".join(g.name for g in strip.top_marked))
-        lines.append(" ".join(parts))
-    for disk in disks:
-        lines.append("disk " + " ".join(g.name
-                                        for g in (disk.output,) + disk.inputs))
+    lines = _gen_lines(
+        [g for s in traj.strips for g in (s.output_chord, s.input_chord) + s.marked()]
+        + [g for d in disks for g in (d.output,) + d.inputs])
+    lines.extend(_strip_line(s.output_chord.name, s.input_chord.name,
+                             [g.name for g in s.bottom_marked],
+                             [g.name for g in s.top_marked]) for s in traj.strips)
+    lines.extend(_disk_line(disk) for disk in disks)
     index = {id(d): i for i, d in enumerate(disks)}
-    for side, attachments in (("bottom", traj.bottom_disks),
-                              ("top", traj.top_disks)):
+    for side, attachments in (("bottom", traj.bottom_disks), ("top", traj.top_disks)):
         for strip_idx, pos, disk in attachments:
             lines.append(f"attach {strip_idx} {side} {pos} {index[id(disk)]}")
     return "\n".join(lines) + "\n"

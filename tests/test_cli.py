@@ -304,6 +304,31 @@ def test_non_utf8_input_is_input_error(tmp_path, command):
     assert out.strip() == "error: line 5002: invalid UTF-8 byte 0xff"
 
 
+@pytest.mark.parametrize("mode,max_inputs", [("trees", "30000"),
+                                             ("trajectories", "3000000")])
+def test_search_cli_refuses_huge_inputs_at_once(mode, max_inputs):
+    start = time.perf_counter()
+    code, out = run_cli(["search", "--mode", mode, "--max-inputs", max_inputs])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "exceed the limit 50000000" in out
+
+
+def test_search_cli_json_bytes():
+    code, out = run_cli(["search", "--mode", "trajectories", "--max-strips", "1",
+                         "--degree-lo", "-1", "--degree-hi", "2", "--json", "-"])
+    assert code == 0
+    assert out[out.index("{"):] == (
+        '{\n  "tool": "cedga",\n  "version": "0.1.0",\n  "command": "search",\n'
+        '  "input_sha256": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",\n'
+        '  "status": "ok",\n  "mode": "trajectories",\n  "bounds": {\n'
+        '    "max_strips": 1,\n    "max_marked_per_strip": 2,\n    "max_total_marked": 3,\n'
+        '    "max_attached_disks": 2,\n    "max_inputs_per_disk": 2,\n'
+        '    "degree_range": [\n      -1,\n      2\n    ],\n'
+        '    "max_configs": 50000000,\n    "materialize_stride": 20000\n  },\n'
+        '  "estimated_configs": 1756,\n  "enumerated": 1756,\n  "telescope_failures": 0,\n'
+        '  "materialized": 0,\n  "counterexamples": []\n}\n')
+
+
 def test_search_cli_small():
     code, out = run_cli(["search", "--mode", "trajectories", "--max-strips", "1",
                          "--degree-lo", "-1", "--degree-hi", "2"])
@@ -325,10 +350,10 @@ def test_corpus_command():
 
 
 _FILE_CASES = [argv for _, argv, _, _ in CASES if any(arg in FILES for arg in argv)]
-_VOCAB = ["field", "ddeg", "gen", "d", "count", "strip", "disk", "set", "mark",
-          "surgery", "=", "+", "bottom:", "top:", "0", "1", "-1", "2", "4", "97",
-          "1/0", "1/3", "-1/2", "x1", "y", "a1", "b1_12", "c1_12", "reeb", "dp+",
-          "mixed", "a", "b", "c"]
+_VOCAB = ["field", "ddeg", "gen", "d", "count", "strip", "disk", "edge", "attach",
+          "set", "mark", "surgery", "=", "+", "bottom:", "top:", "#", "0", "1", "-1",
+          "2", "4", "97", "1/0", "1/3", "-1/2", "x1", "y", "q0", "q1", "a1", "b1_12",
+          "c1_12", "reeb", "dp+", "mixed", "a", "b", "c"]
 
 
 def mutate(draw, text):

@@ -839,3 +839,43 @@ def test_trajectory_estimate_checked_before_counting(monkeypatch):
     monkeypatch.setattr(pearly, "_uniform", no_counting)
     with pytest.raises(BoundsTooLargeError):
         exhaustive_search(TrajectorySearchBounds(max_configs=1))
+
+
+def _estimate_or_refusal(estimate, bounds):
+    try:
+        return estimate(bounds)
+    except BoundsTooLargeError as exc:
+        return ("refused", exc.estimate)
+
+
+def _summed_tree_estimate(bounds):
+    # the per-disk radices summed term by term, one table entry per child count
+    lo, hi = bounds.degree_range
+    cap = bounds.max_inputs_per_disk
+    per_disk = [sum((hi - lo) * e + 1 for e in range(cap - c + 1)) for c in range(cap + 1)]
+    shapes = pearly._tree_shapes(bounds.max_disks, cap)
+    return pearly._bounded_sum((math.prod(per_disk[c] for c in child_counts)
+                                for _, _, child_counts in shapes), bounds.max_configs)
+
+
+def test_size_guard_closed_forms_match_the_sums(monkeypatch):
+    caps = (0, 1, 2, 3, 7, 30, 60)
+    every_window = [(lo, hi) for lo in range(-12, 13) for hi in range(lo, 13)]
+    for (lo, hi), cap in itertools.product(every_window, caps):
+        assert pearly._disk_radix_sum(cap, lo, hi) == sum(
+            pearly._disk_digit(n, lo, hi)[1] for n in range(cap + 1)), (lo, hi, cap)
+    windows = [(lo, hi) for lo in range(-12, 13, 3) for hi in range(lo, 13, 4)]
+    trees = [TreeSearchBounds(max_disks=d, max_inputs_per_disk=cap, degree_range=window,
+                              max_configs=limit)
+             for window, cap, d, limit in itertools.product(
+                 windows, caps, (1, 2, 4), (10_000, 50_000_000))]
+    assert ([_estimate_or_refusal(_estimate_trees, b) for b in trees]
+            == [_estimate_or_refusal(_summed_tree_estimate, b) for b in trees])
+    trajectories = [TrajectorySearchBounds(max_strips=2, max_inputs_per_disk=cap,
+                                           degree_range=window, max_configs=limit)
+                    for window, cap, limit in itertools.product(
+                        windows, caps, (10_000, 50_000_000))]
+    closed = [_estimate_or_refusal(_estimate_trajectories, b) for b in trajectories]
+    monkeypatch.setattr(pearly, "_disk_radix_sum", lambda cap, lo, hi: sum(
+        pearly._disk_digit(n, lo, hi)[1] for n in range(cap + 1)))
+    assert closed == [_estimate_or_refusal(_estimate_trajectories, b) for b in trajectories]

@@ -171,6 +171,19 @@ def test_traj_config_attach_errors():
     assert "missing disk" in str(exc.value)
 
 
+@pytest.mark.parametrize("disk_idx,attach_issue", [
+    (1, ""),  # disk 1 exists although disk 0 names an undeclared generator
+    (2, "\nline 8: attach references missing disk 2"),
+])
+def test_traj_attach_indexes_disk_lines(disk_idx, attach_issue):
+    text = ("gen q1 1 -1/2 mixed\ngen q0 0 -1/4 mixed\ngen m 0 1/2 dp+\n"
+            "gen i 0 1/2 dp+\nstrip q1 q0 bottom: m\n"
+            f"disk m ghost\ndisk m i i i\nattach 0 bottom 0 {disk_idx}\n")
+    with pytest.raises(DocumentError) as exc:
+        parse_traj_config(text)
+    assert str(exc.value) == "line 6: undeclared generator 'ghost'" + attach_issue
+
+
 def test_serialize_parse_fixpoint_on_noncanonical_input():
     scrambled = ("# comment first\n"
                  "ddeg 1\n"
@@ -182,3 +195,200 @@ def test_serialize_parse_fixpoint_on_noncanonical_input():
     once = serialize_dga(parse_dga(scrambled))
     assert serialize_dga(parse_dga(once)) == once
     assert "d y = 1" in once  # the x1 x2 terms cancelled over F_2
+
+
+# One document per format: header faults, a directive foreign to the format,
+# every usage line of the format and undeclared names.  The whole diagnostic
+# text is pinned, every issue in order.
+MULTI_FAULT = [
+    ("dga",
+     "field 4\n"
+     "field 2\n"
+     "field 3\n"
+     "ddeg x\n"
+     "ddeg 1\n"
+     "ddeg 2\n"
+     "gen x 0 1/2\n"
+     "gen 1x z 1//2 bogus\n"
+     "gen x 0 1/2 reeb  # declares x\n"
+     "gen x 0 1/2 reeb\n"
+     "count x = 1\n"
+     "d x\n"
+     "d x = ghost + + x + 3 9z\n"
+     "d x = 1\n"
+     "d ghost = x\n"
+     "mark\n"
+     "mark ghost\n"
+     "mark x\n"
+     "mark x\n"
+     "surgery x a\n"
+     "surgery x z 1\n"
+     "surgery x b q 1 2\n"
+     "surgery x a 1 2 3\n"
+     "surgery x b 1\n"
+     "surgery x b 1 2 3 4\n"
+     "surgery x a 1\n"
+     "surgery x a 2\n"
+     "surgery ghost a 1\n",
+     "line 1: field characteristic must be a prime <= 97, got 4\n"
+     "line 3: duplicate field declaration\n"
+     "line 4: usage: ddeg <integer>\n"
+     "line 6: duplicate ddeg declaration\n"
+     "line 7: usage: gen <name> <degree> <p/q> <kind>\n"
+     "line 8: invalid generator name '1x'\n"
+     "line 8: invalid degree 'z'\n"
+     "line 8: invalid rational '1//2'\n"
+     "line 8: unknown generator kind 'bogus'\n"
+     "line 10: duplicate generator 'x' (first declared on line 9)\n"
+     "line 11: unknown directive 'count'\n"
+     "line 12: usage: d <name> = <poly>\n"
+     "line 16: usage: mark <name>\n"
+     "line 20: usage: surgery <name> <a|b|c> <i> [<j> <m>]\n"
+     "line 21: usage: surgery <name> <a|b|c> <i> [<j> <m>]\n"
+     "line 22: surgery indices must be integers\n"
+     "line 23: connector roles take a single index\n"
+     "line 24: hook/transit roles take three indices\n"
+     "line 25: usage: surgery <name> <a|b|c> <i> [<j> <m>]\n"
+     "line 27: duplicate surgery role for 'x'\n"
+     "line 13: undeclared generator 'ghost' in polynomial\n"
+     "line 13: empty monomial in polynomial\n"
+     "line 13: invalid generator name '9z' in polynomial\n"
+     "line 14: duplicate differential for 'x' (first on line 13)\n"
+     "line 15: differential for undeclared generator 'ghost'\n"
+     "line 17: mark on undeclared generator 'ghost'\n"
+     "line 19: duplicate mark on 'x'\n"
+     "line 28: surgery role on undeclared generator 'ghost'"),
+    ("counts",
+     "field 4\n"
+     "field 2\n"
+     "field 2\n"
+     "ddeg 1\n"
+     "gen y 2 2/1 dp+\n"
+     "gen c 0 -1/1 mixed\n"
+     "gen y 2 2/1 dp+\n"
+     "gen z\n"
+     "count y\n"
+     "count y ghost = x\n"
+     "count y ghost = 1\n"
+     "count ghost y y = 1\n"
+     "set y = 1\n",
+     "line 1: field characteristic must be a prime <= 97, got 4\n"
+     "line 3: duplicate field declaration\n"
+     "line 4: unknown directive 'ddeg'\n"
+     "line 6: kind 'mixed' not allowed in this document\n"
+     "line 7: duplicate generator 'y' (first declared on line 5)\n"
+     "line 8: usage: gen <name> <degree> <p/q> <kind>\n"
+     "line 9: usage: count <out> [<in>*] = <coeff>\n"
+     "line 10: usage: count <out> [<in>*] = <coeff>\n"
+     "line 13: unknown directive 'set'\n"
+     "line 11: undeclared double point 'ghost'\n"
+     "line 12: undeclared double point 'ghost'"),
+    ("strips",
+     "field 4\n"
+     "field 2\n"
+     "field 2\n"
+     "ddeg 1\n"
+     "gen c1 0 -1/1 mixed\n"
+     "gen c2 1 -1/2 mixed\n"
+     "gen x 1 1/5 dp+\n"
+     "gen r 0 1/2 reeb\n"
+     "gen c1 0 -1/1 mixed\n"
+     "strip c2 = 1\n"
+     "strip c2 c1 c1 = 1\n"
+     "strip c2 ghost bottom: x nope = 1\n"
+     "strip c2 c1 top: x = 1\n"
+     "strip c2 c1 bottom: x = 1\n"
+     "count c2 = 1\n",
+     "line 1: field characteristic must be a prime <= 97, got 4\n"
+     "line 3: duplicate field declaration\n"
+     "line 4: unknown directive 'ddeg'\n"
+     "line 8: kind 'reeb' not allowed in this document\n"
+     "line 9: duplicate generator 'c1' (first declared on line 5)\n"
+     "line 10: usage: strip <out> <in> [bottom: <names>] [top: <names>] = <coeff>\n"
+     "line 11: strip entries need exactly two chords\n"
+     "line 15: unknown directive 'count'\n"
+     "line 12: undeclared chord 'ghost'\n"
+     "line 12: undeclared double point 'nope'\n"
+     "document: double point 'x' appears on both boundary sides"),
+    ("values",
+     "field 4\n"
+     "field 3\n"
+     "field 3\n"
+     "ddeg 1\n"
+     "gen x 0 1/2 reeb\n"
+     "set x\n"
+     "set 1x = 1\n"
+     "set x = 1\n"
+     "set x = 2\n"
+     "d x = 1\n",
+     "line 1: field characteristic must be a prime <= 97, got 4\n"
+     "line 3: duplicate field declaration\n"
+     "line 4: unknown directive 'ddeg'\n"
+     "line 5: unknown directive 'gen'\n"
+     "line 6: usage: set <name> = <value>\n"
+     "line 7: invalid generator name '1x'\n"
+     "line 9: duplicate assignment for 'x'\n"
+     "line 10: unknown directive 'd'\n"
+     "document: value file declares field 3, expected 2"),
+    ("tree",
+     "field 4\n"
+     "field 2\n"
+     "field 2\n"
+     "ddeg 1\n"
+     "gen x1 0 1/2 dp+\n"
+     "gen y 1 3/2 dp+\n"
+     "gen y 1 3/2 dp+\n"
+     "disk\n"
+     "disk ghost x1 nope\n"
+     "disk y x1\n"
+     "edge 0 1\n"
+     "edge a b c\n"
+     "attach 0 bottom 0 0\n",
+     "line 1: field characteristic must be a prime <= 97, got 4\n"
+     "line 3: duplicate field declaration\n"
+     "line 4: unknown directive 'ddeg'\n"
+     "line 7: duplicate generator 'y' (first declared on line 6)\n"
+     "line 8: usage: disk <output> [<inputs>*]\n"
+     "line 11: usage: edge <srcDisk> <dstDisk> <slot>\n"
+     "line 12: usage: edge <srcDisk> <dstDisk> <slot>\n"
+     "line 13: unknown directive 'attach'\n"
+     "line 9: undeclared generator 'ghost'\n"
+     "line 9: undeclared generator 'nope'"),
+    ("traj",
+     "field 4\n"
+     "field 2\n"
+     "field 2\n"
+     "ddeg 1\n"
+     "gen q1 1 -1/2 mixed\n"
+     "gen q0 0 -1/4 mixed\n"
+     "gen x 0 1/2 dp+\n"
+     "gen q0 0 -1/4 mixed\n"
+     "strip q1\n"
+     "strip q1 q0 bottom: ghost x top: x\n"
+     "strip q1 q0 top: x\n"
+     "disk\n"
+     "disk x ghost2\n"
+     "attach 0 side 0 0\n"
+     "attach 0 bottom 0 5\n"
+     "edge 0 1 0\n",
+     "line 1: field characteristic must be a prime <= 97, got 4\n"
+     "line 3: duplicate field declaration\n"
+     "line 4: unknown directive 'ddeg'\n"
+     "line 8: duplicate generator 'q0' (first declared on line 6)\n"
+     "line 9: usage: strip <out> <in> [bottom: <names>] [top: <names>]\n"
+     "line 12: usage: disk <output> [<inputs>*]\n"
+     "line 14: usage: attach <strip> <bottom|top> <pos> <disk>\n"
+     "line 16: unknown directive 'edge'\n"
+     "line 10: undeclared generator 'ghost'\n"
+     "line 13: undeclared generator 'ghost2'\n"
+     "line 15: attach references missing disk 5"),
+]
+
+
+@pytest.mark.parametrize("fmt,text,expected", MULTI_FAULT,
+                         ids=[fmt for fmt, _, _ in MULTI_FAULT])
+def test_multi_fault_document_diagnostics(fmt, text, expected):
+    parse, _ = PARSERS[fmt]
+    with pytest.raises(DocumentError) as exc:
+        parse(text)
+    assert str(exc.value) == expected
