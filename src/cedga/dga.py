@@ -146,8 +146,8 @@ class Dga:
                 raise UndeclaredGeneratorError(name)
             require_same_field(self.p, poly.p)
             for letter in poly.letters():
-                if letter not in self.generators:
-                    raise UndeclaredGeneratorError(letter)
+                if letter not in self.generators:  # name the least, whatever the set order
+                    raise UndeclaredGeneratorError(min(poly.letters() - self.generators.keys()))
             if not poly.is_zero:
                 self._diff[name] = poly
 
@@ -266,25 +266,18 @@ class Dga:
         """Compact constructor for tests and instance generators.
 
         ``gens`` items are ``(name, degree, action[, kind])`` with kind given
-        as a GeneratorKind or its token; ``diffs`` maps a name to an NcPoly or
-        to a list of ``(coeff, word)`` pairs.
+        as a GeneratorKind or its token; ``diffs`` maps a name to a list of
+        ``(coeff, word)`` pairs.
         """
         generators = []
         for item in gens:
-            if isinstance(item, Generator):
-                generators.append(item)
-                continue
             name, degree, action = item[0], item[1], item[2]
             kind = item[3] if len(item) > 3 else GeneratorKind.REEB_CHORD
             if isinstance(kind, str):
                 kind = GeneratorKind.from_token(kind)
             generators.append(Generator(name, degree, Fraction(action), kind))
-        differential = {}
-        for name, value in (diffs or {}).items():
-            if isinstance(value, NcPoly):
-                differential[name] = value
-            else:
-                differential[name] = NcPoly.from_pairs(p, value)
+        differential = {name: NcPoly.from_pairs(p, value)
+                        for name, value in (diffs or {}).items()}
         return cls(p, generators, differential, d_degree)
 
     def __repr__(self) -> str:

@@ -95,35 +95,17 @@ class SurgeryAlgebra:
         if sorted(a_names) != list(range(1, self.k + 1)):
             raise InputError(f"connector chords must cover indices 1..{self.k}, "
                              f"got {sorted(a_names)}")
-        self._a_names = a_names
+        self._connectors = tuple(a_names[i] for i in range(1, self.k + 1))
         self._b_names = b_names
         self._c_names = c_names
         self.base_names: tuple[str, ...] = tuple(
             n for n in dga.names() if n not in self.roles)
-
-    # -- lookups -----------------------------------------------------------
-
-    def a_name(self, i: int) -> str:
-        return self._a_names[i]
-
-    def b_name(self, i: int, j: int, m: int) -> str:
-        return self._b_names[(i, j, m)]
-
-    def c_name(self, i: int, j: int, m: int) -> str:
-        return self._c_names[(i, j, m)]
 
     def level(self, name: str) -> int:
         """Filtration level of a generator: role source for cocore chords,
         k+1 for base generators (they lie in every filtration step)."""
         role = self.roles.get(name)
         return role.i if role is not None else self.k + 1
-
-    def pairs_for_source(self, i: int) -> list[tuple[int, int]]:
-        """(target, multiplicity) pairs of source i, ascending in the
-        action of the associated transit chord."""
-        pairs = [(j, m) for (ii, j, m) in self._c_names if ii == i]
-        pairs.sort(key=lambda jm: self.dga.generator(self._c_names[(i,) + jm]).action)
-        return pairs
 
     def base_ce(self) -> Dga:
         """The base chord algebra as a standalone Dga."""
@@ -146,6 +128,19 @@ class SurgeryAlgebra:
         only once the hook/transit pairing is known to be complete."""
         return {name: _split_hook_differential(self, name)
                 for name in self._b_names.values()}
+
+    @cached_property
+    def _extension_plan(self) -> tuple[tuple[str, int, tuple], ...]:
+        """The recursion of ``construct_surgery_augmentation``, derived once:
+        each transit chord with its degree and its hook's connector and
+        lower-transit terms, source by source from the deepest level
+        outward and by ascending action within a source.  Read only once
+        the shape checks pass."""
+        gens = self.dga.generators
+        order = sorted(self._c_names,
+                       key=lambda key: (-key[0], gens[self._c_names[key]].action))
+        return tuple((self._c_names[key], gens[self._c_names[key]].degree,
+                      self._hook_splits[self._b_names[key]][0]) for key in order)
 
     def __repr__(self) -> str:
         return (f"SurgeryAlgebra(k={self.k}, base={len(self.base_names)}, "
@@ -188,35 +183,39 @@ def quotient_order_reversing(dga: Dga, marked: Iterable[str]) -> Dga:
 # -- shape validation --------------------------------------------------------
 
 
-def _order_lt(S: SurgeryAlgebra, i: int, hl: tuple[int, int], jm: tuple[int, int]) -> bool:
-    """(h,l) precedes (j,m) at source i iff the transit chord c^l_{ih} has
-    strictly smaller action than c^m_{ij}."""
-    left = S.dga.generator(S.c_name(i, hl[0], hl[1])).action
-    right = S.dga.generator(S.c_name(i, jm[0], jm[1])).action
-    return left < right
-
-
 def _is_base_word(S: SurgeryAlgebra, word) -> bool:
     return all(name not in S.roles for name in word)
 
 
-def _is_deeper_word(S: SurgeryAlgebra, word, i: int) -> bool:
-    return all(S.level(name) >= i + 1 for name in word)
+def _lower_transit_issue(S: SurgeryAlgebra, word, partner: str, subject: str,
+                         lead: str) -> str | None:
+    """Why ``word``, a summand of d(subject) that ends in a transit chord of
+    the source i of the transit chord ``partner``, is not a lower-transit
+    summand: its chord must be action-smaller than ``partner`` and its
+    coefficient must lie in the level-(i+1) subalgebra.  None if it is one."""
+    last, gens = word[-1], S.dga.generators
+    if not gens[last].action < gens[partner].action:
+        return f"transit summand {last} is not action-smaller than {subject}"
+    i = S.roles[last].i
+    if any(S.level(name) <= i for name in word[:-1]):
+        return (f"{lead} {' '.join(word)} has coefficient outside "
+                f"the level-{i + 1} subalgebra")
+    return None
 
 
 def _split_hook_differential(S: SurgeryAlgebra, bname: str):
     """Decompose d(hook chord) by last letter into the four shape groups.
 
-    Returns (alpha, w, issues) where alpha is the base-coefficient of the
-    connector summand, w maps a (target, multiplicity) pair to the
-    coefficient of the corresponding transit chord, and issues lists the
-    shape violations found.  Needs a complete hook/transit pairing.
+    Returns (terms, issues) where terms are the connector and lower-transit
+    summands, the (word, coeff) pairs the extension recursion evaluates,
+    and issues lists the shape violations found.  Needs a complete
+    hook/transit pairing.
     """
-    p = S.dga.p
     role = S.roles[bname]
-    i, jm = role.i, (role.j, role.m)
-    alpha_terms: dict = {}
-    w_terms: dict[tuple[int, int], dict] = {}
+    i, connector = role.i, S._connectors[role.j - 1]
+    partner = S._c_names[(i, role.j, role.m)]
+    gens = S.dga.generators
+    terms: list[tuple] = []
     unit_coeff = None
     issues: list[str] = []
     flag = issues.append
@@ -229,48 +228,37 @@ def _split_hook_differential(S: SurgeryAlgebra, bname: str):
         lrole = S.roles.get(last)
         if lrole is None:
             flag(f"monomial {' '.join(word)} does not end in a cocore chord")
-            continue
-        if lrole.type == "a":
+        elif lrole.type == "a":
             if lrole.i != i:
                 flag(f"connector summand ends in index {lrole.i}, expected {i}")
             elif not _is_base_word(S, prefix):
                 flag(f"connector summand {' '.join(word)} has non-base coefficient")
             else:
-                alpha_terms[prefix] = (alpha_terms.get(prefix, 0) + coeff) % p
+                terms.append((word, coeff))
+        elif lrole.i != i:
+            flag(f"{'hook' if lrole.type == 'b' else 'transit'} summand targets "
+                 f"source {lrole.i}, expected {i}")
         elif lrole.type == "b":
-            hl = (lrole.j, lrole.m)
-            if lrole.i != i:
-                flag(f"hook summand targets source {lrole.i}, expected {i}")
-            elif not _order_lt(S, i, hl, jm):
+            if not gens[S._c_names[(i, lrole.j, lrole.m)]].action < gens[partner].action:
                 flag(f"hook summand {last} is not action-smaller than {bname}")
             elif not _is_base_word(S, prefix):
                 flag(f"hook summand {' '.join(word)} has non-base coefficient")
-        elif lrole.type == "c":
-            hl = (lrole.j, lrole.m)
-            if lrole.i != i:
-                flag(f"transit summand targets source {lrole.i}, expected {i}")
-            elif hl == jm:
-                if prefix != (S.a_name(role.j),):
-                    flag(f"distinguished monomial {' '.join(word)} must be "
-                         f"{S.a_name(role.j)} {last}")
-                else:
-                    unit_coeff = coeff
-            elif not _order_lt(S, i, hl, jm):
-                flag(f"transit summand {last} is not action-smaller than {bname}")
-            elif not _is_deeper_word(S, prefix, i):
-                flag(f"transit summand {' '.join(word)} has coefficient outside "
-                     f"the level-{i + 1} subalgebra")
+        elif last == partner:
+            if prefix != (connector,):
+                flag(f"distinguished monomial {' '.join(word)} must be {connector} {last}")
             else:
-                bucket = w_terms.setdefault(hl, {})
-                bucket[prefix] = (bucket.get(prefix, 0) + coeff) % p
+                unit_coeff = coeff
+        else:
+            issue = _lower_transit_issue(S, word, partner, bname, "transit summand")
+            if issue:
+                flag(issue)
+            else:
+                terms.append((word, coeff))
     if unit_coeff is None:
-        flag(f"missing distinguished monomial {S.a_name(role.j)} "
-             f"{S.c_name(i, role.j, role.m)}")
+        flag(f"missing distinguished monomial {connector} {partner}")
     elif unit_coeff != 1:
         flag(f"distinguished monomial has coefficient {unit_coeff}, expected 1")
-    alpha = NcPoly(p, alpha_terms)
-    w = {hl: NcPoly(p, terms) for hl, terms in w_terms.items() if terms}
-    return alpha, w, tuple(issues)
+    return tuple(terms), tuple(issues)
 
 
 def validate_surgery_shape(S: SurgeryAlgebra) -> ValidationReport:
@@ -290,15 +278,14 @@ def validate_surgery_shape(S: SurgeryAlgebra) -> ValidationReport:
 
     # connector chords: degree 0, a single positive action, zero differential
     a_actions = set()
-    for i in range(1, S.k + 1):
-        name = S.a_name(i)
+    for name in S._connectors:
         gen = dga.generator(name)
         if gen.degree != 0:
             report.add("surgery.connector", name, f"degree {gen.degree}, expected 0")
         if gen.action <= 0:
             report.add("surgery.connector", name, f"action {gen.action} must be positive")
         a_actions.add(gen.action)
-        if not dga.differential_of(name).is_zero:
+        if name in dga.nonzero_differentials():
             report.add("surgery.connector", name, "connector chords must be closed")
     if len(a_actions) > 1:
         report.add("surgery.connector", "*",
@@ -345,28 +332,21 @@ def validate_surgery_shape(S: SurgeryAlgebra) -> ValidationReport:
     if not (b_keys - c_keys) and not (c_keys - b_keys):
         for key in sorted(b_keys):
             name = S._b_names[key]
-            for detail in S._hook_splits[name][2]:
+            for detail in S._hook_splits[name][1]:
                 report.add("surgery.shape", name, detail)
         for key in sorted(c_keys):
-            name = S._c_names[key]
-            i, jm = key[0], (key[1], key[2])
+            name, i = S._c_names[key], key[0]
             for word in dga.differential_of(name).words():
+                lrole = S.roles.get(word[-1]) if word else None
                 if not word:
-                    report.add("surgery.shape", name, "differential contains the unit word")
-                    continue
-                last, prefix = word[-1], word[:-1]
-                lrole = S.roles.get(last)
-                if lrole is None or lrole.type != "c" or lrole.i != i:
-                    report.add("surgery.shape", name,
-                               f"monomial {' '.join(word)} does not end in a "
-                               f"source-{i} transit chord")
-                elif (lrole.j, lrole.m) == jm or not _order_lt(S, i, (lrole.j, lrole.m), jm):
-                    report.add("surgery.shape", name,
-                               f"transit summand {last} is not action-smaller than {name}")
-                elif not _is_deeper_word(S, prefix, i):
-                    report.add("surgery.shape", name,
-                               f"monomial {' '.join(word)} has coefficient outside "
-                               f"the level-{i + 1} subalgebra")
+                    detail = "differential contains the unit word"
+                elif lrole is None or lrole.type != "c" or lrole.i != i:
+                    detail = (f"monomial {' '.join(word)} does not end in a "
+                              f"source-{i} transit chord")
+                else:
+                    detail = _lower_transit_issue(S, word, name, name, "monomial")
+                if detail:
+                    report.add("surgery.shape", name, detail)
 
     report.extend(dga.validate_action())
     return report
@@ -405,8 +385,7 @@ def _check_conditions(S: SurgeryAlgebra, eps: Augmentation, eb: Augmentation,
         if name not in base_set:
             report.add("surgery.base_restriction", name,
                        "base augmentation supported outside the base algebra")
-    for i in range(1, S.k + 1):
-        name = S.a_name(i)
+    for name in S._connectors:
         if eps.value(name) != 1:
             report.add("surgery.connector_value", name,
                        f"connector chord must map to 1, got {eps.value(name)}")
@@ -417,18 +396,32 @@ def _check_conditions(S: SurgeryAlgebra, eps: Augmentation, eb: Augmentation,
     return report
 
 
+def _residuals(S: SurgeryAlgebra, eps: Augmentation):
+    """(name, eps(d(name)), d(name)) for each nonzero differential that eps
+    does not send to 0, in declaration order: the one residual pass of both
+    the certificate and its recheck."""
+    diffs = S.dga.nonzero_differentials()
+    for name in S.dga.generators:
+        poly = diffs.get(name)
+        if poly is not None:
+            residual = eps.evaluate(poly)
+            if residual:
+                yield name, residual, poly
+
+
 def construct_surgery_augmentation(S: SurgeryAlgebra, eb: Augmentation,
                                    order_reversing: Iterable[str] = ()
                                    ) -> SurgeryCertificate:
     """Extend a base augmentation over the whole surgery algebra.
 
     Connector chords map to 1 and hook chords to 0; transit chord values are
-    produced source by source, from the deepest filtration level outward,
-    and within a source in ascending action order, by the recursion
-       value(c) = -eval(alpha) - sum eval(w_target) * value(target)
-    read off the hook differential.  The result is re-verified generator by
-    generator rather than trusted.
-    Shape, d^2 and the hook splits are derived once per algebra, the base
+    produced in the order of the algebra's extension plan (source by source,
+    from the deepest filtration level outward, and within a source in
+    ascending action order) by the recursion
+       value(c) = -eval(connector terms + lower-transit terms of d(hook))
+    which solves eps(d(hook)) = 0 for c.  The result is re-verified
+    generator by generator rather than trusted.
+    Shape, d^2 and the extension plan are derived once per algebra, the base
     augmentation on every call; a failed check raises PreconditionError.
     """
     structural = S.precondition_report
@@ -440,34 +433,20 @@ def construct_surgery_augmentation(S: SurgeryAlgebra, eb: Augmentation,
 
     p = S.dga.p
     values: dict[str, int] = dict(eb.values)
+    values.update(dict.fromkeys(S._connectors, 1))
     flags: list[str] = []
-    for i in range(1, S.k + 1):
-        values[S.a_name(i)] = 1
-    for i in range(S.k - 1, 0, -1):
-        for (j, m) in S.pairs_for_source(i):
-            alpha, w, _ = S._hook_splits[S.b_name(i, j, m)]
-            total = -evaluate_terms(alpha.terms.items(), values, p)
-            for (h, l), wpoly in sorted(w.items()):
-                cv = values.get(S.c_name(i, h, l), 0)
-                if cv:
-                    total -= evaluate_terms(wpoly.terms.items(), values, p) * cv
-            total %= p
-            cname = S.c_name(i, j, m)
-            cdeg = S.dga.generator(cname).degree
-            if total and cdeg != 0:
-                flags.append(f"recursion demands {total} on {cname} of degree {cdeg}; "
-                             "value forced to 0")
-                total = 0
-            if total:
-                values[cname] = total
+    for cname, cdeg, terms in S._extension_plan:
+        total = -evaluate_terms(terms, values, p) % p
+        if total and cdeg != 0:
+            flags.append(f"recursion demands {total} on {cname} of degree {cdeg}; "
+                         "value forced to 0")
+        elif total:
+            values[cname] = total
 
     eps = Augmentation(p, values)
     verification = ValidationReport()
-    for name in S.dga.names():
-        residual = eps.evaluate(S.dga.differential_of(name))
-        if residual:
-            verification.add("surgery.residual", name,
-                             f"extension sends d({name}) to {residual}")
+    for name, residual, _ in _residuals(S, eps):
+        verification.add("surgery.residual", name, f"extension sends d({name}) to {residual}")
     conditions = _check_conditions(S, eps, eb, order_reversing)
     return SurgeryCertificate(eps, verification, conditions, tuple(flags),
                               tuple(dict.fromkeys(order_reversing)))
@@ -488,12 +467,10 @@ def verify_certificate(S: SurgeryAlgebra, certificate: SurgeryCertificate,
             report.add("certificate.support", name,
                        f"value {value} on generator of degree "
                        f"{S.dga.generators[name].degree}")
-    for name in S.dga.names():
-        residual = eps.evaluate(S.dga.differential_of(name))
-        if residual:
-            report.add("certificate.residual", name,
-                       f"certificate augmentation sends d({name}) to {residual}, "
-                       f"d({name}) = {format_poly(S.dga.differential_of(name))}")
+    for name, residual, poly in _residuals(S, eps):
+        report.add("certificate.residual", name,
+                   f"certificate augmentation sends d({name}) to {residual}, "
+                   f"d({name}) = {format_poly(poly)}")
     report.extend(_check_conditions(S, eps, eb, certificate.order_reversing))
     return report
 
@@ -570,7 +547,6 @@ def random_surgery_instance(k: int, max_chords_per_pair: int = 2, seed: int = 0,
 
     connector_bound = Fraction(1)
     last_action = Fraction(1)
-    c_actions: dict[tuple[int, int, int], Fraction] = {}
     c_closed: dict[tuple[int, int, int], bool] = {}
     b_bare: dict[tuple[int, int, int], bool] = {}
     built_order: list[tuple[int, int, int]] = []
@@ -665,13 +641,12 @@ def random_surgery_instance(k: int, max_chords_per_pair: int = 2, seed: int = 0,
                 roles[b_key_name] = ChordRole("b", i, j, m)
                 diffs[b_key_name] = b_diff
 
-                c_actions[key] = c_action
                 c_closed[key] = c_diff.is_zero
                 b_bare[key] = bare
                 built_order.append(key)
                 source_pairs[i].append((j, m))
 
-    eps_a = min(c_actions.values(), default=Fraction(1)) / 1000
+    eps_a = min((actions[cname(key)] for key in built_order), default=Fraction(1)) / 1000
     for i in range(1, k + 1):
         gens.append(Generator(a_names[i], 0, eps_a, GeneratorKind.SURGERY_A))
     gens.extend(chord_gens)

@@ -16,6 +16,7 @@ Parsers collect every diagnostic (line-addressed) before failing, and
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -29,8 +30,11 @@ if TYPE_CHECKING:  # the parsers import these on use, so each format loads only 
     from .pearly import BrokenTrajectoryConfig, DiskComponent, PearlyTreeConfig
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_INT_RE = re.compile(r"[+-]?\d+\Z")
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
+# no more digits than int() converts (a limit of 0 means none), so a longer
+# integer token is refused with the diagnostic of its line
+_DIGITS = rf"\d{{1,{getattr(sys, 'get_int_max_str_digits', lambda: 0)() or ''}}}"
+_INT_RE = re.compile(rf"[+-]?{_DIGITS}\Z")
+_RATIONAL_RE = re.compile(rf"([+-]?{_DIGITS})(?:/({_DIGITS}))?\Z")
 _HEADER_USAGE = {"field": "field <prime>", "ddeg": "ddeg <integer>"}
 
 

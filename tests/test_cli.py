@@ -518,3 +518,79 @@ def test_only_main_maps_input_errors():
                     cls = getattr(cedga, name, None) or getattr(builtins, name)
                     assert not issubclass(cls, cedga.InputError), (command.name, name)
                     assert not issubclass(cedga.InputError, cls), (command.name, name)
+
+
+HUGE = "9" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("validate", f"gen x 0 {HUGE}/1 reeb\n", f"line 1: invalid rational '{HUGE}/1'"),
+    ("validate", f"gen x -1 1/2 reeb\nd x = {HUGE}\n",
+     f"line 2: invalid generator name '{HUGE}' in polynomial"),
+    ("validate", f"gen a1 0 1/2 a\nsurgery a1 a {HUGE}\n",
+     "line 2: surgery indices must be integers"),
+    ("ce-lift", f"gen x1 0 1/4 dp+\ncount x1 = {HUGE}\n",
+     "line 2: usage: count <out> [<in>*] = <coeff>"),
+    ("deform", f"gen c1 0 1/4 mixed\nstrip c1 c1 = {HUGE}\n",
+     "line 2: usage: strip <out> <in> [bottom: <names>] [top: <names>] = <coeff>"),
+    ("mc-check", f"set x1 = {HUGE}\n", "line 1: usage: set <name> = <value>"),
+    ("tree-check", f"gen x 0 1/4 dp+\ndisk x x\nedge {HUGE} 0 0\n",
+     "line 3: usage: edge <srcDisk> <dstDisk> <slot>"),
+    ("traj-check", f"gen c 0 1/4 mixed\nstrip c c\nattach 0 bottom {HUGE} 0\n",
+     "line 3: usage: attach <strip> <bottom|top> <pos> <disk>"),
+], ids=["gen", "d", "surgery", "count", "strip", "set", "edge", "attach"])
+def test_overlong_integer_is_a_line_diagnostic(corpus_dir, tmp_path, command, text, message):
+    # an integer token longer than int() converts is an input error (exit 2)
+    # with the diagnostic of its line, not an internal error
+    path = tmp_path / "huge.txt"
+    path.write_text(text, encoding="utf-8")
+    argv = {"deform": ["deform", str(path), "--cochain0", "x", "--cochain1", "x"],
+            "mc-check": ["mc-check", str(corpus_dir / "mc_two_points.txt"),
+                         "--cochain", str(path)]}.get(command, [command, str(path)])
+    assert run_cli(argv) == (2, f"error: {message}\n")
+
+
+CONFLICT_DOC = ("field 2\ngen x1 0 1/50 reeb\ngen a1 0 1/1000 a\ngen a2 0 1/1000 a\n"
+                "gen c1 1 1/1 c\ngen b1 0 2/1 b\nsurgery a1 a 1\nsurgery a2 a 2\n"
+                "surgery c1 c 1 2 1\nsurgery b1 b 1 2 1\nd b1 = x1 a1 + a2 c1\n")
+TWO_DISK_TREE = ("gen y 3 5/1 dp+\ngen v 2 3/1 dp+\ngen x1 1 1/1 dp+\ngen x2 1 1/1 dp+\n"
+                 "gen x3 1 1/1 dp+\ndisk y v x3\ndisk v x1 x2\nedge 1 0 0\n")
+
+
+@pytest.mark.parametrize("argv,text,expected_exit,expected", [
+    (["deform", "DOC", "--cochain0", "cochain_empty.txt", "--cochain1", "cochain_empty.txt"],
+     "field 2\ngen c1 0 -1/1 mixed\ngen c2 1 -1/2 mixed\ngen c3 2 -1/4 mixed\n"
+     "strip c2 c1 = 1\nstrip c3 c2 = 1\n", 1,
+     "twisted differential has 2 nonzero entries\n  d(c1) += 1 c2\n  d(c2) += 1 c3\n"
+     "twisted differential does NOT square to zero:\n"
+     "  [squared] (c3, c1): square of the twisted differential has entry 1\n"),
+    (["surgery", "DOC", "--base-aug", "cochain_x1.txt"],
+     corpus_text("surgery_k2.txt") + "gen q -1 1/7 reeb\nd q = x1\nmark q\n", 1,
+     "order-reversing marking is not differential-closed:\n"
+     "  [quotient.ideal] q: monomial x1 of d(q) contains no marked letter\n"),
+    (["surgery", "DOC", "--base-aug", "cochain_x1.txt"], CONFLICT_DOC, 1,
+     "extended augmentation over k=2 cocores:\n  x1 -> 1\n  a1 -> 1\n  a2 -> 1\n"
+     "flag: recursion demands 1 on c1 of degree 1; value forced to 0\n"
+     "certificate verification FAILED:\n"
+     "  [certificate.residual] b1: certificate augmentation sends d(b1) to 1, "
+     "d(b1) = a2 c1 + x1 a1\n"),
+    (["tree-check", "--no-global", "DOC"], corpus_text("tree_single.txt"), 0,
+     "ledger: m=1 k=2 lhs=0 rhs=0 telescoped=True\n"
+     "positivity propagates: True; output action positive: True\n"
+     "global degree constraint not applied\n"),
+    (["tree-check", "DOC"], TWO_DISK_TREE, 0,
+     "ledger: m=2 k=3 lhs=0 rhs=0 telescoped=True\n"
+     "positivity propagates: True; output action positive: True\n"
+     "configuration cannot satisfy the rigid global degree constraint\n"),
+    (["tree-check", "DOC"], "gen y 2 3/1 dp+\ngen x1 1 1/1 reeb\ngen x2 1 1/1 dp+\n"
+     "disk y x1 x2\n", 1,
+     "ledger: m=1 k=2 lhs=0 rhs=0 telescoped=True\nhypothesis violations:\n"
+     "  external input 'x1' is not a positive-action double point\n"),
+], ids=["deform-not-square-zero", "surgery-marks-not-closed", "surgery-degree-conflict",
+        "tree-no-global", "tree-two-disks-not-rigid-globally", "tree-reeb-external-input"])
+def test_rare_cli_branches_pinned(corpus_dir, tmp_path, argv, text, expected_exit, expected):
+    doc = tmp_path / "doc.txt"
+    doc.write_text(text, encoding="utf-8")
+    argv = [str(doc) if arg == "DOC" else str(corpus_dir / arg) if arg in FILES else arg
+            for arg in argv]
+    assert run_cli(argv) == (expected_exit, expected)

@@ -225,3 +225,27 @@ def test_differential_of_builds_zero_only_when_missing(monkeypatch):
         dga.differential_of("w")
     with pytest.raises(TypeError):
         dga.nonzero_differentials()["x"] = NcPoly.zero(3)
+
+
+def test_undeclared_letter_named_whatever_the_hash_seed():
+    # the least undeclared letter is named, and the corpus report bytes do not
+    # depend on the string hash seed either
+    import os
+    import subprocess
+    import sys
+
+    from test_stdlib_only import PACKAGE
+    build = ("from cedga import Dga, UndeclaredGeneratorError\n"
+             "try:\n"
+             "    Dga.build(2, gens=[('y', -1, 1)], diffs={'y': [(1, ('q', 'r', 's', 't'))]})\n"
+             "except UndeclaredGeneratorError as exc:\n"
+             "    print(exc)\n")
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+        runs.append([subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                                    check=True).stdout
+                     for argv in (["-c", build], ["-m", "cedga.cli", "corpus", "--json", "-"])])
+    assert runs[0][0] == b"'q'\n"
+    assert runs[0] == runs[1]

@@ -879,3 +879,92 @@ def test_size_guard_closed_forms_match_the_sums(monkeypatch):
     monkeypatch.setattr(pearly, "_disk_radix_sum", lambda cap, lo, hi: sum(
         pearly._disk_digit(n, lo, hi)[1] for n in range(cap + 1)))
     assert closed == [_estimate_or_refusal(_estimate_trajectories, b) for b in trajectories]
+
+
+# -- configuration errors and hypothesis violations, pinned -------------------
+
+Y, V, X1, X2, X3 = (dp("y", 3, 5), dp("v", 2, 3), dp("x1", 1, 1), dp("x2", 1, 1),
+                    dp("x3", 1, 1))
+PARENT, CHILD = DiskComponent(Y, (V, X3)), DiskComponent(V, (X1, X2))
+
+
+@pytest.mark.parametrize("disks,edges,edge_generator,message", [
+    ((), ((0, 0, 0),), X1, "edges given without disks"),
+    ((), (), None, "a diskless tree needs its edge generator"),
+    ((PARENT, CHILD), (), None, "2 disks require 1 edges, got 0"),
+    ((PARENT, CHILD), ((1, 2, 0),), None, "edge (1, 2, 0) out of range"),
+    ((PARENT, CHILD), ((1, 1, 0),), None, "edge (1, 1, 0) out of range"),
+    ((PARENT, CHILD), ((1, 0, 2),), None, "edge into disk 0 uses missing slot 2"),
+    ((PARENT, CHILD, CHILD), ((1, 0, 0), (1, 0, 0)), None, "disk 1 output matched twice"),
+    ((PARENT, CHILD, CHILD), ((1, 0, 0), (2, 0, 0)), None,
+     "input slot (0, 0) matched twice"),
+    ((PARENT, CHILD), ((1, 0, 1),), None,
+     "edge (1, 0, 1) joins distinct generators 'v' and 'x3'"),
+    ((PARENT, DiskComponent(V, (V,)), DiskComponent(V, (V,))), ((1, 2, 0), (2, 1, 0)), None,
+     "tree incidence is not connected"),
+])
+def test_tree_config_errors_pinned(disks, edges, edge_generator, message):
+    with pytest.raises(ConfigError) as exc:
+        PearlyTreeConfig(disks, edges, edge_generator)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("strips,bottom,top,message", [
+    ((), (), (), "a trajectory needs at least one strip"),
+    ((StripComponent(chord("c1", 1), chord("c0", 0)),
+      StripComponent(chord("c2", 2), chord("c0", 0))), (), (),
+     "break mismatch between strips 0 and 1: 'c1' vs 'c0'"),
+    ((StripComponent(chord("c1", 1), chord("c0", 0), (V,)),), ((1, 0, CHILD),), (),
+     "attachment on missing strip 1"),
+    ((StripComponent(chord("c1", 1), chord("c0", 0), (V,)),), (), ((0, 0, CHILD),),
+     "attachment at missing top position 0 of strip 0"),
+    ((StripComponent(chord("c1", 1), chord("c0", 0), (), (V,)),), (),
+     ((0, 0, CHILD), (0, 0, CHILD)), "top position 0 of strip 0 attached twice"),
+    ((StripComponent(chord("c1", 1), chord("c0", 0), (X1,)),), ((0, 0, CHILD),), (),
+     "disk output 'v' does not match marked generator 'x1'"),
+])
+def test_trajectory_config_errors_pinned(strips, bottom, top, message):
+    with pytest.raises(ConfigError) as exc:
+        BrokenTrajectoryConfig(strips, bottom, top)
+    assert str(exc.value) == message
+
+
+def test_tree_hypothesis_violations_pinned():
+    reeb = Generator("r", 1, Fraction(1), GeneratorKind.REEB_CHORD)
+    bent = DiskComponent(dp("y", 1, 2), (reeb, dp("x2", 1, 2)))  # 1 - 2 != 2 - 2
+    verdict = tree_verdict(PearlyTreeConfig((bent,), ()))
+    assert not verdict.hypotheses_ok
+    assert verdict.hypothesis_violations == (
+        "external input 'r' is not a positive-action double point",
+        "disk 0 is not rigid",
+        "disk 0 has nonpositive energy -1")
+    assert tree_verdict(PearlyTreeConfig((), (), X1)).hypothesis_violations == (
+        "no disk components (single constant edge)",)
+    with pytest.raises(ConfigError, match=r"\Adisk 0 is not rigid\Z"):
+        tree_ledger(PearlyTreeConfig((bent,), ()))
+
+
+def test_trajectory_hypothesis_violations_pinned():
+    reeb = Generator("r", 1, Fraction(1), GeneratorKind.REEB_CHORD)
+    bent = DiskComponent(X2, (X1, X3))  # 1 - 2 != 2 - 2
+    strip = StripComponent(chord("c2", 2), chord("c0", 0), (reeb,), (X2,))  # 0 != 1 - 2
+    traj = BrokenTrajectoryConfig((strip,), top_disks=((0, 0, bent),))
+    verdict = trajectory_verdict(traj)
+    assert not verdict.hypotheses_ok
+    assert verdict.hypothesis_violations == (
+        "external generator 'r' is not a positive-action double point",
+        "strip 0 is not rigid",
+        "attached disk at 'x2' is not rigid")
+    with pytest.raises(ConfigError, match=r"\Astrip 0 is not rigid\Z"):
+        trajectory_ledger(traj)
+    rigid = StripComponent(chord("c1", 1), chord("c0", 0), (), (X2,))  # 1 - 0 - 1 = 1 - 1
+    with pytest.raises(ConfigError, match=r"\Aattached disk at 'x2' is not rigid\Z"):
+        trajectory_ledger(BrokenTrajectoryConfig((rigid,), top_disks=((0, 0, bent),)))
+
+
+def test_single_strip_verdict_forces_one_bare_component():
+    verdict = trajectory_verdict(BrokenTrajectoryConfig(
+        (StripComponent(chord("cL", 1), chord("cR", 0)),)))
+    assert verdict.hypotheses_ok and verdict.global_constraint_satisfied
+    assert (verdict.forced_component_count, verdict.unbroken, verdict.no_attached_disks) == (
+        1, True, True)

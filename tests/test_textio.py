@@ -392,3 +392,22 @@ def test_multi_fault_document_diagnostics(fmt, text, expected):
     with pytest.raises(DocumentError) as exc:
         parse(text)
     assert str(exc.value) == expected
+
+
+def test_two_disk_tree_round_trip_with_edge():
+    text = ("gen y 3 5/1 dp+\ngen v 2 3/1 dp+\ngen x3 1 1/1 dp+\ngen x1 1 1/1 dp+\n"
+            "gen x2 1 1/1 dp+\ndisk y v x3\ndisk v x1 x2\nedge 1 0 0\n")
+    tree = parse_tree_config(text)
+    assert tree.edges == ((1, 0, 0),)
+    assert [g.name for g in tree.external_inputs()] == ["x3", "x1", "x2"]
+    assert serialize_tree_config(tree) == text
+
+
+def test_trajectory_round_trip_with_top_marks_and_attach():
+    text = ("gen q1 1 -1/2 mixed\ngen q0 0 -1/4 mixed\ngen m 0 1/2 dp+\ngen t 1 1/2 dp+\n"
+            "gen i 1 1/4 dp+\nstrip q1 q0 bottom: m top: t\ndisk t i\nattach 0 top 0 0\n")
+    traj = parse_traj_config(text)
+    assert [g.name for g in traj.strips[0].top_marked] == ["t"]
+    assert [(s, p, d.output.name) for s, p, d in traj.top_disks] == [(0, 0, "t")]
+    assert [g.name for g in traj.top_inputs()] == ["i"]
+    assert serialize_traj_config(traj) == text
