@@ -10,9 +10,8 @@ of aborting the load.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Mapping, NamedTuple
 
 from .augment import Augmentation
 from .dga import Dga, Generator, GeneratorKind, ValidationReport
@@ -25,8 +24,7 @@ class SupportError(InputError):
     """A cochain or augmentation is supported outside its allowed domain."""
 
 
-@dataclass(frozen=True)
-class RejectedEntry:
+class RejectedEntry(NamedTuple):
     entry: str
     reason: str
 

@@ -15,7 +15,9 @@ outside its support (``SupportError``), a malformed configuration
 follows its exit code.
 
 Each subcommand imports the modules it calls, so a process loads only what
-its subcommand uses.
+its subcommand uses: ``search`` loads no text parser, and only the pearly
+subcommands (``tree-check``, ``traj-check``, ``search``, and ``corpus``,
+which runs them) load ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -23,12 +25,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 from .field import InputError
 from .report import input_digest, make_report, report_json
-from .textio import ParseIssue
 
 if TYPE_CHECKING:
     from .dga import ValidationReport
@@ -66,6 +66,7 @@ class _Runner:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except UnicodeDecodeError as exc:
+            from .textio import ParseIssue
             # read() decodes the whole file at once, so exc.start is a file offset
             line = exc.object.count(b"\n", 0, exc.start) + 1
             raise InputError(str(ParseIssue(
@@ -120,6 +121,7 @@ def _finish_verdict(runner: _Runner, ledger, verdict, fields: tuple[str, ...],
     conclusions that join the payload, and ``conclusions`` states them once
     the hypotheses hold.  Exit 1 on a violated hypothesis or a ledger that
     does not telescope."""
+    from dataclasses import asdict
     payload = {"ledger": asdict(ledger), "hypotheses_ok": verdict.hypotheses_ok,
                "hypothesis_violations": list(verdict.hypothesis_violations)}
     payload.update((name, getattr(verdict, name)) for name in fields)
@@ -334,6 +336,8 @@ def _cmd_traj_check(args, runner: _Runner) -> int:
 
 
 def _cmd_search(args, runner: _Runner) -> int:
+    from dataclasses import asdict
+
     from .pearly import TrajectorySearchBounds, TreeSearchBounds, exhaustive_search
     # a bound flag that is not given leaves the dataclass default in place
     bounds_type, count, other = (

@@ -9,10 +9,9 @@ violation, so whole corpora can be checked in one pass.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .field import InputError, check_characteristic, require_same_field
 from .poly import NcPoly, Word, format_poly
@@ -40,47 +39,55 @@ class GeneratorKind(enum.Enum):
         raise ValueError(f"unknown generator kind {token!r}")
 
 
-@dataclass(frozen=True)
-class Generator:
-    """A named symbol with degree, exact action, and a kind tag."""
-
+class _GeneratorFields(NamedTuple):
     name: str
     degree: int
     action: Fraction
-    kind: GeneratorKind = GeneratorKind.REEB_CHORD
-
-    def __post_init__(self):
-        if type(self.action) is not Fraction:
-            object.__setattr__(self, "action", Fraction(self.action))
-        if self.kind is GeneratorKind.DOUBLE_POINT_POS and self.action <= 0:
-            raise ValueError(f"double point {self.name!r} tagged positive must have action > 0")
-        if self.kind is GeneratorKind.DOUBLE_POINT_NEG and self.action >= 0:
-            raise ValueError(f"double point {self.name!r} tagged negative must have action < 0")
+    kind: GeneratorKind
 
 
-@dataclass(frozen=True)
-class ChordRole:
+class Generator(_GeneratorFields):
+    """A named symbol with degree, exact action, and a kind tag."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, degree: int, action: Fraction | int | str,
+                kind: GeneratorKind = GeneratorKind.REEB_CHORD) -> "Generator":
+        if type(action) is not Fraction:
+            action = Fraction(action)
+        if kind is GeneratorKind.DOUBLE_POINT_POS and action <= 0:
+            raise ValueError(f"double point {name!r} tagged positive must have action > 0")
+        if kind is GeneratorKind.DOUBLE_POINT_NEG and action >= 0:
+            raise ValueError(f"double point {name!r} tagged negative must have action < 0")
+        return super().__new__(cls, name, degree, action, kind)
+
+
+class _ChordRoleFields(NamedTuple):
+    type: str
+    i: int
+    j: int | None
+    m: int | None
+
+
+class ChordRole(_ChordRoleFields):
     """Surgery role of a chord: type 'a' (connector), 'b' (hook) or
     'c' (transit), with source cocore i and, for b/c, target j and index m."""
 
-    type: str
-    i: int
-    j: int | None = None
-    m: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.type not in ("a", "b", "c"):
-            raise ValueError(f"role type must be a, b or c, got {self.type!r}")
-        if self.type == "a":
-            if self.j is not None or self.m is not None:
+    def __new__(cls, type: str, i: int, j: int | None = None,
+                m: int | None = None) -> "ChordRole":
+        if type not in ("a", "b", "c"):
+            raise ValueError(f"role type must be a, b or c, got {type!r}")
+        if type == "a":
+            if j is not None or m is not None:
                 raise ValueError("connector roles take only a source index")
-        else:
-            if self.j is None or self.m is None:
-                raise ValueError(f"{self.type!r} roles need target and multiplicity indices")
+        elif j is None or m is None:
+            raise ValueError(f"{type!r} roles need target and multiplicity indices")
+        return super().__new__(cls, type, i, j, m)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     subject: str
     detail: str

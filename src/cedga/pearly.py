@@ -97,14 +97,13 @@ class PearlyTreeConfig:
                     f"edge ({src}, {dst}, {slot}) joins distinct generators "
                     f"{self.disks[src].output.name!r} and "
                     f"{self.disks[dst].inputs[slot].name!r}")
-        roots = [i for i in range(m) if i not in sources]
-        if len(roots) != 1:
-            raise ConfigError(f"expected a single root, found {roots}")
+        # m - 1 edges with pairwise distinct sources leave exactly one root
+        root = next(i for i in range(m) if i not in sources)
         children: dict[int, list[int]] = {}
         for src, dst, _ in self.edges:
             children.setdefault(dst, []).append(src)
-        seen = {roots[0]}
-        queue = [roots[0]]
+        seen = {root}
+        queue = [root]
         while queue:
             node = queue.pop()
             for child in children.get(node, ()):
@@ -113,7 +112,7 @@ class PearlyTreeConfig:
                     queue.append(child)
         if len(seen) != m:
             raise ConfigError("tree incidence is not connected")
-        object.__setattr__(self, "_root", roots[0])
+        object.__setattr__(self, "_root", root)
 
     @property
     def disk_count(self) -> int:
@@ -537,12 +536,6 @@ def _tree_shapes(max_disks: int, max_inputs: int):
                  for parents, counts in level for p in range(m) if counts[p] < max_inputs]
 
 
-def _tree_structures(max_disks: int, max_inputs: int):
-    for m, parents, child_counts in _tree_shapes(max_disks, max_inputs):
-        for extras in itertools.product(*[range(max_inputs - c + 1) for c in child_counts]):
-            yield m, parents, child_counts, extras
-
-
 def _estimate_trees(bounds: TreeSearchBounds) -> int:
     """The disks' extras vary independently, so a shape's tuple count is the
     product over its disks of their radices summed over the extras.  A disk
@@ -663,13 +656,6 @@ def _traj_shapes(bounds: TrajectorySearchBounds):
             for a_count in range(min(bounds.max_attached_disks, len(points)) + 1):
                 for attached in itertools.combinations(points, a_count):
                     yield K, marks, attached
-
-
-def _traj_structures(bounds: TrajectorySearchBounds):
-    for K, marks, attached in _traj_shapes(bounds):
-        for disk_inputs in itertools.product(
-                range(bounds.max_inputs_per_disk + 1), repeat=len(attached)):
-            yield K, marks, attached, disk_inputs
 
 
 def _bare_groups(marks, attached) -> list[tuple[int, str, int]]:

@@ -14,7 +14,6 @@ certificate is always re-verified rather than trusted.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -289,7 +288,8 @@ def validate_surgery_shape(S: SurgeryAlgebra) -> ValidationReport:
             report.add("surgery.connector", name, "connector chords must be closed")
     if len(a_actions) > 1:
         report.add("surgery.connector", "*",
-                   f"connector actions must agree, got {sorted(a_actions)}")
+                   "connector actions must agree, got "
+                   + ", ".join(str(action) for action in sorted(a_actions)))
 
     # hook/transit pairing: identical (i, j, m) index sets
     b_keys, c_keys = set(S._b_names), set(S._c_names)
@@ -355,17 +355,19 @@ def validate_surgery_shape(S: SurgeryAlgebra) -> ValidationReport:
 # -- the inductive augmentation extension ------------------------------------
 
 
-@dataclass
 class SurgeryCertificate:
     """Extension certificate: the extended augmentation, a re-verified
     vanishing report, the three defining conditions, and any degree
     conflicts hit by the recursion."""
 
-    augmentation: Augmentation
-    verification: ValidationReport
-    conditions: ValidationReport
-    flags: tuple[str, ...] = ()
-    order_reversing: tuple[str, ...] = ()
+    def __init__(self, augmentation: Augmentation, verification: ValidationReport,
+                 conditions: ValidationReport, flags: tuple[str, ...] = (),
+                 order_reversing: tuple[str, ...] = ()):
+        self.augmentation = augmentation
+        self.verification = verification
+        self.conditions = conditions
+        self.flags = flags
+        self.order_reversing = order_reversing
 
     @property
     def ok(self) -> bool:

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .dga import ChordRole, Dga, Generator, GeneratorKind
 from .field import DEFAULT_CHARACTERISTIC, InputError, check_characteristic
@@ -38,8 +37,7 @@ _RATIONAL_RE = re.compile(rf"([+-]?{_DIGITS})(?:/({_DIGITS}))?\Z")
 _HEADER_USAGE = {"field": "field <prime>", "ddeg": "ddeg <integer>"}
 
 
-@dataclass(frozen=True)
-class ParseIssue:
+class ParseIssue(NamedTuple):
     line: int  # 1-based, 0 for document-level problems
     message: str
 
@@ -223,11 +221,14 @@ def _parse_poly_tokens(tokens, lineno, reader):
 # -- algebra documents --------------------------------------------------------
 
 
-@dataclass
 class DgaDocument:
-    dga: Dga
-    marked: tuple[str, ...] = ()
-    roles: dict[str, ChordRole] = field(default_factory=dict)
+    """A parsed algebra with its marked chords and surgery roles by name."""
+
+    def __init__(self, dga: Dga, marked: tuple[str, ...] = (),
+                 roles: dict[str, ChordRole] | None = None):
+        self.dga = dga
+        self.marked = marked
+        self.roles = {} if roles is None else roles
 
 
 def parse_dga(text: str, field_override: int | None = None) -> DgaDocument:

@@ -107,10 +107,9 @@ def test_build_energy_edge_and_rejection_text():
 
 
 def test_build_empty_word_input_total_is_zero():
-    # a declared positive point cannot have action 0, so the frozen field is
-    # overwritten to reach the empty word's rejection text
-    y = dp("y", 2, 1)
-    object.__setattr__(y, "action", Fraction(0))
+    # a declared positive point cannot have action 0, so the record is built
+    # past its validating constructor to reach the empty word's rejection text
+    y = tuple.__new__(Generator, ("y", 2, Fraction(0), DP))
     t = table([y], [("y", (), 1)])
     assert [(r.entry, r.reason) for r in t.rejected] == [
         ("(y; )", "action 0 not above input total 0")]

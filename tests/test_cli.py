@@ -594,3 +594,24 @@ def test_rare_cli_branches_pinned(corpus_dir, tmp_path, argv, text, expected_exi
     argv = [str(doc) if arg == "DOC" else str(corpus_dir / arg) if arg in FILES else arg
             for arg in argv]
     assert run_cli(argv) == (expected_exit, expected)
+
+
+def test_golden_cli_outputs_under_two_hash_seeds():
+    # every corpus case and `cedga corpus`, text and --json -, byte for byte;
+    # golden_cli.py holds how the file is made
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from test_stdlib_only import PACKAGE
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    runs = [subprocess.Popen([sys.executable, str(here / "golden_cli.py")], stdout=subprocess.PIPE,
+                             env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed))
+            for seed in ("0", "1")]
+    golden = (here / "golden_cli.json").read_bytes()
+    for run in runs:
+        out, _ = run.communicate()
+        assert run.returncode == 0
+        assert out == golden

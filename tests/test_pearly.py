@@ -17,10 +17,26 @@ from cedga import (BoundsTooLargeError, BrokenTrajectoryConfig, ConfigError,
 import cedga.pearly as pearly
 from cedga.pearly import (_estimate_trajectories, _estimate_trees,
                           _materialize_trajectory, _materialize_tree,
-                          _traj_structures, _tree_structures)
+                          _traj_shapes, _tree_shapes)
 
 DP = GeneratorKind.DOUBLE_POINT_POS
 MIXED = GeneratorKind.MIXED_CHORD
+
+
+def _tree_structures(max_disks, max_inputs):
+    """The tree search's oracle: every shape with each disk's extra inputs."""
+    for m, parents, child_counts in _tree_shapes(max_disks, max_inputs):
+        for extras in itertools.product(*[range(max_inputs - c + 1) for c in child_counts]):
+            yield m, parents, child_counts, extras
+
+
+def _traj_structures(bounds):
+    """The trajectory search's oracle: every shape with each attached disk's
+    input count."""
+    for K, marks, attached in _traj_shapes(bounds):
+        for disk_inputs in itertools.product(
+                range(bounds.max_inputs_per_disk + 1), repeat=len(attached)):
+            yield K, marks, attached, disk_inputs
 
 
 def dp(name, degree, action):

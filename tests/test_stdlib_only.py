@@ -73,3 +73,35 @@ def test_unknown_name_raises_attribute_error():
                     "try:\n    getattr(cedga, 'nope')\n"
                     "except AttributeError as exc:\n    print(exc)")
     assert out == "module 'cedga' has no attribute 'nope'\n"
+
+
+def test_cli_start_up_loads_no_dataclasses():
+    # only the pearly subcommands build dataclasses; the others load neither
+    # dataclasses nor inspect, and search loads no text parser
+    cases = [["validate", "surgery_k2.txt"], ["augment", "ce_two_point.txt"],
+             ["ce-lift", "mc_two_points.txt"],
+             ["mc-check", "mc_two_points.txt", "--cochain", "cochain_x1.txt"],
+             ["deform", "strip_small.txt", "--cochain0", "cochain_empty.txt",
+              "--cochain1", "cochain_empty.txt"],
+             ["surgery", "surgery_k2.txt", "--base-aug", "cochain_x1.txt"],
+             ["quotient", "quotient_demo.txt"]]
+    out = run_fresh("import contextlib, io, os, sys, tempfile\n"
+                    "from cedga.cli import main\n"
+                    "from cedga.corpus import FILES, corpus_text\n"
+                    "tmp = tempfile.mkdtemp()\n"
+                    "for name in FILES:\n"
+                    "    with open(os.path.join(tmp, name), 'w') as handle:\n"
+                    "        handle.write(corpus_text(name))\n"
+                    "codes = []\n"
+                    f"for argv in {cases!r}:\n"
+                    "    argv = [os.path.join(tmp, a) if a in FILES else a for a in argv]\n"
+                    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                    "        codes.append(main(argv))\n"
+                    "print(codes, sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert out == "[0, 0, 0, 0, 0, 0, 0] []\n"
+    out = run_fresh("import contextlib, io, sys\n"
+                    "from cedga.cli import main\n"
+                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                    "    assert main(['search', '--mode', 'trees', '--max-disks', '2']) == 0\n"
+                    "print('cedga.textio' in sys.modules)")
+    assert out == "False\n"

@@ -4,12 +4,11 @@ and certificate rechecks are pinned by one digest."""
 
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from cedga import (Augmentation, Dga, GeneratorKind, InputError, NcPoly,
+from cedga import (Augmentation, ChordRole, Dga, Generator, GeneratorKind, InputError, NcPoly,
                    PreconditionError, QuotientError, SurgeryAlgebra,
                    construct_surgery_augmentation, enumerate_augmentations,
                    quotient_order_reversing, random_surgery_instance,
@@ -106,8 +105,7 @@ def shape_lines(S):
     (dict(gens="gen a2 1 1/1000 a\n"), ["[surgery.connector] a2: degree 1, expected 0"]),
     (dict(gens="gen a2 0 0/1 a\n"),
      ["[surgery.connector] a2: action 0 must be positive",
-      "[surgery.connector] *: connector actions must agree, "
-      "got [Fraction(0, 1), Fraction(1, 1000)]"]),
+      "[surgery.connector] *: connector actions must agree, got 0, 1/1000"]),
     (dict(diffs={"a1": "x"}),
      ["[surgery.connector] a1: connector chords must be closed",
       "[action] a1: monomial x has action 1/50, not below 1/1000"]),
@@ -213,7 +211,7 @@ def test_random_instance_refusal_pinned():
 
 # -- the mutation sweep ---------------------------------------------------------
 
-SWEEP_DIGEST = "3d30df50f49abe7ded32bd6ff548d1f50e59ff00eaeb34fe0d7927b0919b93be"
+SWEEP_DIGEST = "207627d120403b4f7afc81f7cf0ef8dfc8f3175b88e992766e8eb5aa7a3a3a29"
 ROLE_KINDS = (GeneratorKind.REEB_CHORD, GeneratorKind.SURGERY_A, GeneratorKind.SURGERY_B,
               GeneratorKind.SURGERY_C)
 
@@ -233,13 +231,15 @@ def _mutate(rng, S):
         name = rng.choice(chords if op in (0, 2, 7) else names)
         terms = diffs.setdefault(name, {})
         words = sorted(terms)
+        gen = gens[name]
         if op == 0:
-            gens[name] = replace(gens[name], kind=rng.choice(ROLE_KINDS))
+            gens[name] = Generator(name, gen.degree, gen.action, rng.choice(ROLE_KINDS))
         elif op == 1:
-            gens[name] = replace(gens[name], degree=rng.choice((-1, 0, 1)))
+            gens[name] = Generator(name, rng.choice((-1, 0, 1)), gen.action, gen.kind)
         elif op == 2:
-            gens[name] = replace(gens[name], action=rng.choice(
-                (gens[rng.choice(names)].action, Fraction(0), Fraction(rng.randint(1, 40), 4))))
+            gens[name] = Generator(name, gen.degree, rng.choice(
+                (gens[rng.choice(names)].action, Fraction(0), Fraction(rng.randint(1, 40), 4))),
+                gen.kind)
         elif op == 3:
             word = tuple(rng.choice(names) for _ in range(rng.randint(0, 2)))
             word += (rng.choice(chords),) if rng.random() < 0.6 else ()
@@ -259,11 +259,11 @@ def _mutate(rng, S):
             if edit == 0:
                 del roles[name]
             elif edit == 1:
-                roles[name] = replace(role, type="b" if role.type == "c" else "c")
+                roles[name] = ChordRole("b" if role.type == "c" else "c", role.i, role.j, role.m)
             elif edit == 2:
-                roles[name] = replace(role, m=role.m + 1)
+                roles[name] = ChordRole(role.type, role.i, role.j, role.m + 1)
             else:
-                roles[name] = replace(role, j=rng.randint(1, S.k))
+                roles[name] = ChordRole(role.type, role.i, rng.randint(1, S.k), role.m)
     dga = Dga(p, gens.values(), {n: NcPoly(p, t) for n, t in diffs.items()}, S.dga.d_degree)
     return SurgeryAlgebra(dga, S.k, roles)
 
