@@ -1,5 +1,6 @@
 """Golden CLI outputs: the exit code, the text output and the ``--json -``
-output of every bundled corpus case and of ``cedga corpus``.
+output of every bundled corpus case, of ``cedga corpus``, of ``cedga search``
+in both modes at its default bounds, and of the searches it refuses.
 
     PYTHONPATH=src python tests/golden_cli.py > tests/golden_cli.json
 
@@ -26,8 +27,20 @@ def _run(argv):
     return code, buffer.getvalue()
 
 
+# the default searches, then refused ones: work past the limit, a vacuous
+# bound, an empty degree range and each mode's count flag in the other mode
+SEARCHES = [["--mode", "trees"], ["--mode", "trajectories"],
+            ["--mode", "trees", "--max-disks", "99"],
+            ["--mode", "trajectories", "--max-strips", "99"],
+            ["--mode", "trees", "--max-disks", "0"],
+            ["--mode", "trees", "--degree-lo", "2", "--degree-hi", "1"],
+            ["--mode", "trajectories", "--max-strips", "1", "--max-disks", "0"],
+            ["--mode", "trees", "--max-disks", "1", "--max-strips", "5"]]
+
+
 def collect() -> list[dict]:
-    cases = [(name, argv) for name, argv, _, _ in CASES] + [("corpus", ["corpus"])]
+    cases = ([(name, argv) for name, argv, _, _ in CASES] + [("corpus", ["corpus"])]
+             + [(" ".join(["search", *flags]), ["search", *flags]) for flags in SEARCHES])
     records = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in FILES:

@@ -597,7 +597,8 @@ def test_rare_cli_branches_pinned(corpus_dir, tmp_path, argv, text, expected_exi
 
 
 def test_golden_cli_outputs_under_two_hash_seeds():
-    # every corpus case and `cedga corpus`, text and --json -, byte for byte;
+    # every corpus case, `cedga corpus` and the default and refused searches,
+    # text and --json -, byte for byte;
     # golden_cli.py holds how the file is made
     import os
     import subprocess

@@ -1,13 +1,16 @@
 """The record types: public constructors coerce and refuse with fixed
 messages, ``repr`` text is pinned, records compare and hash by their fields,
-and frozen records refuse assignment."""
+build by position or keyword, and frozen records refuse assignment."""
 
 from fractions import Fraction
 
 import pytest
 
-from cedga import (Augmentation, ChordRole, Dga, Generator, GeneratorKind, RejectedEntry,
-                   SurgeryCertificate, ValidationReport)
+from cedga import (Augmentation, BrokenTrajectoryConfig, ChordRole, CounterexampleReport, Dga,
+                   DiskComponent, Generator, GeneratorKind, InputError, PearlyTreeConfig,
+                   RejectedEntry, StripComponent, SurgeryCertificate, TrajectoryLedger,
+                   TrajectorySearchBounds, TrajectoryVerdict, TreeLedger, TreeSearchBounds,
+                   TreeVerdict, ValidationReport)
 from cedga.dga import Violation
 from cedga.textio import DgaDocument, ParseIssue
 
@@ -144,3 +147,137 @@ def test_certificate_ok_needs_clean_reports_and_no_flags():
     cert = SurgeryCertificate(Augmentation(2, {}), ValidationReport(), ValidationReport(),
                               order_reversing=("c1",))
     assert cert.ok and cert.order_reversing == ("c1",)
+
+
+# -- pearly records -------------------------------------------------------------
+
+X, V = Generator("x", 1, 1, DP_POS), Generator("v", 1, 2, DP_POS)
+Q0, Q1 = (Generator(f"q{i}", 0, 1, GeneratorKind.MIXED_CHORD) for i in range(2))
+DISK = DiskComponent(V, (X,))
+STRIP = StripComponent(Q1, Q0, (X,))
+
+
+def _report(telescope_failures=0, counterexamples=()):
+    return CounterexampleReport("trees", {"max_disks": 1}, 4, 4, 3, telescope_failures, 1,
+                                list(counterexamples))
+
+
+def _pearly_records():
+    """(record, an equal record built by keyword, a record differing in one field)."""
+    return [
+        (DISK, DiskComponent(output=V, inputs=(X,)), DiskComponent(V, (X, X))),
+        (PearlyTreeConfig((DISK,)), PearlyTreeConfig(disks=(DISK,)),
+         PearlyTreeConfig(edge_generator=X)),
+        (TreeLedger(1, 1, 0, 1, False), TreeLedger(m=1, k=1, lhs=0, rhs=1, telescoped=False),
+         TreeLedger(1, 1, 0, 1, True)),
+        (TreeVerdict(False, ("no disk components (single constant edge)",)),
+         TreeVerdict(hypotheses_ok=False,
+                     hypothesis_violations=("no disk components (single constant edge)",)),
+         TreeVerdict(False, ("disk 0 is not rigid",))),
+        (STRIP, StripComponent(output_chord=Q1, input_chord=Q0, bottom_marked=(X,)),
+         StripComponent(Q1, Q0, (), (X,))),
+        (BrokenTrajectoryConfig((STRIP,)), BrokenTrajectoryConfig(strips=(STRIP,)),
+         BrokenTrajectoryConfig((StripComponent(Q1, Q0),))),
+        (TrajectoryLedger(1, 1, 0, 0, 1, 0, 0, 0, True),
+         TrajectoryLedger(M=1, K=1, m0=0, m1=0, k=1, l=0, lhs=0, rhs=0, telescoped=True),
+         TrajectoryLedger(1, 1, 0, 0, 1, 0, 0, 1, False)),
+        (TrajectoryVerdict(False, ("strip 0 is not rigid",)),
+         TrajectoryVerdict(hypotheses_ok=False, hypothesis_violations=("strip 0 is not rigid",)),
+         TrajectoryVerdict(True, ())),
+        (TreeSearchBounds(2), TreeSearchBounds(max_disks=2), TreeSearchBounds(3)),
+        (TrajectorySearchBounds(2), TrajectorySearchBounds(max_strips=2),
+         TrajectorySearchBounds(2, degree_range=(-1, 1))),
+        (_report(), CounterexampleReport(
+            mode="trees", bounds={"max_disks": 1}, estimated_configs=4, enumerated=4,
+            in_window=3, telescope_failures=0, materialized=1, counterexamples=[]),
+         _report(telescope_failures=1)),
+    ]
+
+
+def test_pearly_record_reprs_pinned():
+    x, v, q0, q1 = map(repr, (X, V, Q0, Q1))
+    disk = f"DiskComponent(output={v}, inputs=({x},))"
+    strip = (f"StripComponent(output_chord={q1}, input_chord={q0}, bottom_marked=({x},), "
+             "top_marked=())")
+    assert [repr(rec) for rec, _, _ in _pearly_records()] == [
+        disk,
+        f"PearlyTreeConfig(disks=({disk},), edges=(), edge_generator=None)",
+        "TreeLedger(m=1, k=1, lhs=0, rhs=1, telescoped=False)",
+        "TreeVerdict(hypotheses_ok=False, hypothesis_violations=('no disk components "
+        "(single constant edge)',), positivity_propagates=None, output_action_positive=None, "
+        "ledger=None, global_constraint_applied=True, global_constraint_satisfied=None, "
+        "forced_disk_count=None, single_disk=None)",
+        strip,
+        f"BrokenTrajectoryConfig(strips=({strip},), bottom_disks=(), top_disks=())",
+        "TrajectoryLedger(M=1, K=1, m0=0, m1=0, k=1, l=0, lhs=0, rhs=0, telescoped=True)",
+        "TrajectoryVerdict(hypotheses_ok=False, hypothesis_violations=('strip 0 is not rigid',), "
+        "ledger=None, global_constraint_satisfied=None, forced_component_count=None, "
+        "unbroken=None, no_attached_disks=None)",
+        "TreeSearchBounds(max_disks=2, max_inputs_per_disk=3, degree_range=(-3, 4), "
+        "max_configs=50000000, materialize_stride=20000)",
+        "TrajectorySearchBounds(max_strips=2, max_marked_per_strip=2, max_total_marked=3, "
+        "max_attached_disks=2, max_inputs_per_disk=2, degree_range=(-3, 4), "
+        "max_configs=50000000, materialize_stride=20000)",
+        "CounterexampleReport(mode='trees', bounds={'max_disks': 1}, estimated_configs=4, "
+        "enumerated=4, in_window=3, telescope_failures=0, materialized=1, counterexamples=[])",
+    ]
+
+
+def test_pearly_records_equal_and_hash_by_fields():
+    for rec, same, other in _pearly_records():
+        assert rec == same and not rec != same
+        assert rec != other
+    # the report holds a dict and a list, so only the frozen records hash
+    for rec, same, other in _pearly_records()[:-1]:
+        assert hash(rec) == hash(same)
+        assert len({rec, same, other}) == 2
+
+
+def test_pearly_records_build_by_position_or_keyword():
+    for rec, _, _ in _pearly_records():
+        names = type(rec).__match_args__
+        values = [getattr(rec, name) for name in names]
+        assert type(rec)(*values) == rec
+        assert type(rec)(**dict(zip(names, values))) == rec
+
+
+def test_frozen_pearly_records_refuse_assignment():
+    for rec, _, _ in _pearly_records()[:-1]:
+        field = type(rec).__match_args__[0]
+        with pytest.raises(AttributeError):
+            setattr(rec, field, getattr(rec, field))
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: TreeSearchBounds(0), "max_disks must be at least 1, got 0"),
+    (lambda: TreeSearchBounds(max_disks=-1), "max_disks must be at least 1, got -1"),
+    (lambda: TreeSearchBounds(materialize_stride=0),
+     "materialize_stride must be at least 1, got 0"),
+    (lambda: TreeSearchBounds(max_inputs_per_disk=-1),
+     "max_inputs_per_disk must be nonnegative, got -1"),
+    (lambda: TreeSearchBounds(degree_range=(1, 0)), "empty degree range [1, 0]"),
+    (lambda: TrajectorySearchBounds(0), "max_strips must be at least 1, got 0"),
+    (lambda: TrajectorySearchBounds(max_marked_per_strip=-1),
+     "max_marked_per_strip must be nonnegative, got -1"),
+    (lambda: TrajectorySearchBounds(max_total_marked=-2),
+     "max_total_marked must be nonnegative, got -2"),
+    (lambda: TrajectorySearchBounds(max_attached_disks=-1),
+     "max_attached_disks must be nonnegative, got -1"),
+    (lambda: TrajectorySearchBounds(max_inputs_per_disk=-1),
+     "max_inputs_per_disk must be nonnegative, got -1"),
+    (lambda: TrajectorySearchBounds(materialize_stride=0),
+     "materialize_stride must be at least 1, got 0"),
+    (lambda: TrajectorySearchBounds(degree_range=(2, -2)), "empty degree range [2, -2]"),
+])
+def test_search_bounds_refusal_texts(make, message):
+    with pytest.raises(InputError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_counterexample_report_ok_needs_no_failures_and_no_counterexamples():
+    assert _report().ok
+    assert not _report(telescope_failures=1).ok
+    assert not _report(counterexamples=[{"disks": 2}]).ok
