@@ -15,9 +15,8 @@ outside its support (``SupportError``), a malformed configuration
 follows its exit code.
 
 Each subcommand imports the modules it calls, so a process loads only what
-its subcommand uses: ``search`` loads no text parser, and only the pearly
-subcommands (``tree-check``, ``traj-check``, ``search``, and ``corpus``,
-which runs them) load ``dataclasses``.
+its subcommand uses: ``search`` loads no text parser, and no subcommand
+loads ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -121,8 +120,7 @@ def _finish_verdict(runner: _Runner, ledger, verdict, fields: tuple[str, ...],
     conclusions that join the payload, and ``conclusions`` states them once
     the hypotheses hold.  Exit 1 on a violated hypothesis or a ledger that
     does not telescope."""
-    from dataclasses import asdict
-    payload = {"ledger": asdict(ledger), "hypotheses_ok": verdict.hypotheses_ok,
+    payload = {"ledger": ledger._asdict(), "hypotheses_ok": verdict.hypotheses_ok,
                "hypothesis_violations": list(verdict.hypothesis_violations)}
     payload.update((name, getattr(verdict, name)) for name in fields)
     code = OK if ledger.telescoped else VIOLATIONS
@@ -336,17 +334,15 @@ def _cmd_traj_check(args, runner: _Runner) -> int:
 
 
 def _cmd_search(args, runner: _Runner) -> int:
-    from dataclasses import asdict
-
     from .pearly import TrajectorySearchBounds, TreeSearchBounds, exhaustive_search
-    # a bound flag that is not given leaves the dataclass default in place
+    # a bound flag that is not given leaves the bounds type's default in place
     bounds_type, count, other = (
         (TreeSearchBounds, "max_disks", "max_strips") if args.mode == "trees"
         else (TrajectorySearchBounds, "max_strips", "max_disks"))
     if getattr(args, other) is not None:
         raise InputError(f"--{other.replace('_', '-')} does not apply to "
                          f"--mode {args.mode}")
-    lo, hi = bounds_type.degree_range
+    lo, hi = bounds_type._field_defaults["degree_range"]
     given = {count: getattr(args, count), "max_inputs_per_disk": args.max_inputs,
              "max_configs": args.max_configs}
     bounds = bounds_type(
@@ -360,7 +356,7 @@ def _cmd_search(args, runner: _Runner) -> int:
     runner.say(f"telescope failures: {result.telescope_failures}; "
                f"materialized cross-checks: {result.materialized}")
     runner.say(f"counterexamples: {len(result.counterexamples)}")
-    payload = asdict(result)
+    payload = result._asdict()
     del payload["in_window"]  # reported in the text only
     return runner.finish(payload, OK if result.ok else VIOLATIONS)
 

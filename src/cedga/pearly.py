@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, asdict
 from fractions import Fraction
+from typing import NamedTuple
 
 from .dga import Generator, GeneratorKind
 from .field import InputError
@@ -38,15 +38,11 @@ class BoundsTooLargeError(InputError):
 # -- disk trees ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiskComponent:
+class DiskComponent(NamedTuple):
     """One disk: an output generator and an ordered tuple of inputs."""
 
     output: Generator
     inputs: tuple[Generator, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
 
     def energy(self) -> Fraction:
         return self.output.action - sum((g.action for g in self.inputs), Fraction(0))
@@ -56,35 +52,45 @@ class DiskComponent:
                 == 2 - len(self.inputs))
 
 
-@dataclass(frozen=True)
-class PearlyTreeConfig:
+class _PearlyTreeFields(NamedTuple):
+    disks: tuple[DiskComponent, ...] = ()
+    edges: tuple[tuple[int, int, int], ...] = ()
+    edge_generator: Generator | None = None
+
+
+def _root(m: int, edges) -> int:
+    """The one disk whose output is matched by no edge: m - 1 edges with
+    pairwise distinct sources leave exactly one."""
+    sources = {src for src, _, _ in edges}
+    return next(i for i in range(m) if i not in sources)
+
+
+class PearlyTreeConfig(_PearlyTreeFields):
     """Rooted tree of disks.  An edge (src, dst, slot) plugs the output of
     disk ``src`` into input slot ``slot`` of disk ``dst``; matched ends carry
     the same generator.  With no disks at all the configuration is a single
     constant edge at ``edge_generator``."""
 
-    disks: tuple[DiskComponent, ...] = ()
-    edges: tuple[tuple[int, int, int], ...] = ()
-    edge_generator: Generator | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "disks", tuple(self.disks))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        m = len(self.disks)
+    def __new__(cls, *args, **kwargs) -> "PearlyTreeConfig":
+        self = super().__new__(cls, *args, **kwargs)
+        disks, edges = self.disks, self.edges
+        m = len(disks)
         if m == 0:
-            if self.edges:
+            if edges:
                 raise ConfigError("edges given without disks")
             if self.edge_generator is None:
                 raise ConfigError("a diskless tree needs its edge generator")
-            return
-        if len(self.edges) != m - 1:
-            raise ConfigError(f"{m} disks require {m - 1} edges, got {len(self.edges)}")
+            return self
+        if len(edges) != m - 1:
+            raise ConfigError(f"{m} disks require {m - 1} edges, got {len(edges)}")
         sources = set()
         slots = set()
-        for src, dst, slot in self.edges:
+        for src, dst, slot in edges:
             if not (0 <= src < m and 0 <= dst < m) or src == dst:
                 raise ConfigError(f"edge ({src}, {dst}, {slot}) out of range")
-            if not 0 <= slot < len(self.disks[dst].inputs):
+            if not 0 <= slot < len(disks[dst].inputs):
                 raise ConfigError(f"edge into disk {dst} uses missing slot {slot}")
             if src in sources:
                 raise ConfigError(f"disk {src} output matched twice")
@@ -92,16 +98,14 @@ class PearlyTreeConfig:
                 raise ConfigError(f"input slot ({dst}, {slot}) matched twice")
             sources.add(src)
             slots.add((dst, slot))
-            if self.disks[src].output != self.disks[dst].inputs[slot]:
+            if disks[src].output != disks[dst].inputs[slot]:
                 raise ConfigError(
                     f"edge ({src}, {dst}, {slot}) joins distinct generators "
-                    f"{self.disks[src].output.name!r} and "
-                    f"{self.disks[dst].inputs[slot].name!r}")
-        # m - 1 edges with pairwise distinct sources leave exactly one root
-        root = next(i for i in range(m) if i not in sources)
+                    f"{disks[src].output.name!r} and {disks[dst].inputs[slot].name!r}")
         children: dict[int, list[int]] = {}
-        for src, dst, _ in self.edges:
+        for src, dst, _ in edges:
             children.setdefault(dst, []).append(src)
+        root = _root(m, edges)
         seen = {root}
         queue = [root]
         while queue:
@@ -112,7 +116,7 @@ class PearlyTreeConfig:
                     queue.append(child)
         if len(seen) != m:
             raise ConfigError("tree incidence is not connected")
-        object.__setattr__(self, "_root", root)
+        return self
 
     @property
     def disk_count(self) -> int:
@@ -121,7 +125,7 @@ class PearlyTreeConfig:
     def root_output(self) -> Generator:
         if not self.disks:
             return self.edge_generator
-        return self.disks[self._root].output
+        return self.disks[_root(len(self.disks), self.edges)].output
 
     def external_inputs(self) -> list[Generator]:
         if not self.disks:
@@ -144,8 +148,7 @@ class PearlyTreeConfig:
         return out
 
 
-@dataclass(frozen=True)
-class TreeLedger:
+class TreeLedger(NamedTuple):
     m: int
     k: int
     lhs: int
@@ -167,14 +170,12 @@ def tree_ledger(tree: PearlyTreeConfig) -> TreeLedger:
     return TreeLedger(m, k, lhs, rhs, lhs == rhs)
 
 
-@dataclass(frozen=True)
-class TreeVerdict:
+class TreeVerdict(NamedTuple):
     hypotheses_ok: bool
     hypothesis_violations: tuple[str, ...]
     positivity_propagates: bool | None = None
     output_action_positive: bool | None = None
     ledger: TreeLedger | None = None
-    global_constraint_applied: bool = True
     global_constraint_satisfied: bool | None = None
     forced_disk_count: int | None = None
     single_disk: bool | None = None
@@ -204,8 +205,7 @@ def tree_verdict(tree: PearlyTreeConfig, require_global_constraint: bool = True
         if disk.energy() <= 0:
             violations.append(f"disk {i} has nonpositive energy {disk.energy()}")
     if violations:
-        return TreeVerdict(False, tuple(violations),
-                           global_constraint_applied=require_global_constraint)
+        return TreeVerdict(False, tuple(violations))
 
     # Positivity holds by construction.  Each input of a disk is an external
     # input (action > 0) or a child disk's output, and positive energy makes
@@ -221,15 +221,13 @@ def tree_verdict(tree: PearlyTreeConfig, require_global_constraint: bool = True
         if satisfied:
             forced = ledger.lhs - 1 + ledger.k  # = m by the ledger identity
             single = forced == 1 and ledger.m == forced
-    return TreeVerdict(True, (), True, True, ledger, require_global_constraint,
-                       satisfied, forced, single)
+    return TreeVerdict(True, (), True, True, ledger, satisfied, forced, single)
 
 
 # -- broken trajectories ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StripComponent:
+class StripComponent(NamedTuple):
     """One strip: input and output chords plus ordered boundary marked
     generators on the bottom and top sides."""
 
@@ -237,10 +235,6 @@ class StripComponent:
     input_chord: Generator
     bottom_marked: tuple[Generator, ...] = ()
     top_marked: tuple[Generator, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "bottom_marked", tuple(self.bottom_marked))
-        object.__setattr__(self, "top_marked", tuple(self.top_marked))
 
     def marked(self) -> tuple[Generator, ...]:
         return self.bottom_marked + self.top_marked
@@ -251,20 +245,21 @@ class StripComponent:
                 - sum(g.degree for g in marked) == 1 - len(marked))
 
 
-@dataclass(frozen=True)
-class BrokenTrajectoryConfig:
-    """A chain of strips with matching break chords, optionally decorated by
-    single disks attached at marked points: (strip index, position, disk),
-    with the disk output equal to the marked generator."""
-
+class _TrajectoryFields(NamedTuple):
     strips: tuple[StripComponent, ...]
     bottom_disks: tuple[tuple[int, int, DiskComponent], ...] = ()
     top_disks: tuple[tuple[int, int, DiskComponent], ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "strips", tuple(self.strips))
-        object.__setattr__(self, "bottom_disks", tuple(self.bottom_disks))
-        object.__setattr__(self, "top_disks", tuple(self.top_disks))
+
+class BrokenTrajectoryConfig(_TrajectoryFields):
+    """A chain of strips with matching break chords, optionally decorated by
+    single disks attached at marked points: (strip index, position, disk),
+    with the disk output equal to the marked generator."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "BrokenTrajectoryConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if not self.strips:
             raise ConfigError("a trajectory needs at least one strip")
         for nu in range(len(self.strips) - 1):
@@ -292,6 +287,7 @@ class BrokenTrajectoryConfig:
                     raise ConfigError(
                         f"disk output {disk.output.name!r} does not match marked "
                         f"generator {marked[pos].name!r}")
+        return self
 
     @property
     def strip_count(self) -> int:
@@ -324,8 +320,7 @@ class BrokenTrajectoryConfig:
         return self._externals("top")
 
 
-@dataclass(frozen=True)
-class TrajectoryLedger:
+class TrajectoryLedger(NamedTuple):
     M: int
     K: int
     m0: int
@@ -360,8 +355,7 @@ def trajectory_ledger(traj: BrokenTrajectoryConfig) -> TrajectoryLedger:
     return TrajectoryLedger(M, K, m0, m1, k, l, lhs, rhs, lhs == rhs)
 
 
-@dataclass(frozen=True)
-class TrajectoryVerdict:
+class TrajectoryVerdict(NamedTuple):
     hypotheses_ok: bool
     hypothesis_violations: tuple[str, ...]
     ledger: TrajectoryLedger | None = None
@@ -404,7 +398,8 @@ def trajectory_verdict(traj: BrokenTrajectoryConfig) -> TrajectoryVerdict:
 
 
 def _check_bounds(bounds, positive: tuple[str, ...], nonnegative: tuple[str, ...]):
-    """Reject bounds that would search nothing or cannot be searched."""
+    """Reject bounds that would search nothing or cannot be searched; return
+    them otherwise."""
     for name in positive:
         value = getattr(bounds, name)
         if value < 1:
@@ -416,23 +411,27 @@ def _check_bounds(bounds, positive: tuple[str, ...], nonnegative: tuple[str, ...
     lo, hi = bounds.degree_range
     if lo > hi:
         raise InputError(f"empty degree range [{lo}, {hi}]")
+    return bounds
 
 
-@dataclass(frozen=True)
-class TreeSearchBounds:
+class _TreeSearchFields(NamedTuple):
     max_disks: int = 4
     max_inputs_per_disk: int = 3
     degree_range: tuple[int, int] = (-3, 4)
     max_configs: int = 50_000_000
     materialize_stride: int = 20_000
 
-    def __post_init__(self):
-        _check_bounds(self, ("max_disks", "materialize_stride"),
-                      ("max_inputs_per_disk",))
+
+class TreeSearchBounds(_TreeSearchFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "TreeSearchBounds":
+        return _check_bounds(super().__new__(cls, *args, **kwargs),
+                             ("max_disks", "max_configs", "materialize_stride"),
+                             ("max_inputs_per_disk",))
 
 
-@dataclass(frozen=True)
-class TrajectorySearchBounds:
+class _TrajectorySearchFields(NamedTuple):
     max_strips: int = 3
     max_marked_per_strip: int = 2
     max_total_marked: int = 3
@@ -442,15 +441,20 @@ class TrajectorySearchBounds:
     max_configs: int = 50_000_000
     materialize_stride: int = 20_000
 
-    def __post_init__(self):
-        _check_bounds(self, ("max_strips", "materialize_stride"),
-                      ("max_marked_per_strip", "max_total_marked",
-                       "max_attached_disks", "max_inputs_per_disk"))
+
+class TrajectorySearchBounds(_TrajectorySearchFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "TrajectorySearchBounds":
+        return _check_bounds(super().__new__(cls, *args, **kwargs),
+                             ("max_strips", "max_configs", "materialize_stride"),
+                             ("max_marked_per_strip", "max_total_marked",
+                              "max_attached_disks", "max_inputs_per_disk"))
 
 
-@dataclass
-class CounterexampleReport:
-    """``enumerated`` counts sum tuples; ``in_window`` counts those whose
+class CounterexampleReport(NamedTuple):
+    """What one search found; each search builds it once, when it is done.
+    ``enumerated`` counts sum tuples; ``in_window`` counts those whose
     derived degrees all lie in the degree range, per structure, not one by
     one.  ``materialized`` counts the sampled tuples re-checked through real
     configurations; each failed re-check adds a telescope failure.  The
@@ -459,11 +463,11 @@ class CounterexampleReport:
     mode: str
     bounds: dict
     estimated_configs: int
-    enumerated: int = 0
-    in_window: int = 0
-    telescope_failures: int = 0
-    materialized: int = 0
-    counterexamples: list = field(default_factory=list)
+    enumerated: int
+    in_window: int
+    telescope_failures: int
+    materialized: int
+    counterexamples: list
 
     @property
     def ok(self) -> bool:
@@ -569,18 +573,6 @@ def _materialize_tree(m, parents, child_counts, extras, sums, out_degs, lo, hi
     return PearlyTreeConfig(tuple(disks), tuple(edges))
 
 
-def _tally(report: CounterexampleReport, count: int, in_window: int, stride: int) -> int:
-    """Add one structure's counts to ``report``.  Return the 1-based rank of
-    its first tuple if it is sampled (it has in-window tuples and a multiple
-    of ``stride`` among its ranks), else 0."""
-    before = report.enumerated
-    report.enumerated += count
-    report.in_window += in_window
-    if not in_window or report.enumerated // stride == before // stride:
-        return 0
-    return before + 1
-
-
 def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
     """out_degs[i] = rigid[i] + sums[i] + the outputs of i's children, with
     rigid[i] = 2 - child_counts[i] - extras[i], so the ledger lhs =
@@ -596,7 +588,8 @@ def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
     only for a structure with in-window tuples that holds a sampled rank."""
     lo, hi = bounds.degree_range
     cap, stride = bounds.max_inputs_per_disk, bounds.materialize_stride
-    report = CounterexampleReport("trees", asdict(bounds), _estimate_trees(bounds))
+    estimate = _estimate_trees(bounds)
+    enumerated = in_window = failures = materialized = 0
     class_ids: dict[tuple[int, tuple[int, ...]], int] = {}
     # per class: clipped output-degree counts, tuple count, in-window count
     classes: list[tuple[dict[int, int], int, int]] = []
@@ -618,12 +611,13 @@ def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
                     counts = _clip(counts, lo, hi)
                     class_ids[key] = node[i] = len(classes)
                     classes.append((counts, count, sum(counts.values())))
-            _, count, in_window = classes[node[0]]
-            first = _tally(report, count, in_window, stride)
-            if not first:
+            _, count, window = classes[node[0]]
+            before, enumerated, in_window = enumerated, enumerated + count, in_window + window
+            # sample a structure with in-window tuples and a multiple of stride among its ranks
+            if not window or enumerated // stride == before // stride:
                 continue
             rigid = [2 - child_counts[i] - extras[i] for i in range(m)]
-            for digits in _sample(first, [(hi - lo) * e + 1 for e in extras], stride):
+            for digits in _sample(before + 1, [(hi - lo) * e + 1 for e in extras], stride):
                 sums = [lo * e + d for e, d in zip(extras, digits)]
                 out_degs = [0] * m
                 for i in range(m - 1, -1, -1):
@@ -631,10 +625,11 @@ def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
                 if all(lo <= d <= hi for d in out_degs):
                     tree = _materialize_tree(m, parents, child_counts, extras,
                                              sums, out_degs, lo, hi)
-                    report.materialized += 1
+                    materialized += 1
                     if not tree_ledger(tree).telescoped:
-                        report.telescope_failures += 1
-    return report
+                        failures += 1
+    return CounterexampleReport("trees", bounds._asdict(), estimate, enumerated, in_window,
+                                failures, materialized, [])
 
 
 def _traj_shapes(bounds: TrajectorySearchBounds):
@@ -778,8 +773,8 @@ def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport
     structure with in-window tuples that holds a sampled rank."""
     lo, hi = bounds.degree_range
     stride = bounds.materialize_stride
-    report = CounterexampleReport("trajectories", asdict(bounds),
-                                  _estimate_trajectories(bounds))
+    estimate = _estimate_trajectories(bounds)
+    enumerated = in_window = failures = materialized = 0
     disk_digits = [_disk_digit(n, lo, hi) for n in range(bounds.max_inputs_per_disk + 1)]
     steps: dict[tuple, tuple[dict[int, int], int]] = {}  # degree-change counts, tuple count
     prefix_ids: dict[tuple[int, tuple], int] = {}
@@ -812,14 +807,14 @@ def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport
                     prefixes.append((counts, prefixes[prefix][1] * step[1],
                                      sum(counts.values())))
                 prefix = longer
-            _, count, in_window = prefixes[prefix]
-            first = _tally(report, count, in_window, stride)
-            if not first:
+            _, count, window = prefixes[prefix]
+            before, enumerated, in_window = enumerated, enumerated + count, in_window + window
+            if not window or enumerated // stride == before // stride:
                 continue
             bare_groups, starts, radices = _traj_digits(marks, attached, disk_inputs, lo, hi)
             # the strip each digit after the first (the input chord) belongs to
             owners = [s for s, _, _ in bare_groups] + [point[0] for point in attached]
-            for digits in _sample(first, radices, stride):
+            for digits in _sample(before + 1, radices, stride):
                 values = [start + d for start, d in zip(starts, digits)]
                 deltas = [1 - nb - nt for nb, nt in marks]
                 for s, value in zip(owners, values[1:]):
@@ -830,10 +825,11 @@ def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport
                     traj = _materialize_trajectory(
                         K, marks, attached, disk_inputs, values[0], bare_groups,
                         values[1:split], values[split:], lo, hi)
-                    report.materialized += 1
+                    materialized += 1
                     if not trajectory_ledger(traj).telescoped:
-                        report.telescope_failures += 1
-    return report
+                        failures += 1
+    return CounterexampleReport("trajectories", bounds._asdict(), estimate, enumerated,
+                                in_window, failures, materialized, [])
 
 
 def exhaustive_search(bounds) -> CounterexampleReport:

@@ -5,7 +5,6 @@ import io
 import json
 import re
 import time
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -269,6 +268,8 @@ def test_search_cli_refuses_huge_bounds_at_once(flags):
     (["--mode", "trajectories", "--max-strips", "0"], "max_strips must be at least 1"),
     (["--mode", "trees", "--max-inputs", "-1"], "max_inputs_per_disk must be nonnegative"),
     (["--mode", "trees", "--degree-lo", "2", "--degree-hi", "1"], "empty degree range"),
+    (["--mode", "trees", "--max-configs", "-1"], "max_configs must be at least 1, got -1"),
+    (["--mode", "trajectories", "--max-configs", "0"], "max_configs must be at least 1, got 0"),
 ])
 def test_search_cli_rejects_vacuous_bounds(flags, message):
     code, out = run_cli(["search", *flags])
@@ -461,11 +462,11 @@ def test_report_status_follows_exit_code(corpus_dir, name, argv, expected_exit, 
     ("trees", "--max-disks", TreeSearchBounds(max_disks=1)),
     ("trajectories", "--max-strips", TrajectorySearchBounds(max_strips=1)),
 ])
-def test_search_flags_default_to_bounds_dataclass(mode, flag, bounds):
+def test_search_flags_default_to_bounds_type(mode, flag, bounds):
     code, out = run_cli(["search", "--mode", mode, flag, "1", "--json", "-"])
     assert code == 0
     report = json.loads(out[out.index("{"):])
-    assert report["bounds"] == json.loads(json.dumps(asdict(bounds)))
+    assert report["bounds"] == json.loads(json.dumps(bounds._asdict()))
 
 
 def test_surgery_internal_fault_is_not_an_input_error(corpus_dir, monkeypatch, capsys):

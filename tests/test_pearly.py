@@ -3,7 +3,6 @@
 import itertools
 import math
 import time
-from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -37,6 +36,19 @@ def _traj_structures(bounds):
         for disk_inputs in itertools.product(
                 range(bounds.max_inputs_per_disk + 1), repeat=len(attached)):
             yield K, marks, attached, disk_inputs
+
+
+class Tally:
+    """A search oracle's running counts, built into one report at the end."""
+
+    def __init__(self):
+        self.enumerated = self.in_window = self.telescope_failures = self.materialized = 0
+        self.counterexamples = []
+
+    def report(self, mode, bounds, estimated_configs):
+        return CounterexampleReport(mode, bounds._asdict(), estimated_configs, self.enumerated,
+                                    self.in_window, self.telescope_failures, self.materialized,
+                                    self.counterexamples)
 
 
 def dp(name, degree, action):
@@ -359,7 +371,7 @@ def test_telescoping_on_randomized_larger_trajectories():
 
 def brute_force_trees(bounds):
     lo, hi = bounds.degree_range
-    report = CounterexampleReport("trees", asdict(bounds), _estimate_trees(bounds))
+    estimated_configs, tally = _estimate_trees(bounds), Tally()
     for m, parents, child_counts, extras in _tree_structures(
             bounds.max_disks, bounds.max_inputs_per_disk):
         children = {}
@@ -368,7 +380,7 @@ def brute_force_trees(bounds):
         sum_ranges = [range(lo * e, hi * e + 1) for e in extras]
         k = sum(extras)
         for sums in itertools.product(*sum_ranges):
-            report.enumerated += 1
+            tally.enumerated += 1
             out_degs = [0] * m
             in_range = True
             for i in range(m - 1, -1, -1):
@@ -380,29 +392,28 @@ def brute_force_trees(bounds):
                     break
             if not in_range:
                 continue
-            report.in_window += 1
+            tally.in_window += 1
             lhs = out_degs[0] - sum(sums)
             if lhs != m + 1 - k:
-                report.telescope_failures += 1
+                tally.telescope_failures += 1
             if lhs == 2 - k and m >= 2:
                 tree = _materialize_tree(m, parents, child_counts, extras,
                                          sums, out_degs, lo, hi)
-                report.counterexamples.append({
+                tally.counterexamples.append({
                     "disks": m, "externals": k, "lhs": lhs,
-                    "ledger": asdict(tree_ledger(tree))})
-            elif report.enumerated % bounds.materialize_stride == 0:
+                    "ledger": tree_ledger(tree)._asdict()})
+            elif tally.enumerated % bounds.materialize_stride == 0:
                 tree = _materialize_tree(m, parents, child_counts, extras,
                                          sums, out_degs, lo, hi)
-                report.materialized += 1
+                tally.materialized += 1
                 if not tree_ledger(tree).telescoped:
-                    report.telescope_failures += 1
-    return report
+                    tally.telescope_failures += 1
+    return tally.report("trees", bounds, estimated_configs)
 
 
 def brute_force_trajectories(bounds):
     lo, hi = bounds.degree_range
-    report = CounterexampleReport("trajectories", asdict(bounds),
-                                  _estimate_trajectories(bounds))
+    estimated_configs, tally = _estimate_trajectories(bounds), Tally()
     for K, marks, attached, disk_inputs in _traj_structures(bounds):
         attach_set = set(attached)
         bare_ranges = []
@@ -423,7 +434,7 @@ def brute_force_trajectories(bounds):
         for c_in_deg in range(lo, hi + 1):
             for bare_sums in itertools.product(*[r for (_, _, _, r) in bare_ranges]):
                 for disk_outs in itertools.product(*disk_ranges):
-                    report.enumerated += 1
+                    tally.enumerated += 1
                     per_strip_sum = {}
                     for (s, _side, _bare, _r), value in zip(bare_ranges, bare_sums):
                         per_strip_sum[s] = per_strip_sum.get(s, 0) + value
@@ -438,34 +449,34 @@ def brute_force_trajectories(bounds):
                             break
                     if not in_range:
                         continue
-                    report.in_window += 1
+                    tally.in_window += 1
                     ext_sum = (sum(bare_sums)
                                + sum(out - 2 + n for out, n in zip(disk_outs, disk_inputs)))
                     lhs = chord - c_in_deg - ext_sum
                     if lhs != M - k_plus_l:
-                        report.telescope_failures += 1
+                        tally.telescope_failures += 1
                     if lhs == 1 - k_plus_l and M >= 2:
                         traj = _materialize_trajectory(
                             K, marks, attached, disk_inputs, c_in_deg,
                             bare_groups, bare_sums, disk_outs, lo, hi)
-                        report.counterexamples.append({
+                        tally.counterexamples.append({
                             "strips": K, "attached": a_count,
-                            "ledger": asdict(trajectory_ledger(traj))})
-                    elif report.enumerated % bounds.materialize_stride == 0:
+                            "ledger": trajectory_ledger(traj)._asdict()})
+                    elif tally.enumerated % bounds.materialize_stride == 0:
                         traj = _materialize_trajectory(
                             K, marks, attached, disk_inputs, c_in_deg,
                             bare_groups, bare_sums, disk_outs, lo, hi)
-                        report.materialized += 1
+                        tally.materialized += 1
                         if not trajectory_ledger(traj).telescoped:
-                            report.telescope_failures += 1
-    return report
+                            tally.telescope_failures += 1
+    return tally.report("trajectories", bounds, estimated_configs)
 
 
 def assert_matches_oracle(bounds):
     oracle = (brute_force_trees if isinstance(bounds, TreeSearchBounds)
               else brute_force_trajectories)(bounds)
     report = exhaustive_search(bounds)
-    assert asdict(report) == asdict(oracle)
+    assert report._asdict() == oracle._asdict()
     assert report.enumerated == report.estimated_configs
     return report
 
@@ -573,6 +584,8 @@ def test_materialized_sample_matches_oracle(monkeypatch, make, stride):
     lambda: TrajectorySearchBounds(max_inputs_per_disk=-1),
     lambda: TrajectorySearchBounds(materialize_stride=0),
     lambda: TrajectorySearchBounds(degree_range=(2, -2)),
+    lambda: TreeSearchBounds(max_configs=0),
+    lambda: TrajectorySearchBounds(max_configs=-1),
 ])
 def test_search_bounds_reject_vacuous_or_invalid(make):
     with pytest.raises(ValueError):
@@ -589,7 +602,7 @@ def test_search_bounds_reject_vacuous_or_invalid(make):
 
 def per_structure_trees(bounds):
     lo, hi = bounds.degree_range
-    report = CounterexampleReport("trees", asdict(bounds), _estimate_trees(bounds))
+    estimated_configs, tally = _estimate_trees(bounds), Tally()
     for m, parents, child_counts, extras in _tree_structures(
             bounds.max_disks, bounds.max_inputs_per_disk):
         children = {}
@@ -604,15 +617,15 @@ def per_structure_trees(bounds):
                 counts = pearly._convolve(counts, out_counts[c])
             out_counts[i] = pearly._clip(counts, lo, hi)
         in_window = sum(out_counts[0].values())
-        first_index = report.enumerated + 1
-        report.enumerated += math.prod(radices)
-        report.in_window += in_window
+        first_index = tally.enumerated + 1
+        tally.enumerated += math.prod(radices)
+        tally.in_window += in_window
         k, lhs = sum(extras), sum(rigid)
         if lhs != m + 1 - k:
-            report.telescope_failures += in_window
+            tally.telescope_failures += in_window
         if lhs == 2 - k and m >= 2:
             if in_window:
-                report.counterexamples.append(
+                tally.counterexamples.append(
                     {"disks": m, "externals": k, "lhs": lhs, "in_window": in_window})
             continue
         for digits in pearly._sample(first_index, radices, bounds.materialize_stride):
@@ -624,16 +637,15 @@ def per_structure_trees(bounds):
             if all(lo <= d <= hi for d in out_degs):
                 tree = _materialize_tree(m, parents, child_counts, extras,
                                          sums, out_degs, lo, hi)
-                report.materialized += 1
+                tally.materialized += 1
                 if not tree_ledger(tree).telescoped:
-                    report.telescope_failures += 1
-    return report
+                    tally.telescope_failures += 1
+    return tally.report("trees", bounds, estimated_configs)
 
 
 def per_structure_trajectories(bounds):
     lo, hi = bounds.degree_range
-    report = CounterexampleReport("trajectories", asdict(bounds),
-                                  _estimate_trajectories(bounds))
+    estimated_configs, tally = _estimate_trajectories(bounds), Tally()
     for K, marks, attached, disk_inputs in _traj_structures(bounds):
         bare_groups, starts, radices = pearly._traj_digits(
             marks, attached, disk_inputs, lo, hi)
@@ -645,18 +657,18 @@ def per_structure_trajectories(bounds):
         for step in steps:
             chords = pearly._clip(pearly._convolve(chords, step), lo, hi)
         in_window = sum(chords.values())
-        first_index = report.enumerated + 1
-        report.enumerated += math.prod(radices)
-        report.in_window += in_window
+        first_index = tally.enumerated + 1
+        tally.enumerated += math.prod(radices)
+        tally.in_window += in_window
         a_count = len(attached)
         M = K + a_count
         k_plus_l = sum(nb + nt for nb, nt in marks) - a_count + sum(disk_inputs)
         lhs = sum(1 - nb - nt for nb, nt in marks) + sum(2 - n for n in disk_inputs)
         if lhs != M - k_plus_l:
-            report.telescope_failures += in_window
+            tally.telescope_failures += in_window
         if lhs == 1 - k_plus_l and M >= 2:
             if in_window:
-                report.counterexamples.append(
+                tally.counterexamples.append(
                     {"strips": K, "attached": a_count, "lhs": lhs,
                      "in_window": in_window})
             continue
@@ -671,10 +683,10 @@ def per_structure_trajectories(bounds):
                 traj = _materialize_trajectory(
                     K, marks, attached, disk_inputs, values[0], bare_groups,
                     values[1:split], values[split:], lo, hi)
-                report.materialized += 1
+                tally.materialized += 1
                 if not trajectory_ledger(traj).telescoped:
-                    report.telescope_failures += 1
-    return report
+                    tally.telescope_failures += 1
+    return tally.report("trajectories", bounds, estimated_configs)
 
 
 MID_SIZE = [
@@ -697,7 +709,7 @@ def test_memoized_search_matches_per_structure_oracle(bounds):
     oracle = (per_structure_trees if isinstance(bounds, TreeSearchBounds)
               else per_structure_trajectories)(bounds)
     report = exhaustive_search(bounds)
-    assert asdict(report) == asdict(oracle)
+    assert report._asdict() == oracle._asdict()
     assert report.in_window and report.materialized
 
 

@@ -205,8 +205,7 @@ def test_pearly_record_reprs_pinned():
         "TreeLedger(m=1, k=1, lhs=0, rhs=1, telescoped=False)",
         "TreeVerdict(hypotheses_ok=False, hypothesis_violations=('no disk components "
         "(single constant edge)',), positivity_propagates=None, output_action_positive=None, "
-        "ledger=None, global_constraint_applied=True, global_constraint_satisfied=None, "
-        "forced_disk_count=None, single_disk=None)",
+        "ledger=None, global_constraint_satisfied=None, forced_disk_count=None, single_disk=None)",
         strip,
         f"BrokenTrajectoryConfig(strips=({strip},), bottom_disks=(), top_disks=())",
         "TrajectoryLedger(M=1, K=1, m0=0, m1=0, k=1, l=0, lhs=0, rhs=0, telescoped=True)",
@@ -241,8 +240,15 @@ def test_pearly_records_build_by_position_or_keyword():
         assert type(rec)(**dict(zip(names, values))) == rec
 
 
+def test_pearly_records_are_tuples_of_their_fields():
+    for rec, _, _ in _pearly_records():
+        assert isinstance(rec, tuple)
+        assert rec == tuple(getattr(rec, name) for name in type(rec).__match_args__)
+
+
 def test_frozen_pearly_records_refuse_assignment():
-    for rec, _, _ in _pearly_records()[:-1]:
+    # the search report included: each search builds it once
+    for rec, _, _ in _pearly_records():
         field = type(rec).__match_args__[0]
         with pytest.raises(AttributeError):
             setattr(rec, field, getattr(rec, field))
@@ -258,6 +264,7 @@ def test_frozen_pearly_records_refuse_assignment():
     (lambda: TreeSearchBounds(max_inputs_per_disk=-1),
      "max_inputs_per_disk must be nonnegative, got -1"),
     (lambda: TreeSearchBounds(degree_range=(1, 0)), "empty degree range [1, 0]"),
+    (lambda: TreeSearchBounds(max_configs=-1), "max_configs must be at least 1, got -1"),
     (lambda: TrajectorySearchBounds(0), "max_strips must be at least 1, got 0"),
     (lambda: TrajectorySearchBounds(max_marked_per_strip=-1),
      "max_marked_per_strip must be nonnegative, got -1"),
@@ -270,6 +277,7 @@ def test_frozen_pearly_records_refuse_assignment():
     (lambda: TrajectorySearchBounds(materialize_stride=0),
      "materialize_stride must be at least 1, got 0"),
     (lambda: TrajectorySearchBounds(degree_range=(2, -2)), "empty degree range [2, -2]"),
+    (lambda: TrajectorySearchBounds(max_configs=0), "max_configs must be at least 1, got 0"),
 ])
 def test_search_bounds_refusal_texts(make, message):
     with pytest.raises(InputError) as exc:

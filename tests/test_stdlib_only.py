@@ -40,6 +40,14 @@ def test_package_imports_only_stdlib():
     assert foreign == []
 
 
+def test_package_imports_no_dataclasses():
+    # records are NamedTuples; dataclasses would cost every process its import
+    users = [f"{path.relative_to(PACKAGE)}:{lineno}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for lineno, name in _absolute_imports(path) if name == "dataclasses"]
+    assert users == []
+
+
 def test_package_exports_resolve():
     cedga = importlib.import_module("cedga")
     assert cedga.__all__
@@ -76,15 +84,16 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_cli_start_up_loads_no_dataclasses():
-    # only the pearly subcommands build dataclasses; the others load neither
-    # dataclasses nor inspect, and search loads no text parser
+    # no subcommand loads dataclasses or inspect, and search loads no text parser
     cases = [["validate", "surgery_k2.txt"], ["augment", "ce_two_point.txt"],
              ["ce-lift", "mc_two_points.txt"],
              ["mc-check", "mc_two_points.txt", "--cochain", "cochain_x1.txt"],
              ["deform", "strip_small.txt", "--cochain0", "cochain_empty.txt",
               "--cochain1", "cochain_empty.txt"],
              ["surgery", "surgery_k2.txt", "--base-aug", "cochain_x1.txt"],
-             ["quotient", "quotient_demo.txt"]]
+             ["quotient", "quotient_demo.txt"], ["tree-check", "tree_single.txt"],
+             ["traj-check", "traj_pair.txt"], ["search", "--mode", "trees"],
+             ["search", "--mode", "trajectories"], ["corpus"]]
     out = run_fresh("import contextlib, io, os, sys, tempfile\n"
                     "from cedga.cli import main\n"
                     "from cedga.corpus import FILES, corpus_text\n"
@@ -98,7 +107,7 @@ def test_cli_start_up_loads_no_dataclasses():
                     "    with contextlib.redirect_stdout(io.StringIO()):\n"
                     "        codes.append(main(argv))\n"
                     "print(codes, sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    assert out == "[0, 0, 0, 0, 0, 0, 0] []\n"
+    assert out == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] []\n"
     out = run_fresh("import contextlib, io, sys\n"
                     "from cedga.cli import main\n"
                     "with contextlib.redirect_stdout(io.StringIO()):\n"
