@@ -5,8 +5,8 @@ empty result still exits 0), 1 when violations or counterexamples were
 found, 2 on input errors, 3 on an internal error (any other exception,
 reported as one ``internal error:`` line on stderr).
 
-An input error is any ``cedga.InputError``, and ``main`` is the one place
-that maps it to exit 2: an unreadable or non-UTF-8 file, a parse fault
+An input error is any ``cedga.InputError``, and ``_run``, behind ``main``
+and every corpus case, is the one place that maps it to exit 2: an unreadable or non-UTF-8 file, a parse fault
 (``DocumentError``), an invalid characteristic, an undeclared generator
 (``UndeclaredGeneratorError``), a malformed surgery role set, a cochain
 outside its support (``SupportError``), a malformed configuration
@@ -370,6 +370,7 @@ def run_corpus() -> list[dict]:
 
     from .corpus import CASES, FILES, corpus_text
 
+    parser = build_parser()
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in FILES:
@@ -379,7 +380,7 @@ def run_corpus() -> list[dict]:
             resolved = [os.path.join(tmp, a) if a in FILES else a for a in argv]
             buffer = io.StringIO()
             with contextlib.redirect_stdout(buffer):
-                code = main(resolved)
+                code = _run(parser, resolved)
             text = buffer.getvalue()
             passed = code == expected_exit and fragment in text
             entry = {
@@ -477,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _run(parser: argparse.ArgumentParser, argv) -> int:
+    """Run the subcommand that ``parser`` reads from ``argv``."""
     args = parser.parse_args(argv)
     runner = _Runner(args.command, args.json)
     try:
@@ -488,6 +489,10 @@ def main(argv=None) -> int:
     except Exception as exc:  # anything else is a fault of cedga, not of the input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
+
+
+def main(argv=None) -> int:
+    return _run(build_parser(), argv)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -85,8 +85,7 @@ class PearlyTreeConfig(_PearlyTreeFields):
             return self
         if len(edges) != m - 1:
             raise ConfigError(f"{m} disks require {m - 1} edges, got {len(edges)}")
-        sources = set()
-        slots = set()
+        sources, slots = set(), set()
         for src, dst, slot in edges:
             if not (0 <= src < m and 0 <= dst < m) or src == dst:
                 raise ConfigError(f"edge ({src}, {dst}, {slot}) out of range")
@@ -105,16 +104,10 @@ class PearlyTreeConfig(_PearlyTreeFields):
         children: dict[int, list[int]] = {}
         for src, dst, _ in edges:
             children.setdefault(dst, []).append(src)
-        root = _root(m, edges)
-        seen = {root}
-        queue = [root]
-        while queue:
-            node = queue.pop()
-            for child in children.get(node, ()):
-                if child not in seen:
-                    seen.add(child)
-                    queue.append(child)
-        if len(seen) != m:
+        reached = [_root(m, edges)]  # every other disk has one parent: none is reached twice
+        for node in reached:
+            reached.extend(children.get(node, ()))
+        if len(reached) != m:
             raise ConfigError("tree incidence is not connected")
         return self
 
@@ -131,21 +124,13 @@ class PearlyTreeConfig(_PearlyTreeFields):
         if not self.disks:
             return [self.edge_generator]
         matched = {(dst, slot) for _, dst, slot in self.edges}
-        out = []
-        for i, disk in enumerate(self.disks):
-            for s, gen in enumerate(disk.inputs):
-                if (i, s) not in matched:
-                    out.append(gen)
-        return out
+        return [gen for i, disk in enumerate(self.disks)
+                for s, gen in enumerate(disk.inputs) if (i, s) not in matched]
 
     def all_generators(self) -> list[Generator]:
         if not self.disks:
             return [self.edge_generator]
-        out = []
-        for disk in self.disks:
-            out.append(disk.output)
-            out.extend(disk.inputs)
-        return out
+        return [gen for disk in self.disks for gen in (disk.output, *disk.inputs)]
 
 
 class TreeLedger(NamedTuple):
@@ -213,9 +198,7 @@ def tree_verdict(tree: PearlyTreeConfig, require_global_constraint: bool = True
     # induction from the leaves every output, and hence every input, has
     # positive action, the root's output included.
     ledger = tree_ledger(tree)
-    satisfied = None
-    forced = None
-    single = None
+    satisfied = forced = single = None
     if require_global_constraint:
         satisfied = ledger.lhs == 2 - ledger.k
         if satisfied:
@@ -307,10 +290,7 @@ class BrokenTrajectoryConfig(_TrajectoryFields):
             marked = strip.bottom_marked if side == "bottom" else strip.top_marked
             for pos, gen in enumerate(marked):
                 disk = attachments.get((idx, pos))
-                if disk is None:
-                    out.append(gen)
-                else:
-                    out.extend(disk.inputs)
+                out.extend((gen,) if disk is None else disk.inputs)
         return out
 
     def bottom_inputs(self) -> list[Generator]:
@@ -384,9 +364,7 @@ def trajectory_verdict(traj: BrokenTrajectoryConfig) -> TrajectoryVerdict:
         return TrajectoryVerdict(False, tuple(violations))
     ledger = trajectory_ledger(traj)
     satisfied = ledger.lhs == 1 - ledger.k - ledger.l
-    forced = None
-    unbroken = None
-    bare = None
+    forced = unbroken = bare = None
     if satisfied:
         forced = ledger.lhs + ledger.k + ledger.l  # = M by the ledger identity
         unbroken = forced == 1 and ledger.K == 1
@@ -455,7 +433,7 @@ class TrajectorySearchBounds(_TrajectorySearchFields):
 class CounterexampleReport(NamedTuple):
     """What one search found; each search builds it once, when it is done.
     ``enumerated`` counts sum tuples; ``in_window`` counts those whose
-    derived degrees all lie in the degree range, per structure, not one by
+    derived degrees all lie in the degree range, per shape, not one by
     one.  ``materialized`` counts the sampled tuples re-checked through real
     configurations; each failed re-check adds a telescope failure.  The
     searches prove that no structure is a counterexample."""
@@ -475,16 +453,10 @@ class CounterexampleReport(NamedTuple):
 
 
 def _distribute(total: int, count: int, lo: int, hi: int) -> list[int]:
-    """Concrete values in [lo, hi] summing to a feasible total."""
-    vals = [lo] * count
+    """Concrete values in [lo, hi] summing to a feasible total, filled
+    greedily from the first."""
     rem = total - lo * count
-    idx = 0
-    while rem > 0:
-        step = min(hi - lo, rem)
-        vals[idx] += step
-        rem -= step
-        idx += 1
-    return vals
+    return [lo + max(0, min(hi - lo, rem - (hi - lo) * i)) for i in range(count)]
 
 
 def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -573,6 +545,23 @@ def _materialize_tree(m, parents, child_counts, extras, sums, out_degs, lo, hi
     return PearlyTreeConfig(tuple(disks), tuple(edges))
 
 
+def _spread(ranges) -> Counter:
+    """Counts of one digit that runs through each (start, radix) range."""
+    return sum((Counter(_uniform(start, radix)) for start, radix in ranges), Counter())
+
+
+def _holding_samples(before: int, fixed: int, choices, stride: int):
+    """(ranks before it, picks) for each structure of one shape holding a
+    multiple of ``stride``: structures pick a radix from each list in
+    ``choices`` in ``itertools.product`` order and count ``fixed`` times
+    their picks, and the shape's first tuple has rank ``before + 1``."""
+    for picks in itertools.product(*[range(len(radices)) for radices in choices]):
+        count = fixed * math.prod(radices[p] for radices, p in zip(choices, picks))
+        if (before + count) // stride > before // stride:
+            yield before, picks
+        before += count
+
+
 def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
     """out_degs[i] = rigid[i] + sums[i] + the outputs of i's children, with
     rigid[i] = 2 - child_counts[i] - extras[i], so the ledger lhs =
@@ -581,53 +570,57 @@ def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
     rhs, and the counterexample test lhs = 2 - k forces m = 1.  Both hold by
     construction and are not tested per structure.
 
-    A subtree's tuple count and clipped output-degree counts depend only on
-    its class: the extras of its root and the sorted classes of its
-    children.  Each class is interned as an int and counted once, from the
-    leaves up; a structure counts as its root's class.  Digits are decoded
-    only for a structure with in-window tuples that holds a sampled rank."""
+    A subtree's clipped output-degree counts depend only on its class: the
+    ranges its root's own degree runs through and the sorted classes of its
+    children, interned as an int and counted once, from the leaves up.  A
+    shape counts as its root's class with each disk's ranges summed over its
+    extras; a structure holding a sampled rank, as its exact root class."""
     lo, hi = bounds.degree_range
     cap, stride = bounds.max_inputs_per_disk, bounds.materialize_stride
     estimate = _estimate_trees(bounds)
     enumerated = in_window = failures = materialized = 0
-    class_ids: dict[tuple[int, tuple[int, ...]], int] = {}
-    # per class: clipped output-degree counts, tuple count, in-window count
-    classes: list[tuple[dict[int, int], int, int]] = []
+    # per child count c, each extras count e's (rigid + lo * e, radix) range
+    ranges = [[(2 - c - e + lo * e, (hi - lo) * e + 1) for e in range(cap - c + 1)]
+              for c in range(cap + 1)]
+    class_ids: dict[tuple[tuple, tuple[int, ...]], int] = {}
+    classes: list[dict[int, int]] = []  # per class: clipped output-degree counts
+
+    def window(children, disk_ranges) -> int:
+        node = [0] * len(children)
+        for i in range(len(children) - 1, -1, -1):
+            key = (disk_ranges[i], tuple(sorted([node[c] for c in children[i]])))
+            node[i] = class_ids.get(key, -1)
+            if node[i] < 0:
+                counts = _spread(key[0])
+                for c in key[1]:
+                    counts = _convolve(counts, classes[c])
+                class_ids[key] = node[i] = len(classes)
+                classes.append(_clip(counts, lo, hi))
+        return sum(classes[node[0]].values())
+
     for m, parents, child_counts in _tree_shapes(bounds.max_disks, cap):
         children: list[list[int]] = [[] for _ in range(m)]
         for child, parent in enumerate(parents, start=1):
             children[parent].append(child)
-        node = [0] * m
-        for extras in itertools.product(*[range(cap - c + 1) for c in child_counts]):
-            for i in range(m - 1, -1, -1):
-                key = (extras[i], tuple(sorted([node[c] for c in children[i]])))
-                node[i] = class_ids.get(key, -1)
-                if node[i] < 0:
-                    count = (hi - lo) * extras[i] + 1
-                    counts = _uniform(2 - len(key[1]) - extras[i] + lo * extras[i], count)
-                    for c in key[1]:
-                        counts = _convolve(counts, classes[c][0])
-                        count *= classes[c][1]
-                    counts = _clip(counts, lo, hi)
-                    class_ids[key] = node[i] = len(classes)
-                    classes.append((counts, count, sum(counts.values())))
-            _, count, window = classes[node[0]]
-            before, enumerated, in_window = enumerated, enumerated + count, in_window + window
-            # sample a structure with in-window tuples and a multiple of stride among its ranks
-            if not window or enumerated // stride == before // stride:
+        choices = [[radix for _, radix in ranges[c]] for c in child_counts]
+        shape_window = window(children, [tuple(ranges[c]) for c in child_counts])
+        before, enumerated = enumerated, enumerated + math.prod(map(sum, choices))
+        in_window += shape_window
+        if not shape_window or enumerated // stride == before // stride:
+            continue
+        for first, extras in _holding_samples(before, 1, choices, stride):
+            if not window(children, [(ranges[c][e],) for c, e in zip(child_counts, extras)]):
                 continue
             rigid = [2 - child_counts[i] - extras[i] for i in range(m)]
-            for digits in _sample(before + 1, [(hi - lo) * e + 1 for e in extras], stride):
+            for digits in _sample(first + 1, [(hi - lo) * e + 1 for e in extras], stride):
                 sums = [lo * e + d for e, d in zip(extras, digits)]
                 out_degs = [0] * m
                 for i in range(m - 1, -1, -1):
                     out_degs[i] = rigid[i] + sums[i] + sum(out_degs[c] for c in children[i])
                 if all(lo <= d <= hi for d in out_degs):
-                    tree = _materialize_tree(m, parents, child_counts, extras,
-                                             sums, out_degs, lo, hi)
                     materialized += 1
-                    if not tree_ledger(tree).telescoped:
-                        failures += 1
+                    failures += not tree_ledger(_materialize_tree(
+                        m, parents, child_counts, extras, sums, out_degs, lo, hi)).telescoped
     return CounterexampleReport("trees", bounds._asdict(), estimate, enumerated, in_window,
                                 failures, materialized, [])
 
@@ -764,57 +757,63 @@ def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport
     and the counterexample test lhs = 1 - k - l forces M = 1.  Both hold by
     construction and are not tested per structure.
 
-    A strip's step counts depend only on 1 - #marked and the multiset of
-    (start, radix) digits it owns, and the clipped chord counts after a
-    strip only on the steps so far.  Each prefix of steps is interned as an
-    int, ``prefix_ids[prefix, step]`` naming the longer prefix, and counted
-    once by pushing the chord counts through the step (each step is counted
-    once too); a structure counts as its last prefix.  Digits are decoded only for a
-    structure with in-window tuples that holds a sampled rank."""
+    A strip's step counts depend only on 1 - #marked and the ranges of the
+    digits it owns, and the clipped chord counts after a strip only on the
+    steps so far.  Each step and each prefix of steps is counted once, a
+    prefix interned as an int, ``prefix_ids[prefix, step]`` naming the longer
+    one.  A shape counts as its last prefix with each attached disk's ranges
+    summed over its input counts; a structure holding a sampled rank, as its
+    exact last prefix."""
     lo, hi = bounds.degree_range
     stride = bounds.materialize_stride
     estimate = _estimate_trajectories(bounds)
     enumerated = in_window = failures = materialized = 0
     disk_digits = [_disk_digit(n, lo, hi) for n in range(bounds.max_inputs_per_disk + 1)]
-    steps: dict[tuple, tuple[dict[int, int], int]] = {}  # degree-change counts, tuple count
+    steps: dict[tuple, dict[int, int]] = {}  # degree-change counts
     prefix_ids: dict[tuple[int, tuple], int] = {}
-    # per prefix: clipped chord counts, tuple count, in-window count; the
-    # empty prefix holds the input chord's digit, the first of every structure
-    prefixes: list[tuple[dict[int, int], int, int]] = [
-        (_uniform(lo, hi - lo + 1), hi - lo + 1, hi - lo + 1)]
+    # per prefix: clipped chord counts; the empty prefix holds the input
+    # chord's digit, the first of every structure
+    prefixes: list[dict[int, int]] = [_uniform(lo, hi - lo + 1)]
+
+    def window(marks, bare, attached, disks) -> int:
+        owned = [list(digits) for digits in bare]
+        for point, ranges in zip(attached, disks):
+            owned[point[0]].append(ranges)
+        prefix = 0
+        for (nb, nt), digits in zip(marks, owned):
+            step_key = (1 - nb - nt, tuple(sorted(digits)))
+            longer = prefix_ids.get((prefix, step_key), -1)
+            if longer < 0:
+                step = steps.get(step_key)
+                if step is None:
+                    step = {step_key[0]: 1}
+                    for ranges in step_key[1]:
+                        step = _convolve(step, _spread(ranges))
+                    steps[step_key] = step
+                prefix_ids[prefix, step_key] = longer = len(prefixes)
+                prefixes.append(_clip(_convolve(prefixes[prefix], step), lo, hi))
+            prefix = longer
+        return sum(prefixes[prefix].values())
+
     for K, marks, attached in _traj_shapes(bounds):
-        bare: list[list[tuple[int, int]]] = [[] for _ in marks]
+        bare: list[list[tuple]] = [[] for _ in marks]
+        fixed = hi - lo + 1  # the input chord's and the bare sums' radices
         for s, _, count in _bare_groups(marks, attached):
-            bare[s].append((lo * count, (hi - lo) * count + 1))
-        for disk_inputs in itertools.product(range(len(disk_digits)), repeat=len(attached)):
-            owned = [list(digits) for digits in bare]
-            for point, n in zip(attached, disk_inputs):
-                owned[point[0]].append(disk_digits[n])
-            prefix = 0
-            for (nb, nt), digits in zip(marks, owned):
-                step_key = (1 - nb - nt, tuple(sorted(digits)))
-                longer = prefix_ids.get((prefix, step_key), -1)
-                if longer < 0:
-                    step = steps.get(step_key)
-                    if step is None:
-                        counts, count = {step_key[0]: 1}, 1
-                        for start, radix in step_key[1]:
-                            counts = _convolve(counts, _uniform(start, radix))
-                            count *= radix
-                        steps[step_key] = step = (counts, count)
-                    counts = _clip(_convolve(prefixes[prefix][0], step[0]), lo, hi)
-                    prefix_ids[prefix, step_key] = longer = len(prefixes)
-                    prefixes.append((counts, prefixes[prefix][1] * step[1],
-                                     sum(counts.values())))
-                prefix = longer
-            _, count, window = prefixes[prefix]
-            before, enumerated, in_window = enumerated, enumerated + count, in_window + window
-            if not window or enumerated // stride == before // stride:
+            bare[s].append(((lo * count, (hi - lo) * count + 1),))
+            fixed *= (hi - lo) * count + 1
+        choices = [[radix for _, radix in disk_digits]] * len(attached)
+        shape_window = window(marks, bare, attached, [tuple(disk_digits)] * len(attached))
+        before, enumerated = enumerated, enumerated + fixed * math.prod(map(sum, choices))
+        in_window += shape_window
+        if not shape_window or enumerated // stride == before // stride:
+            continue
+        for first, disk_inputs in _holding_samples(before, fixed, choices, stride):
+            if not window(marks, bare, attached, [(disk_digits[n],) for n in disk_inputs]):
                 continue
             bare_groups, starts, radices = _traj_digits(marks, attached, disk_inputs, lo, hi)
             # the strip each digit after the first (the input chord) belongs to
             owners = [s for s, _, _ in bare_groups] + [point[0] for point in attached]
-            for digits in _sample(before + 1, radices, stride):
+            for digits in _sample(first + 1, radices, stride):
                 values = [start + d for start, d in zip(starts, digits)]
                 deltas = [1 - nb - nt for nb, nt in marks]
                 for s, value in zip(owners, values[1:]):
@@ -822,12 +821,10 @@ def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport
                 if all(lo <= c <= hi
                        for c in itertools.accumulate(deltas, initial=values[0])):
                     split = 1 + len(bare_groups)
-                    traj = _materialize_trajectory(
-                        K, marks, attached, disk_inputs, values[0], bare_groups,
-                        values[1:split], values[split:], lo, hi)
                     materialized += 1
-                    if not trajectory_ledger(traj).telescoped:
-                        failures += 1
+                    failures += not trajectory_ledger(_materialize_trajectory(
+                        K, marks, attached, disk_inputs, values[0], bare_groups,
+                        values[1:split], values[split:], lo, hi)).telescoped
     return CounterexampleReport("trajectories", bounds._asdict(), estimate, enumerated,
                                 in_window, failures, materialized, [])
 
@@ -846,10 +843,13 @@ def exhaustive_search(bounds) -> CounterexampleReport:
     and counterexample tests hold by construction (each search states the
     proof).  ``estimated_configs`` is summed, and refused past
     ``max_configs``, before any counting; ``enumerated`` equals it.
-    ``in_window`` is counted exactly by convolving degree counts clipped to
-    the degree range.  Every tuple whose 1-based position in the unpruned
-    enumeration is a multiple of ``materialize_stride`` and that lies in the
-    window is materialized and pushed through the full ledger objects.
+    ``in_window`` is counted exactly, per shape, by convolving degree counts
+    clipped to the degree range; both steps are linear, so a digit whose
+    choices vary on their own (a disk's extras, an attached disk's input
+    count) enters summed over them.  Every tuple whose 1-based position in
+    the unpruned enumeration is a multiple of ``materialize_stride`` and
+    that lies in the window is materialized and pushed through the full
+    ledger objects; only the structures holding such a position are visited.
     """
     if isinstance(bounds, TreeSearchBounds):
         return _search_trees(bounds)

@@ -2,19 +2,19 @@
 
 Every report carries the tool version and a digest of the raw inputs, and
 fields are emitted in a fixed order so identical inputs produce
-byte-identical reports.
+byte-identical reports.  ``hashlib`` and ``json`` are imported on use, so
+``import cedga``, which loads this module for the version, loads neither.
 """
 
 from __future__ import annotations
-
-import hashlib
-import json
 
 TOOL_NAME = "cedga"
 VERSION = "0.1.0"
 
 
 def input_digest(*texts: str) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     for text in texts:
         h.update(text.encode("utf-8"))
@@ -35,4 +35,6 @@ def make_report(command: str, digest: str, status: str, payload: dict) -> dict:
 
 
 def report_json(report: dict) -> str:
+    import json
+
     return json.dumps(report, indent=2) + "\n"

@@ -738,6 +738,30 @@ def test_memo_bounds_convolutions_at_acceptance_bounds(monkeypatch):
     assert len(calls) <= 2_000
 
 
+@pytest.mark.parametrize("bounds,counts,ceiling", [
+    (TreeSearchBounds(max_disks=6, max_configs=10**15, materialize_stride=10**9),
+     (16_229_647_274, 705_614_172), 1_000),
+    (TrajectorySearchBounds(max_strips=5, max_configs=10**15, materialize_stride=10**9),
+     (27_081_400, 9_990_460), 1_500),
+], ids=["trees", "trajectories"])
+def test_each_shape_counted_once_past_the_acceptance_bounds(monkeypatch, bounds, counts,
+                                                           ceiling):
+    # a shape counts with the disks' choices summed out, so the convolutions
+    # follow the shapes, not the structures (17,504 and 2,716 when every
+    # structure was counted)
+    calls = []
+
+    def counting(a, b, real=pearly._convolve):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(pearly, "_convolve", counting)
+    report = exhaustive_search(bounds)
+    assert (report.enumerated, report.in_window) == counts
+    assert report.estimated_configs == report.enumerated and report.ok
+    assert len(calls) <= ceiling
+
+
 def holding_a_sample(bounds):
     """How many structures hold a rank that is a multiple of the stride."""
     lo, hi = bounds.degree_range

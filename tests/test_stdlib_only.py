@@ -63,6 +63,13 @@ def test_import_cedga_loads_no_submodule_but_report():
     assert out == "['cedga', 'cedga.report']\n"
 
 
+def test_import_cedga_loads_neither_hashlib_nor_json():
+    # what the import itself adds, so that a module a site hook loads first cannot mask it
+    out = run_fresh("import sys\nbefore = set(sys.modules)\nimport cedga\n"
+                    "print(sorted({'hashlib', 'json'} & (set(sys.modules) - before)))")
+    assert out == "[]\n"
+
+
 def test_star_import_binds_every_export():
     out = run_fresh("from cedga import *\nimport cedga\n"
                     "print([n for n in cedga.__all__ if n not in globals()])")
