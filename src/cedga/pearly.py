@@ -532,15 +532,14 @@ def _materialize_tree(m, parents, child_counts, extras, sums, out_degs, lo, hi
     children: list[list[int]] = [[] for _ in range(m)]
     for child, parent in enumerate(parents, start=1):
         children[parent].append(child)
-    outputs: list[Generator] = [None] * m
     disks: list[DiskComponent] = [None] * m
     for i in range(m - 1, -1, -1):
-        inputs = [outputs[c] for c in children[i]] + [
+        inputs = [disks[c].output for c in children[i]] + [
             Generator(f"x{i}_{s}", d, Fraction(1), GeneratorKind.DOUBLE_POINT_POS)
             for s, d in enumerate(_distribute(sums[i], extras[i], lo, hi))]
         action = sum((g.action for g in inputs), Fraction(1))
-        outputs[i] = Generator(f"v{i}", out_degs[i], action, GeneratorKind.DOUBLE_POINT_POS)
-        disks[i] = DiskComponent(outputs[i], tuple(inputs))
+        output = Generator(f"v{i}", out_degs[i], action, GeneratorKind.DOUBLE_POINT_POS)
+        disks[i] = DiskComponent(output, tuple(inputs))
     edges = [(c, i, slot) for i in range(m) for slot, c in enumerate(children[i])]
     return PearlyTreeConfig(tuple(disks), tuple(edges))
 
@@ -551,10 +550,10 @@ def _spread(ranges) -> Counter:
 
 
 def _holding_samples(before: int, fixed: int, choices, stride: int):
-    """(ranks before it, picks) for each structure of one shape holding a
-    multiple of ``stride``: structures pick a radix from each list in
-    ``choices`` in ``itertools.product`` order and count ``fixed`` times
-    their picks, and the shape's first tuple has rank ``before + 1``."""
+    """(ranks before it, picks) for each structure of one shape, first rank
+    ``before + 1``, that holds a multiple of ``stride``: structures pick a
+    radix from each of ``choices`` in product order and count ``fixed`` times
+    their picks."""
     for picks in itertools.product(*[range(len(radices)) for radices in choices]):
         count = fixed * math.prod(radices[p] for radices, p in zip(choices, picks))
         if (before + count) // stride > before // stride:
@@ -570,11 +569,12 @@ def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
     rhs, and the counterexample test lhs = 2 - k forces m = 1.  Both hold by
     construction and are not tested per structure.
 
-    A subtree's clipped output-degree counts depend only on its class: the
-    ranges its root's own degree runs through and the sorted classes of its
-    children, interned as an int and counted once, from the leaves up.  A
-    shape counts as its root's class with each disk's ranges summed over its
-    extras; a structure holding a sampled rank, as its exact root class."""
+    With each disk's extras summed out, a subtree's clipped output-degree
+    counts depend only on its class: the sorted classes of its children.
+    Each class is interned as an int and counted once, from the leaves up; a
+    shape counts as its root's class.  In a structure, each disk's output
+    degrees fill an interval, so it has in-window tuples iff no interval
+    clipped to the window, from the leaves up, is empty."""
     lo, hi = bounds.degree_range
     cap, stride = bounds.max_inputs_per_disk, bounds.materialize_stride
     estimate = _estimate_trees(bounds)
@@ -582,34 +582,35 @@ def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
     # per child count c, each extras count e's (rigid + lo * e, radix) range
     ranges = [[(2 - c - e + lo * e, (hi - lo) * e + 1) for e in range(cap - c + 1)]
               for c in range(cap + 1)]
-    class_ids: dict[tuple[tuple, tuple[int, ...]], int] = {}
+    class_ids: dict[tuple[int, ...], int] = {}
     classes: list[dict[int, int]] = []  # per class: clipped output-degree counts
-
-    def window(children, disk_ranges) -> int:
-        node = [0] * len(children)
-        for i in range(len(children) - 1, -1, -1):
-            key = (disk_ranges[i], tuple(sorted([node[c] for c in children[i]])))
-            node[i] = class_ids.get(key, -1)
-            if node[i] < 0:
-                counts = _spread(key[0])
-                for c in key[1]:
-                    counts = _convolve(counts, classes[c])
-                class_ids[key] = node[i] = len(classes)
-                classes.append(_clip(counts, lo, hi))
-        return sum(classes[node[0]].values())
-
     for m, parents, child_counts in _tree_shapes(bounds.max_disks, cap):
         children: list[list[int]] = [[] for _ in range(m)]
         for child, parent in enumerate(parents, start=1):
             children[parent].append(child)
+        node = [0] * m
+        for i in range(m - 1, -1, -1):
+            key = tuple(sorted([node[c] for c in children[i]]))
+            node[i] = class_ids.get(key, -1)
+            if node[i] < 0:
+                counts = _spread(ranges[len(key)])
+                for c in key:
+                    counts = _convolve(counts, classes[c])
+                class_ids[key] = node[i] = len(classes)
+                classes.append(_clip(counts, lo, hi))
+        window = sum(classes[node[0]].values())
         choices = [[radix for _, radix in ranges[c]] for c in child_counts]
-        shape_window = window(children, [tuple(ranges[c]) for c in child_counts])
         before, enumerated = enumerated, enumerated + math.prod(map(sum, choices))
-        in_window += shape_window
-        if not shape_window or enumerated // stride == before // stride:
+        in_window += window
+        if not window or enumerated // stride == before // stride:
             continue
         for first, extras in _holding_samples(before, 1, choices, stride):
-            if not window(children, [(ranges[c][e],) for c, e in zip(child_counts, extras)]):
+            ends = [(0, 0)] * m
+            for i in range(m - 1, -1, -1):
+                start, radix = ranges[child_counts[i]][extras[i]]
+                ends[i] = (max(lo, start + sum(ends[c][0] for c in children[i])),
+                           min(hi, start + radix - 1 + sum(ends[c][1] for c in children[i])))
+            if any(a > b for a, b in ends):
                 continue
             rigid = [2 - child_counts[i] - extras[i] for i in range(m)]
             for digits in _sample(first + 1, [(hi - lo) * e + 1 for e in extras], stride):
@@ -757,13 +758,14 @@ def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport
     and the counterexample test lhs = 1 - k - l forces M = 1.  Both hold by
     construction and are not tested per structure.
 
-    A strip's step counts depend only on 1 - #marked and the ranges of the
-    digits it owns, and the clipped chord counts after a strip only on the
-    steps so far.  Each step and each prefix of steps is counted once, a
-    prefix interned as an int, ``prefix_ids[prefix, step]`` naming the longer
-    one.  A shape counts as its last prefix with each attached disk's ranges
-    summed over its input counts; a structure holding a sampled rank, as its
-    exact last prefix."""
+    With each attached disk's input count summed out, a strip's step counts
+    depend only on 1 - #marked and the ranges of the digits it owns, and the
+    clipped chord counts after a strip only on the steps so far.  Each step
+    and each prefix of steps is counted once, a prefix interned as an int,
+    ``prefix_ids[prefix, step]`` naming the longer one; a shape counts as
+    its last prefix.  In a structure holding a sampled rank no digit range is
+    empty, so each strip moves the chord through an interval, and it has
+    in-window tuples iff no chord interval clipped to the window is empty."""
     lo, hi = bounds.degree_range
     stride = bounds.materialize_stride
     estimate = _estimate_trajectories(bounds)
@@ -771,14 +773,14 @@ def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport
     disk_digits = [_disk_digit(n, lo, hi) for n in range(bounds.max_inputs_per_disk + 1)]
     steps: dict[tuple, dict[int, int]] = {}  # degree-change counts
     prefix_ids: dict[tuple[int, tuple], int] = {}
-    # per prefix: clipped chord counts; the empty prefix holds the input
-    # chord's digit, the first of every structure
+    # per prefix: clipped chord counts; the empty one holds the input chord's digit
     prefixes: list[dict[int, int]] = [_uniform(lo, hi - lo + 1)]
-
-    def window(marks, bare, attached, disks) -> int:
-        owned = [list(digits) for digits in bare]
-        for point, ranges in zip(attached, disks):
-            owned[point[0]].append(ranges)
+    for K, marks, attached in _traj_shapes(bounds):
+        bare = _bare_groups(marks, attached)
+        # each strip's digits as ranges: its bare sums', its attached disks' over input counts
+        owned = [[((lo * n, (hi - lo) * n + 1),) for t, _, n in bare if t == s]
+                 + [tuple(disk_digits) for point in attached if point[0] == s] for s in range(K)]
+        fixed = (hi - lo + 1) * math.prod((hi - lo) * n + 1 for _, _, n in bare)
         prefix = 0
         for (nb, nt), digits in zip(marks, owned):
             step_key = (1 - nb - nt, tuple(sorted(digits)))
@@ -793,26 +795,24 @@ def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport
                 prefix_ids[prefix, step_key] = longer = len(prefixes)
                 prefixes.append(_clip(_convolve(prefixes[prefix], step), lo, hi))
             prefix = longer
-        return sum(prefixes[prefix].values())
-
-    for K, marks, attached in _traj_shapes(bounds):
-        bare: list[list[tuple]] = [[] for _ in marks]
-        fixed = hi - lo + 1  # the input chord's and the bare sums' radices
-        for s, _, count in _bare_groups(marks, attached):
-            bare[s].append(((lo * count, (hi - lo) * count + 1),))
-            fixed *= (hi - lo) * count + 1
+        window = sum(prefixes[prefix].values())
         choices = [[radix for _, radix in disk_digits]] * len(attached)
-        shape_window = window(marks, bare, attached, [tuple(disk_digits)] * len(attached))
         before, enumerated = enumerated, enumerated + fixed * math.prod(map(sum, choices))
-        in_window += shape_window
-        if not shape_window or enumerated // stride == before // stride:
+        in_window += window
+        if not window or enumerated // stride == before // stride:
             continue
         for first, disk_inputs in _holding_samples(before, fixed, choices, stride):
-            if not window(marks, bare, attached, [(disk_digits[n],) for n in disk_inputs]):
-                continue
             bare_groups, starts, radices = _traj_digits(marks, attached, disk_inputs, lo, hi)
             # the strip each digit after the first (the input chord) belongs to
             owners = [s for s, _, _ in bare_groups] + [point[0] for point in attached]
+            ends = [[1 - nb - nt] * 2 for nb, nt in marks]  # least and most chord change
+            for s, start, radix in zip(owners, starts[1:], radices[1:]):
+                ends[s][0] += start
+                ends[s][1] += start + radix - 1
+            if any(a > b for a, b in itertools.accumulate(
+                    ends, lambda c, d: (max(lo, c[0] + d[0]), min(hi, c[1] + d[1])),
+                    initial=(lo, hi))):
+                continue
             for digits in _sample(first + 1, radices, stride):
                 values = [start + d for start, d in zip(starts, digits)]
                 deltas = [1 - nb - nt for nb, nt in marks]
@@ -844,12 +844,12 @@ def exhaustive_search(bounds) -> CounterexampleReport:
     proof).  ``estimated_configs`` is summed, and refused past
     ``max_configs``, before any counting; ``enumerated`` equals it.
     ``in_window`` is counted exactly, per shape, by convolving degree counts
-    clipped to the degree range; both steps are linear, so a digit whose
-    choices vary on their own (a disk's extras, an attached disk's input
-    count) enters summed over them.  Every tuple whose 1-based position in
-    the unpruned enumeration is a multiple of ``materialize_stride`` and
-    that lies in the window is materialized and pushed through the full
-    ledger objects; only the structures holding such a position are visited.
+    clipped to the degree range, linear steps that let each disk's extras and
+    each attached disk's input count be summed out.  Every tuple whose
+    1-based position in the unpruned enumeration is a multiple of
+    ``materialize_stride`` and that lies in the window is materialized and
+    pushed through the full ledger objects; only the structures holding
+    such a position are visited.
     """
     if isinstance(bounds, TreeSearchBounds):
         return _search_trees(bounds)

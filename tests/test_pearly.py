@@ -816,6 +816,36 @@ def test_no_decoding_where_no_tuple_is_in_window(monkeypatch, bounds, holding, d
     assert len(calls) == decoded and report.materialized == decoded
 
 
+def test_no_decoding_where_a_structure_has_no_tuple_in_window(monkeypatch):
+    # every shape here has in-window tuples, yet 3 of the 31 structures that
+    # hold a sampled rank have none, found tuple by tuple: only 28 are decoded
+    bounds = TrajectorySearchBounds(max_strips=1, max_marked_per_strip=2, max_total_marked=2,
+                                    max_attached_disks=2, max_inputs_per_disk=1,
+                                    degree_range=(0, 2), materialize_stride=7)
+    lo, hi = bounds.degree_range
+    first = holding = with_window = 0
+    for _, marks, attached, inputs in _traj_structures(bounds):
+        _, starts, radices = pearly._traj_digits(marks, attached, inputs, lo, hi)
+        count = math.prod(radices)
+        if (first + count) // bounds.materialize_stride > first // bounds.materialize_stride:
+            holding += 1
+            # one strip: the output chord is the sum of the digits plus 1 - #marked
+            with_window += any(
+                lo <= sum(start + d for start, d in zip(starts, digits)) + 1 - sum(marks[0]) <= hi
+                for digits in itertools.product(*map(range, radices)))
+        first += count
+    assert (holding, with_window) == (31, 28)
+    calls = []
+
+    def counting(*args, real=pearly._sample):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(pearly, "_sample", counting)
+    report = assert_matches_oracle(bounds)
+    assert len(calls) == 28 and report.materialized == 17
+
+
 def test_structure_ledgers_hold_by_construction():
     # the searches do not test these per structure: the ledger telescopes
     # and the counterexample test fails for every structure
