@@ -6,8 +6,9 @@ found, 2 on input errors, 3 on an internal error (any other exception,
 reported as one ``internal error:`` line on stderr).
 
 An input error is any ``cedga.InputError``, and ``_run``, behind ``main``
-and every corpus case, is the one place that maps it to exit 2: an unreadable or non-UTF-8 file, a parse fault
-(``DocumentError``), an invalid characteristic, an undeclared generator
+and every corpus case, is the one place that maps it to exit 2: an
+unreadable or non-UTF-8 file, a parse fault (``DocumentError``), an
+invalid characteristic, an undeclared generator
 (``UndeclaredGeneratorError``), a malformed surgery role set, a cochain
 outside its support (``SupportError``), a malformed configuration
 (``ConfigError``), vacuous search bounds, and refused work estimates
