@@ -1,6 +1,7 @@
 """Golden CLI outputs: the exit code, the text output and the ``--json -``
 output of every bundled corpus case, of ``cedga corpus``, of ``cedga search``
-in both modes at its default bounds, and of the searches it refuses.
+in both modes at its default bounds and past them, and of the searches it
+refuses.
 
     PYTHONPATH=src python tests/golden_cli.py > tests/golden_cli.json
 
@@ -27,9 +28,12 @@ def _run(argv):
     return code, buffer.getvalue()
 
 
-# the default searches, then refused ones: work past the limit, a vacuous
-# bound, an empty degree range and each mode's count flag in the other mode
+# the default searches, two that sample many tuples in one structure, then
+# refused ones: work past the limit, a vacuous bound, an empty degree range
+# and each mode's count flag in the other mode
 SEARCHES = [["--mode", "trees"], ["--mode", "trajectories"],
+            ["--mode", "trees", "--max-disks", "5", "--max-configs", "1000000000"],
+            ["--mode", "trajectories", "--max-strips", "4"],
             ["--mode", "trees", "--max-disks", "99"],
             ["--mode", "trajectories", "--max-strips", "99"],
             ["--mode", "trees", "--max-disks", "0"],
