@@ -720,6 +720,78 @@ def test_mid_size_grid_reaches_radix_zero_digits():
                for _, marks, attached, inputs in _traj_structures(bounds))
 
 
+# -- reference materializers ----------------------------------------------------
+#
+# The materializers as they first summed actions, one Fraction per generator.
+# The searches' materializers must build equal configurations with equal reprs.
+
+
+def reference_tree(m, parents, child_counts, extras, sums, out_degs, lo, hi):
+    children = [[] for _ in range(m)]
+    for child, parent in enumerate(parents, start=1):
+        children[parent].append(child)
+    disks = [None] * m
+    for i in range(m - 1, -1, -1):
+        inputs = [disks[c].output for c in children[i]] + [
+            Generator(f"x{i}_{s}", d, Fraction(1), DP)
+            for s, d in enumerate(pearly._distribute(sums[i], extras[i], lo, hi))]
+        action = sum((g.action for g in inputs), Fraction(1))
+        output = Generator(f"v{i}", out_degs[i], action, DP)
+        disks[i] = DiskComponent(output, tuple(inputs))
+    edges = [(c, i, slot) for i in range(m) for slot, c in enumerate(children[i])]
+    return PearlyTreeConfig(tuple(disks), tuple(edges))
+
+
+def reference_trajectory(K, marks, attached, disk_inputs, c_in_deg, bare_groups, bare_sums,
+                         disk_outs, lo, hi):
+    bare_degs = {(s, side): iter(pearly._distribute(total, bare, lo, hi))
+                 for (s, side, bare), total in zip(bare_groups, bare_sums)}
+    disks_at = {}
+    for (s, side, pos), n, out_deg in zip(attached, disk_inputs, disk_outs):
+        inputs = tuple(Generator(f"di{s}_{pos}_{t}", d, Fraction(1), DP)
+                       for t, d in enumerate(pearly._distribute(out_deg - 2 + n, n, lo, hi)))
+        output = Generator(f"do{s}_{side}_{pos}", out_deg, Fraction(n + 1), DP)
+        disks_at[s, side, pos] = DiskComponent(output, inputs)
+    strips = []
+    attachments = {"bottom": [], "top": []}
+    chord = Generator("q0", c_in_deg, Fraction(1), MIXED)
+    for s, (nb, nt) in enumerate(marks):
+        sides = {"bottom": [], "top": []}
+        for side, n in (("bottom", nb), ("top", nt)):
+            for pos in range(n):
+                disk = disks_at.get((s, side, pos))
+                if disk is not None:
+                    attachments[side].append((s, pos, disk))
+                sides[side].append(disk.output if disk is not None else Generator(
+                    f"m{s}_{side}_{pos}", next(bare_degs[s, side]), Fraction(1), DP))
+        degree = chord.degree + 1 - nb - nt + sum(g.degree for g in sides["bottom"] + sides["top"])
+        next_chord = Generator(f"q{s + 1}", degree, Fraction(1), MIXED)
+        strips.append(StripComponent(next_chord, chord, tuple(sides["bottom"]),
+                                     tuple(sides["top"])))
+        chord = next_chord
+    return BrokenTrajectoryConfig(tuple(strips), tuple(attachments["bottom"]),
+                                  tuple(attachments["top"]))
+
+
+@pytest.mark.parametrize("bounds", MID_SIZE + [
+    TreeSearchBounds(max_disks=4, max_inputs_per_disk=3, degree_range=(-3, 4)),
+    TrajectorySearchBounds(max_strips=3, max_attached_disks=2, degree_range=(-3, 4)),
+], ids=lambda b: f"{type(b).__name__}{b.degree_range}")
+def test_materializers_build_the_reference_configurations(monkeypatch, bounds):
+    built = []
+    for name, reference in (("_materialize_tree", reference_tree),
+                            ("_materialize_trajectory", reference_trajectory)):
+        def wrapper(*args, real=getattr(pearly, name), reference=reference):
+            config = real(*args)
+            built.append((config, reference(*args)))
+            return config
+        monkeypatch.setattr(pearly, name, wrapper)
+    report = exhaustive_search(bounds)
+    assert len(built) == report.materialized > 0
+    for config, expected in built:
+        assert config == expected and repr(config) == repr(expected)
+
+
 def test_memo_bounds_convolutions_at_acceptance_bounds(monkeypatch):
     # the parent of the memo made 19,438 convolutions here, one per edge,
     # strip digit and strip of every structure
