@@ -17,6 +17,8 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import reduce
+from operator import itemgetter
 from typing import NamedTuple
 
 from .dga import Generator, GeneratorKind
@@ -476,17 +478,73 @@ def _clip(dist: dict[int, int], lo: int, hi: int) -> dict[int, int]:
     return {d: c for d, c in dist.items() if lo <= d <= hi}
 
 
-def _sample(first_index: int, radices: list[int], stride: int):
-    """Digits of a structure's tuples whose 1-based position in the unpruned
-    enumeration (``first_index`` for its first tuple) is a multiple of
-    ``stride``, decoded in ``itertools.product`` order: first digit most
-    significant."""
-    first_sampled = -(-first_index // stride) * stride
-    for rank in range(first_sampled - first_index, math.prod(radices), stride):
-        digits = [0] * len(radices)
-        for j in range(len(radices) - 1, -1, -1):
-            rank, digits[j] = divmod(rank, radices[j])
-        yield digits
+def _clear(lows, highs, derived, lo: int, hi: int):
+    """Each derived degree's interval over the box of digit values lows[i] to
+    highs[i], clipped to [lo, hi], or None once one is empty.  Entry k of
+    ``derived`` (constant, digits, later entries) sums them; last one first."""
+    ends = [None] * len(derived)
+    for k in range(len(derived) - 1, -1, -1):
+        a, own, later = derived[k]
+        b = a
+        for i in own:
+            a, b = a + lows[i], b + highs[i]
+        for c in later:
+            a, b = a + ends[c][0], b + ends[c][1]
+        if a > hi or b < lo:  # a <= b, as every digit range and later interval is nonempty
+            return None
+        ends[k] = (a if a > lo else lo, b if b < hi else hi)
+    return ends
+
+
+def _walk(first: int, digits, derived, lo: int, hi: int, stride: int):
+    """(picks, values, degrees) of each tuple of one shape whose 1-based rank
+    in the unpruned enumeration (``first`` for the shape's first tuple) is a
+    multiple of ``stride`` and whose derived degrees all lie in [lo, hi].
+    A structure picks one (start, radix) range per entry of ``digits``, in
+    ``itertools.product`` order, and runs through them, first digit most
+    significant.  The walk jumps from one sampled rank to the structure
+    holding it.  A structure, or a prefix of its digit values holding several
+    sampled ranks, is entered digit by digit only if ``_clear`` finds its box
+    nonempty; a prefix holding one has its tuple decoded and tested."""
+    n = len(digits)
+    totals = [sum(map(itemgetter(1), alts)) for alts in digits]
+    rest = [math.prod(totals[j:]) for j in range(n + 1)]  # tuples per picks before j
+    picks, lows, highs, radices = [0] * n, [0] * n, [0] * n, [0] * n
+
+    def enter(j, at, size):  # ranks at..at + size - 1, digit values before j fixed
+        held = (at - 1 + size) // stride - (at - 1) // stride
+        if (held > 1 or not j) and _clear(lows, highs, derived, lo, hi) is None:
+            return
+        if held == 1:  # decode and test its one sampled tuple
+            offset, values = -at % stride, lows[:]
+            for i in range(n - 1, j - 1, -1):
+                offset, d = divmod(offset, radices[i])
+                values[i] += d
+            ends = _clear(values, values, derived, lo, hi)
+            if ends is not None:
+                yield tuple(picks), values, [a for a, _ in ends]
+            return
+        start, end, size = lows[j], highs[j], size // radices[j]  # or enter each value of j
+        value = start + -at % stride // size
+        while value <= end:
+            lows[j] = highs[j] = value
+            after = at + (value - start + 1) * size
+            yield from enter(j + 1, after - size, size)
+            value = start + (after + -after % stride - at) // size
+        lows[j], highs[j] = start, end
+
+    rank, end = first + -first % stride, first + rest[0]
+    while rank < end:
+        at, scale = first, 1  # find the structure holding rank
+        for j, alts in enumerate(digits):
+            for picks[j], (start, radix) in enumerate(alts):
+                size = scale * radix * rest[j + 1]
+                if rank < at + size:
+                    break
+                at += size
+            lows[j], highs[j], radices[j], scale = start, start + radix - 1, radix, scale * radix
+        yield from enter(0, at, scale)
+        rank = at + scale + -(at + scale) % stride
 
 
 def _bounded_sum(sizes, limit: int) -> int:
@@ -533,13 +591,14 @@ def _materialize_tree(m, parents, child_counts, extras, sums, out_degs, lo, hi
     for child, parent in enumerate(parents, start=1):
         children[parent].append(child)
     disks: list[DiskComponent] = [None] * m
+    actions, one, dp = [0] * m, Fraction(1), GeneratorKind.DOUBLE_POINT_POS
     for i in range(m - 1, -1, -1):
         inputs = [disks[c].output for c in children[i]] + [
-            Generator(f"x{i}_{s}", d, Fraction(1), GeneratorKind.DOUBLE_POINT_POS)
+            Generator(f"x{i}_{s}", d, one, dp)
             for s, d in enumerate(_distribute(sums[i], extras[i], lo, hi))]
-        action = sum((g.action for g in inputs), Fraction(1))
-        output = Generator(f"v{i}", out_degs[i], action, GeneratorKind.DOUBLE_POINT_POS)
-        disks[i] = DiskComponent(output, tuple(inputs))
+        actions[i] = 1 + extras[i] + sum(actions[c] for c in children[i])
+        disks[i] = DiskComponent(Generator(f"v{i}", out_degs[i], Fraction(actions[i]), dp),
+                                 tuple(inputs))
     edges = [(c, i, slot) for i in range(m) for slot, c in enumerate(children[i])]
     return PearlyTreeConfig(tuple(disks), tuple(edges))
 
@@ -547,18 +606,6 @@ def _materialize_tree(m, parents, child_counts, extras, sums, out_degs, lo, hi
 def _spread(ranges) -> Counter:
     """Counts of one digit that runs through each (start, radix) range."""
     return sum((Counter(_uniform(start, radix)) for start, radix in ranges), Counter())
-
-
-def _holding_samples(before: int, fixed: int, choices, stride: int):
-    """(ranks before it, picks) for each structure of one shape, first rank
-    ``before + 1``, that holds a multiple of ``stride``: structures pick a
-    radix from each of ``choices`` in product order and count ``fixed`` times
-    their picks."""
-    for picks in itertools.product(*[range(len(radices)) for radices in choices]):
-        count = fixed * math.prod(radices[p] for radices, p in zip(choices, picks))
-        if (before + count) // stride > before // stride:
-            yield before, picks
-        before += count
 
 
 def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
@@ -572,9 +619,8 @@ def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
     With each disk's extras summed out, a subtree's clipped output-degree
     counts depend only on its class: the sorted classes of its children.
     Each class is interned as an int and counted once, from the leaves up; a
-    shape counts as its root's class.  In a structure, each disk's output
-    degrees fill an interval, so it has in-window tuples iff no interval
-    clipped to the window, from the leaves up, is empty."""
+    shape counts as its root's class.  ``_walk`` finds its sampled in-window
+    tuples, disk i's output degree being its digit plus its children's."""
     lo, hi = bounds.degree_range
     cap, stride = bounds.max_inputs_per_disk, bounds.materialize_stride
     estimate = _estimate_trees(bounds)
@@ -582,6 +628,7 @@ def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
     # per child count c, each extras count e's (rigid + lo * e, radix) range
     ranges = [[(2 - c - e + lo * e, (hi - lo) * e + 1) for e in range(cap - c + 1)]
               for c in range(cap + 1)]
+    totals = [sum(map(itemgetter(1), per_extras)) for per_extras in ranges]
     class_ids: dict[tuple[int, ...], int] = {}
     classes: list[dict[int, int]] = []  # per class: clipped output-degree counts
     for m, parents, child_counts in _tree_shapes(bounds.max_disks, cap):
@@ -593,35 +640,20 @@ def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
             key = tuple(sorted([node[c] for c in children[i]]))
             node[i] = class_ids.get(key, -1)
             if node[i] < 0:
-                counts = _spread(ranges[len(key)])
-                for c in key:
-                    counts = _convolve(counts, classes[c])
+                counts = reduce(_convolve, [classes[c] for c in key], _spread(ranges[len(key)]))
                 class_ids[key] = node[i] = len(classes)
                 classes.append(_clip(counts, lo, hi))
         window = sum(classes[node[0]].values())
-        choices = [[radix for _, radix in ranges[c]] for c in child_counts]
-        before, enumerated = enumerated, enumerated + math.prod(map(sum, choices))
+        before, enumerated = enumerated, enumerated + math.prod(totals[c] for c in child_counts)
         in_window += window
         if not window or enumerated // stride == before // stride:
             continue
-        for first, extras in _holding_samples(before, 1, choices, stride):
-            ends = [(0, 0)] * m
-            for i in range(m - 1, -1, -1):
-                start, radix = ranges[child_counts[i]][extras[i]]
-                ends[i] = (max(lo, start + sum(ends[c][0] for c in children[i])),
-                           min(hi, start + radix - 1 + sum(ends[c][1] for c in children[i])))
-            if any(a > b for a, b in ends):
-                continue
-            rigid = [2 - child_counts[i] - extras[i] for i in range(m)]
-            for digits in _sample(first + 1, [(hi - lo) * e + 1 for e in extras], stride):
-                sums = [lo * e + d for e, d in zip(extras, digits)]
-                out_degs = [0] * m
-                for i in range(m - 1, -1, -1):
-                    out_degs[i] = rigid[i] + sums[i] + sum(out_degs[c] for c in children[i])
-                if all(lo <= d <= hi for d in out_degs):
-                    materialized += 1
-                    failures += not tree_ledger(_materialize_tree(
-                        m, parents, child_counts, extras, sums, out_degs, lo, hi)).telescoped
+        for extras, values, out_degs in _walk(before + 1, [ranges[c] for c in child_counts], [
+                (0, (i,), kids) for i, kids in enumerate(children)], lo, hi, stride):
+            sums = [v - 2 + c + e for v, c, e in zip(values, child_counts, extras)]
+            materialized += 1
+            failures += not tree_ledger(_materialize_tree(
+                m, parents, child_counts, extras, sums, out_degs, lo, hi)).telescoped
     return CounterexampleReport("trees", bounds._asdict(), estimate, enumerated, in_window,
                                 failures, materialized, [])
 
@@ -647,13 +679,6 @@ def _traj_shapes(bounds: TrajectorySearchBounds):
                     yield K, marks, attached
 
 
-def _bare_groups(marks, attached) -> list[tuple[int, str, int]]:
-    """(strip, side, bare count) for each nonempty side of each strip."""
-    return [(s, side, n - sum(1 for point in attached if point[:2] == (s, side)))
-            for s, (nb, nt) in enumerate(marks)
-            for side, n in (("bottom", nb), ("top", nt)) if n]
-
-
 def _disk_digit(n: int, lo: int, hi: int) -> tuple[int, int]:
     """Range start and radix of the output degree of a disk with n inputs."""
     start = max(lo, 2 - n + lo * n)
@@ -670,18 +695,6 @@ def _disk_radix_sum(cap: int, lo: int, hi: int) -> int:
     n0 = abs(lo) + abs(hi) + 3
     head = sum(_disk_digit(n, lo, hi)[1] for n in range(min(cap, n0) + 1))
     return head + max(0, cap - n0) * _disk_digit(n0, lo, hi)[1]
-
-
-def _traj_digits(marks, attached, disk_inputs, lo, hi):
-    """The digits of a structure's sum tuples in ``itertools.product``
-    order: the input chord degree, one bare sum per nonempty side of each
-    strip, one output degree per attached disk.  Returns the bare groups as
-    (strip, side, bare count) and each digit's range start and radix."""
-    bare_groups = _bare_groups(marks, attached)
-    digits = ([(lo, hi - lo + 1)] + [(lo * bare, (hi - lo) * bare + 1)
-                                     for _, _, bare in bare_groups]
-              + [_disk_digit(n, lo, hi) for n in disk_inputs])
-    return bare_groups, [start for start, _ in digits], [radix for _, radix in digits]
 
 
 def _estimate_trajectories(bounds: TrajectorySearchBounds) -> int:
@@ -713,23 +726,21 @@ def _estimate_trajectories(bounds: TrajectorySearchBounds) -> int:
     return _bounded_sum(sizes(), bounds.max_configs)
 
 
-def _materialize_trajectory(K, marks, attached, disk_inputs, c_in_deg,
-                            bare_groups, bare_sums, disk_outs, lo, hi
-                            ) -> BrokenTrajectoryConfig:
+def _materialize_trajectory(marks, attached, disk_inputs, c_in_deg, bare_groups, bare_sums,
+                            disk_outs, lo, hi) -> BrokenTrajectoryConfig:
     """bare_groups pairs each bare-sum value with its (strip, side, count)."""
+    one, dp, mixed = Fraction(1), GeneratorKind.DOUBLE_POINT_POS, GeneratorKind.MIXED_CHORD
     bare_degs = {(s, side): iter(_distribute(total, bare, lo, hi))
                  for (s, side, bare), total in zip(bare_groups, bare_sums)}
     disks_at: dict[tuple[int, str, int], DiskComponent] = {}
     for (s, side, pos), n, out_deg in zip(attached, disk_inputs, disk_outs):
-        inputs = tuple(Generator(f"di{s}_{pos}_{t}", d, Fraction(1),
-                                 GeneratorKind.DOUBLE_POINT_POS)
+        inputs = tuple(Generator(f"di{s}_{pos}_{t}", d, one, dp)
                        for t, d in enumerate(_distribute(out_deg - 2 + n, n, lo, hi)))
-        output = Generator(f"do{s}_{side}_{pos}", out_deg, Fraction(n + 1),
-                           GeneratorKind.DOUBLE_POINT_POS)
-        disks_at[s, side, pos] = DiskComponent(output, inputs)
+        disks_at[s, side, pos] = DiskComponent(
+            Generator(f"do{s}_{side}_{pos}", out_deg, Fraction(n + 1), dp), inputs)
     strips: list[StripComponent] = []
     attachments: dict[str, list] = {"bottom": [], "top": []}
-    chord = Generator("q0", c_in_deg, Fraction(1), GeneratorKind.MIXED_CHORD)
+    chord = Generator("q0", c_in_deg, one, mixed)
     for s, (nb, nt) in enumerate(marks):
         sides: dict[str, list[Generator]] = {"bottom": [], "top": []}
         for side, n in (("bottom", nb), ("top", nt)):
@@ -738,15 +749,12 @@ def _materialize_trajectory(K, marks, attached, disk_inputs, c_in_deg,
                 if disk is not None:
                     attachments[side].append((s, pos, disk))
                 sides[side].append(disk.output if disk is not None else Generator(
-                    f"m{s}_{side}_{pos}", next(bare_degs[s, side]), Fraction(1),
-                    GeneratorKind.DOUBLE_POINT_POS))
+                    f"m{s}_{side}_{pos}", next(bare_degs[s, side]), one, dp))
         degree = chord.degree + 1 - nb - nt + sum(g.degree for g in sides["bottom"] + sides["top"])
-        next_chord = Generator(f"q{s + 1}", degree, Fraction(1), GeneratorKind.MIXED_CHORD)
-        strips.append(StripComponent(next_chord, chord, tuple(sides["bottom"]),
-                                     tuple(sides["top"])))
+        next_chord = Generator(f"q{s + 1}", degree, one, mixed)
+        strips.append(StripComponent(next_chord, chord, *map(tuple, sides.values())))
         chord = next_chord
-    return BrokenTrajectoryConfig(tuple(strips), tuple(attachments["bottom"]),
-                                  tuple(attachments["top"]))
+    return BrokenTrajectoryConfig(tuple(strips), *map(tuple, attachments.values()))
 
 
 def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport:
@@ -759,72 +767,64 @@ def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport
     construction and are not tested per structure.
 
     With each attached disk's input count summed out, a strip's step counts
-    depend only on 1 - #marked and the ranges of the digits it owns, and the
-    clipped chord counts after a strip only on the steps so far.  Each step
-    and each prefix of steps is counted once, a prefix interned as an int,
-    ``prefix_ids[prefix, step]`` naming the longer one; a shape counts as
-    its last prefix.  In a structure holding a sampled rank no digit range is
-    empty, so each strip moves the chord through an interval, and it has
-    in-window tuples iff no chord interval clipped to the window is empty."""
-    lo, hi = bounds.degree_range
-    stride = bounds.materialize_stride
+    depend only on 1 - #marked, its bare counts and its attached disks, and
+    the clipped chord counts after a strip only on the steps so far.  Each
+    step and each prefix of steps is counted once, a prefix interned as an
+    int, ``prefix_ids[prefix, step]`` naming the longer one; a shape counts as
+    its last prefix.  ``_walk`` finds its sampled in-window tuples, the chord
+    after strip s being the chord before it plus 1 - #marked and its digits."""
+    (lo, hi), stride = bounds.degree_range, bounds.materialize_stride
     estimate = _estimate_trajectories(bounds)
     enumerated = in_window = failures = materialized = 0
     disk_digits = [_disk_digit(n, lo, hi) for n in range(bounds.max_inputs_per_disk + 1)]
+    disk_spread = _spread(disk_digits)  # a disk's output degrees over its input counts
+    disk_total = sum(disk_spread.values())
     steps: dict[tuple, dict[int, int]] = {}  # degree-change counts
     prefix_ids: dict[tuple[int, tuple], int] = {}
-    # per prefix: clipped chord counts; the empty one holds the input chord's digit
-    prefixes: list[dict[int, int]] = [_uniform(lo, hi - lo + 1)]
+    longer_ids: dict[tuple[int, tuple], int] = {}  # prefix_ids by a strip's side counts
+    prefixes, counts = [_uniform(lo, hi - lo + 1)], [hi - lo + 1]  # clipped chords, tuples
     for K, marks, attached in _traj_shapes(bounds):
-        bare = _bare_groups(marks, attached)
-        # each strip's digits as ranges: its bare sums', its attached disks' over input counts
-        owned = [[((lo * n, (hi - lo) * n + 1),) for t, _, n in bare if t == s]
-                 + [tuple(disk_digits) for point in attached if point[0] == s] for s in range(K)]
-        fixed = (hi - lo + 1) * math.prod((hi - lo) * n + 1 for _, _, n in bare)
+        sides = [[nb, nt, 0, 0] for nb, nt in marks]  # marked and attached, per side
+        for s, side, _ in attached:
+            sides[s][2 + (side == "top")] += 1
         prefix = 0
-        for (nb, nt), digits in zip(marks, owned):
-            step_key = (1 - nb - nt, tuple(sorted(digits)))
-            longer = prefix_ids.get((prefix, step_key), -1)
-            if longer < 0:
-                step = steps.get(step_key)
-                if step is None:
-                    step = {step_key[0]: 1}
-                    for ranges in step_key[1]:
-                        step = _convolve(step, _spread(ranges))
-                    steps[step_key] = step
-                prefix_ids[prefix, step_key] = longer = len(prefixes)
-                prefixes.append(_clip(_convolve(prefixes[prefix], step), lo, hi))
-            prefix = longer
+        for side_counts in map(tuple, sides):
+            if (prefix, side_counts) not in longer_ids:
+                nb, nt, ab, at = side_counts
+                bare = sorted(n - a for n, a in ((nb, ab), (nt, at)) if n)
+                key = (1 - nb - nt, ab + at, tuple(bare))
+                if key not in steps:
+                    spreads = [_uniform(lo * n, (hi - lo) * n + 1) for n in bare]
+                    steps[key] = reduce(_convolve, spreads + [disk_spread] * (ab + at),
+                                        {key[0]: 1})
+                if (prefix, key) not in prefix_ids:
+                    prefix_ids[prefix, key] = len(prefixes)
+                    prefixes.append(_clip(_convolve(prefixes[prefix], steps[key]), lo, hi))
+                    counts.append(counts[prefix] * disk_total ** (ab + at)
+                                  * math.prod((hi - lo) * n + 1 for n in bare))
+                longer_ids[prefix, side_counts] = prefix_ids[prefix, key]
+            prefix = longer_ids[prefix, side_counts]
         window = sum(prefixes[prefix].values())
-        choices = [[radix for _, radix in disk_digits]] * len(attached)
-        before, enumerated = enumerated, enumerated + fixed * math.prod(map(sum, choices))
+        before, enumerated = enumerated, enumerated + counts[prefix]
         in_window += window
         if not window or enumerated // stride == before // stride:
             continue
-        for first, disk_inputs in _holding_samples(before, fixed, choices, stride):
-            bare_groups, starts, radices = _traj_digits(marks, attached, disk_inputs, lo, hi)
-            # the strip each digit after the first (the input chord) belongs to
-            owners = [s for s, _, _ in bare_groups] + [point[0] for point in attached]
-            ends = [[1 - nb - nt] * 2 for nb, nt in marks]  # least and most chord change
-            for s, start, radix in zip(owners, starts[1:], radices[1:]):
-                ends[s][0] += start
-                ends[s][1] += start + radix - 1
-            if any(a > b for a, b in itertools.accumulate(
-                    ends, lambda c, d: (max(lo, c[0] + d[0]), min(hi, c[1] + d[1])),
-                    initial=(lo, hi))):
-                continue
-            for digits in _sample(first + 1, radices, stride):
-                values = [start + d for start, d in zip(starts, digits)]
-                deltas = [1 - nb - nt for nb, nt in marks]
-                for s, value in zip(owners, values[1:]):
-                    deltas[s] += value
-                if all(lo <= c <= hi
-                       for c in itertools.accumulate(deltas, initial=values[0])):
-                    split = 1 + len(bare_groups)
-                    materialized += 1
-                    failures += not trajectory_ledger(_materialize_trajectory(
-                        K, marks, attached, disk_inputs, values[0], bare_groups,
-                        values[1:split], values[split:], lo, hi)).telescoped
+        bare_groups = [(s, side, n - a) for s, (nb, nt, ab, at) in enumerate(sides)
+                       for side, n, a in (("bottom", nb, ab), ("top", nt, at)) if n]
+        # digits: the input chord, one bare sum per nonempty side, one output per disk
+        digits = ([[(lo, hi - lo + 1)]] + [[(lo * n, (hi - lo) * n + 1)] for *_, n in bare_groups]
+                  + [disk_digits] * len(attached))
+        owned: list[list[int]] = [[] for _ in marks]
+        for i, (s, *_) in enumerate([(0,)] + bare_groups + list(attached)):
+            owned[s].append(i)
+        derived = [(1 - sum(marks[s]), owned[s], (K - s,) if s else ())  # chords, last first
+                   for s in range(K - 1, -1, -1)]
+        split = 1 + len(bare_groups)
+        for picks, values, _ in _walk(before + 1, digits, derived, lo, hi, stride):
+            materialized += 1
+            failures += not trajectory_ledger(_materialize_trajectory(
+                marks, attached, picks[split:], values[0], bare_groups, values[1:split],
+                values[split:], lo, hi)).telescoped
     return CounterexampleReport("trajectories", bounds._asdict(), estimate, enumerated,
                                 in_window, failures, materialized, [])
 
@@ -844,13 +844,10 @@ def exhaustive_search(bounds) -> CounterexampleReport:
     proof).  ``estimated_configs`` is summed, and refused past
     ``max_configs``, before any counting; ``enumerated`` equals it.
     ``in_window`` is counted exactly, per shape, by convolving degree counts
-    clipped to the degree range, linear steps that let each disk's extras and
-    each attached disk's input count be summed out.  Every tuple whose
-    1-based position in the unpruned enumeration is a multiple of
-    ``materialize_stride`` and that lies in the window is materialized and
-    pushed through the full ledger objects; only the structures holding
-    such a position are visited.
-    """
+    clipped to the degree range, which lets each disk's extras and each
+    attached disk's input count be summed out.  ``_walk`` finds each
+    in-window tuple whose 1-based position in the unpruned enumeration is a
+    multiple of ``materialize_stride``; it is checked by the full ledgers."""
     if isinstance(bounds, TreeSearchBounds):
         return _search_trees(bounds)
     if isinstance(bounds, TrajectorySearchBounds):

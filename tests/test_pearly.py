@@ -38,6 +38,34 @@ def _traj_structures(bounds):
             yield K, marks, attached, disk_inputs
 
 
+def _traj_digits(marks, attached, disk_inputs, lo, hi):
+    """The digits of a trajectory structure's sum tuples in
+    ``itertools.product`` order: the input chord degree, one bare sum per
+    nonempty side of each strip, one output degree per attached disk.
+    Returns the bare groups as (strip, side, bare count) and each digit's
+    range start and radix."""
+    bare_groups = [(s, side, n - sum(1 for point in attached if point[:2] == (s, side)))
+                   for s, (nb, nt) in enumerate(marks)
+                   for side, n in (("bottom", nb), ("top", nt)) if n]
+    digits = ([(lo, hi - lo + 1)] + [(lo * bare, (hi - lo) * bare + 1)
+                                     for _, _, bare in bare_groups]
+              + [pearly._disk_digit(n, lo, hi) for n in disk_inputs])
+    return bare_groups, [start for start, _ in digits], [radix for _, radix in digits]
+
+
+def _sample(first_index, radices, stride):
+    """Digits of a structure's tuples whose 1-based position in the unpruned
+    enumeration (``first_index`` for its first tuple) is a multiple of
+    ``stride``, decoded in ``itertools.product`` order: first digit most
+    significant."""
+    first_sampled = -(-first_index // stride) * stride
+    for rank in range(first_sampled - first_index, math.prod(radices), stride):
+        digits = [0] * len(radices)
+        for j in range(len(radices) - 1, -1, -1):
+            rank, digits[j] = divmod(rank, radices[j])
+        yield digits
+
+
 class Tally:
     """A search oracle's running counts, built into one report at the end."""
 
@@ -457,14 +485,14 @@ def brute_force_trajectories(bounds):
                         tally.telescope_failures += 1
                     if lhs == 1 - k_plus_l and M >= 2:
                         traj = _materialize_trajectory(
-                            K, marks, attached, disk_inputs, c_in_deg,
+                            marks, attached, disk_inputs, c_in_deg,
                             bare_groups, bare_sums, disk_outs, lo, hi)
                         tally.counterexamples.append({
                             "strips": K, "attached": a_count,
                             "ledger": trajectory_ledger(traj)._asdict()})
                     elif tally.enumerated % bounds.materialize_stride == 0:
                         traj = _materialize_trajectory(
-                            K, marks, attached, disk_inputs, c_in_deg,
+                            marks, attached, disk_inputs, c_in_deg,
                             bare_groups, bare_sums, disk_outs, lo, hi)
                         tally.materialized += 1
                         if not trajectory_ledger(traj).telescoped:
@@ -628,7 +656,7 @@ def per_structure_trees(bounds):
                 tally.counterexamples.append(
                     {"disks": m, "externals": k, "lhs": lhs, "in_window": in_window})
             continue
-        for digits in pearly._sample(first_index, radices, bounds.materialize_stride):
+        for digits in _sample(first_index, radices, bounds.materialize_stride):
             sums = [lo * e + d for e, d in zip(extras, digits)]
             out_degs = [0] * m
             for i in range(m - 1, -1, -1):
@@ -647,7 +675,7 @@ def per_structure_trajectories(bounds):
     lo, hi = bounds.degree_range
     estimated_configs, tally = _estimate_trajectories(bounds), Tally()
     for K, marks, attached, disk_inputs in _traj_structures(bounds):
-        bare_groups, starts, radices = pearly._traj_digits(
+        bare_groups, starts, radices = _traj_digits(
             marks, attached, disk_inputs, lo, hi)
         owners = [s for s, _, _ in bare_groups] + [point[0] for point in attached]
         steps = [{1 - nb - nt: 1} for nb, nt in marks]
@@ -672,7 +700,7 @@ def per_structure_trajectories(bounds):
                     {"strips": K, "attached": a_count, "lhs": lhs,
                      "in_window": in_window})
             continue
-        for digits in pearly._sample(first_index, radices, bounds.materialize_stride):
+        for digits in _sample(first_index, radices, bounds.materialize_stride):
             values = [start + d for start, d in zip(starts, digits)]
             deltas = [1 - nb - nt for nb, nt in marks]
             for s, value in zip(owners, values[1:]):
@@ -681,7 +709,7 @@ def per_structure_trajectories(bounds):
                    for c in itertools.accumulate(deltas, initial=values[0])):
                 split = 1 + len(bare_groups)
                 traj = _materialize_trajectory(
-                    K, marks, attached, disk_inputs, values[0], bare_groups,
+                    marks, attached, disk_inputs, values[0], bare_groups,
                     values[1:split], values[split:], lo, hi)
                 tally.materialized += 1
                 if not trajectory_ledger(traj).telescoped:
@@ -716,7 +744,7 @@ def test_memoized_search_matches_per_structure_oracle(bounds):
 def test_mid_size_grid_reaches_radix_zero_digits():
     bounds = MID_SIZE[-1]
     lo, hi = bounds.degree_range
-    assert any(0 in pearly._traj_digits(marks, attached, inputs, lo, hi)[2]
+    assert any(0 in _traj_digits(marks, attached, inputs, lo, hi)[2]
                for _, marks, attached, inputs in _traj_structures(bounds))
 
 
@@ -742,7 +770,7 @@ def reference_tree(m, parents, child_counts, extras, sums, out_degs, lo, hi):
     return PearlyTreeConfig(tuple(disks), tuple(edges))
 
 
-def reference_trajectory(K, marks, attached, disk_inputs, c_in_deg, bare_groups, bare_sums,
+def reference_trajectory(marks, attached, disk_inputs, c_in_deg, bare_groups, bare_sums,
                          disk_outs, lo, hi):
     bare_degs = {(s, side): iter(pearly._distribute(total, bare, lo, hi))
                  for (s, side, bare), total in zip(bare_groups, bare_sums)}
@@ -841,30 +869,51 @@ def holding_a_sample(bounds):
         counts = [math.prod((hi - lo) * e + 1 for e in extras) for *_, extras in
                   _tree_structures(bounds.max_disks, bounds.max_inputs_per_disk)]
     else:
-        counts = [math.prod(pearly._traj_digits(marks, attached, inputs, lo, hi)[2])
+        counts = [math.prod(_traj_digits(marks, attached, inputs, lo, hi)[2])
                   for _, marks, attached, inputs in _traj_structures(bounds)]
     first_ranks = itertools.accumulate(counts, initial=0)
     return sum((first + count) // bounds.materialize_stride > first // bounds.materialize_stride
                for first, count in zip(first_ranks, counts))
 
 
+def count_walking(monkeypatch):
+    """Count, during the next searches, the shapes walked, the sampled tuples
+    the walker decodes and how many of them it rejects, and its box tests and
+    how many of them clip empty.  The walker passes a decoded tuple to
+    ``_clear`` as both box ends."""
+    counts = {"walks": 0, "decoded": 0, "rejected": 0, "boxes": 0, "pruned": 0}
+
+    def walk(*args, real=pearly._walk):
+        counts["walks"] += 1
+        return real(*args)
+
+    def clear(lows, highs, *args, real=pearly._clear):
+        ends = real(lows, highs, *args)
+        if lows is highs:
+            counts["decoded"] += 1
+            counts["rejected"] += ends is None
+        else:
+            counts["boxes"] += 1
+            counts["pruned"] += ends is None
+        return ends
+
+    monkeypatch.setattr(pearly, "_walk", walk)
+    monkeypatch.setattr(pearly, "_clear", clear)
+    return counts
+
+
 def test_trajectory_digits_derived_only_where_a_sample_falls(monkeypatch):
-    # digits are derived once for each of the 210 of the 2,667 structures
-    # that hold a sampled rank, and for no other (all 210 hold in-window tuples)
+    # each of the 210 of the 2,667 structures that hold a sampled rank holds
+    # one, in a shape of its own: the walker tests each one's box once (all
+    # 210 hold in-window tuples) and decodes its one tuple, and no other
     bounds = TrajectorySearchBounds(max_strips=3, max_attached_disks=2, degree_range=(-3, 4))
     assert sum(1 for _ in _traj_structures(bounds)) == 2_667
     assert holding_a_sample(bounds) == 210
-    calls = []
-
-    def counting(*args, real=pearly._traj_digits):
-        calls.append(None)
-        return real(*args)
-
-    monkeypatch.setattr(pearly, "_traj_digits", counting)
+    counts = count_walking(monkeypatch)
     report = exhaustive_search(bounds)
     assert (report.enumerated, report.in_window, report.materialized) == (
         4_211_384, 1_995_121, 79)
-    assert len(calls) == 210
+    assert counts == {"walks": 210, "decoded": 210, "rejected": 131, "boxes": 210, "pruned": 0}
 
 
 @pytest.mark.parametrize("bounds,holding,decoded", [
@@ -874,48 +923,93 @@ def test_trajectory_digits_derived_only_where_a_sample_falls(monkeypatch):
      230, 0),
 ])
 def test_no_decoding_where_no_tuple_is_in_window(monkeypatch, bounds, holding, decoded):
-    # a structure whose in-window count is 0 holds no sampled tuple that
-    # could be materialized, so its sample is not decoded
+    # a shape whose in-window count is 0 is not walked, and a structure whose
+    # box has no in-window tuple holds no sampled tuple that could be
+    # materialized, so none of its tuples is decoded: each structure here
+    # holds one sampled rank, and only those whose box passes are decoded
     assert holding_a_sample(bounds) == holding
-    calls = []
-
-    def counting(*args, real=pearly._sample):
-        calls.append(None)
-        return real(*args)
-
-    monkeypatch.setattr(pearly, "_sample", counting)
+    counts = count_walking(monkeypatch)
     report = assert_matches_oracle(bounds)
-    assert len(calls) == decoded and report.materialized == decoded
+    assert counts["walks"] == counts["decoded"] == report.materialized == decoded
+    assert counts["boxes"] - counts["pruned"] == decoded and not counts["rejected"]
 
 
 def test_no_decoding_where_a_structure_has_no_tuple_in_window(monkeypatch):
     # every shape here has in-window tuples, yet 3 of the 31 structures that
-    # hold a sampled rank have none, found tuple by tuple: only 28 are decoded
+    # hold a sampled rank have none, found tuple by tuple: their boxes clip
+    # empty, and only the 45 sampled tuples of the other 28 are decoded
     bounds = TrajectorySearchBounds(max_strips=1, max_marked_per_strip=2, max_total_marked=2,
                                     max_attached_disks=2, max_inputs_per_disk=1,
                                     degree_range=(0, 2), materialize_stride=7)
     lo, hi = bounds.degree_range
-    first = holding = with_window = 0
+    first = holding = with_window = sampled = 0
     for _, marks, attached, inputs in _traj_structures(bounds):
-        _, starts, radices = pearly._traj_digits(marks, attached, inputs, lo, hi)
+        _, starts, radices = _traj_digits(marks, attached, inputs, lo, hi)
         count = math.prod(radices)
         if (first + count) // bounds.materialize_stride > first // bounds.materialize_stride:
             holding += 1
             # one strip: the output chord is the sum of the digits plus 1 - #marked
-            with_window += any(
-                lo <= sum(start + d for start, d in zip(starts, digits)) + 1 - sum(marks[0]) <= hi
-                for digits in itertools.product(*map(range, radices)))
+            if any(lo <= sum(start + d for start, d in zip(starts, digits)) + 1 - sum(marks[0]) <= hi
+                   for digits in itertools.product(*map(range, radices))):
+                with_window += 1
+                sampled += len(list(_sample(first + 1, radices, bounds.materialize_stride)))
         first += count
-    assert (holding, with_window) == (31, 28)
-    calls = []
-
-    def counting(*args, real=pearly._sample):
-        calls.append(None)
-        return real(*args)
-
-    monkeypatch.setattr(pearly, "_sample", counting)
+    assert (holding, with_window, sampled) == (31, 28, 45)
+    counts = count_walking(monkeypatch)
     report = assert_matches_oracle(bounds)
-    assert len(calls) == 28 and report.materialized == 17
+    assert report.materialized == 17
+    assert counts == {"walks": 16, "decoded": 45, "rejected": 28, "boxes": 32, "pruned": 3}
+
+
+def test_walker_rejections_at_five_disks(monkeypatch):
+    # the default stride leaves one sampled rank per block of a few thousand
+    # tuples; no box holding several clips empty, so each sampled tuple is
+    # decoded once, and the 8,601 outside the window are rejected
+    counts = count_walking(monkeypatch)
+    report = exhaustive_search(TreeSearchBounds(max_disks=5, max_configs=10**9))
+    assert (report.enumerated, report.in_window, report.materialized) == (
+        186_421_946, 13_470_448, 720)
+    assert counts == {"walks": 31, "decoded": 9_321, "rejected": 8_601, "boxes": 4_306,
+                      "pruned": 0}
+
+
+def brute_walk(first, digits, derived, lo, hi, stride):
+    """Every tuple of the structures of ``digits`` in product order, kept
+    where its rank is a multiple of ``stride`` and each derived degree lies
+    in [lo, hi]."""
+    rank = first
+    for picks in itertools.product(*[range(len(alts)) for alts in digits]):
+        ranges = [range(start, start + radix) for start, radix in
+                  (alts[p] for alts, p in zip(digits, picks))]
+        for values in itertools.product(*ranges):
+            rank += 1
+            degrees = [0] * len(derived)
+            for k in range(len(derived) - 1, -1, -1):
+                const, own, later = derived[k]
+                degrees[k] = const + sum(values[i] for i in own) + sum(degrees[c] for c in later)
+            if (rank - 1) % stride == 0 and all(lo <= d <= hi for d in degrees):
+                yield picks, list(values), degrees
+
+
+def test_walker_matches_a_product_scan(monkeypatch):
+    import random
+    rng = random.Random(20)
+    walked, counts = 0, count_walking(monkeypatch)
+    for _ in range(2_000):
+        n = rng.randint(1, 5)
+        digits = [[(rng.randint(-4, 4), rng.randint(0, 4)) for _ in range(rng.choice((1, 1, 2, 3)))]
+                  for _ in range(n)]
+        size = rng.randint(1, 4)
+        derived = [(rng.randint(-3, 3), rng.sample(range(n), rng.randint(0, n)),
+                    rng.sample(range(k + 1, size), rng.randint(0, size - k - 1)))
+                   for k in range(size)]
+        lo = rng.randint(-6, 3)
+        hi, first, stride = lo + rng.randint(0, 9), rng.randint(1, 40), rng.randint(1, 13)
+        expected = list(brute_walk(first, digits, derived, lo, hi, stride))
+        assert list(pearly._walk(first, digits, derived, lo, hi, stride)) == expected
+        walked += bool(expected)
+    # a fifth yield tuples; boxes holding several sampled ranks clip empty
+    assert walked > 400 and counts["pruned"] > 5_000
 
 
 def test_structure_ledgers_hold_by_construction():
@@ -972,7 +1066,7 @@ def test_trajectory_estimate_matches_structure_counts(degree_range):
         bounds = TrajectorySearchBounds(max_strips=K, max_marked_per_strip=m,
                                         max_total_marked=T, max_attached_disks=A,
                                         max_inputs_per_disk=inputs, degree_range=degree_range)
-        walked = sum(math.prod(pearly._traj_digits(marks, attached, disk_inputs, lo, hi)[2])
+        walked = sum(math.prod(_traj_digits(marks, attached, disk_inputs, lo, hi)[2])
                      for _, marks, attached, disk_inputs in _traj_structures(bounds))
         assert _estimate_trajectories(bounds) == walked
 
