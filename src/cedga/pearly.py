@@ -739,22 +739,23 @@ def _materialize_trajectory(marks, attached, disk_inputs, c_in_deg, bare_groups,
         disks_at[s, side, pos] = DiskComponent(
             Generator(f"do{s}_{side}_{pos}", out_deg, Fraction(n + 1), dp), inputs)
     strips: list[StripComponent] = []
-    attachments: dict[str, list] = {"bottom": [], "top": []}
+    bottom, top = [], []  # attachments per side
     chord = Generator("q0", c_in_deg, one, mixed)
     for s, (nb, nt) in enumerate(marks):
-        sides: dict[str, list[Generator]] = {"bottom": [], "top": []}
-        for side, n in (("bottom", nb), ("top", nt)):
+        sides, degree = ([], []), chord.degree + 1 - nb - nt  # marked generators per side
+        for side, n, marked, attachments in (("bottom", nb, sides[0], bottom),
+                                             ("top", nt, sides[1], top)):
             for pos in range(n):
                 disk = disks_at.get((s, side, pos))
                 if disk is not None:
-                    attachments[side].append((s, pos, disk))
-                sides[side].append(disk.output if disk is not None else Generator(
+                    attachments.append((s, pos, disk))
+                marked.append(disk.output if disk is not None else Generator(
                     f"m{s}_{side}_{pos}", next(bare_degs[s, side]), one, dp))
-        degree = chord.degree + 1 - nb - nt + sum(g.degree for g in sides["bottom"] + sides["top"])
+                degree += marked[-1].degree
         next_chord = Generator(f"q{s + 1}", degree, one, mixed)
-        strips.append(StripComponent(next_chord, chord, *map(tuple, sides.values())))
+        strips.append(StripComponent(next_chord, chord, tuple(sides[0]), tuple(sides[1])))
         chord = next_chord
-    return BrokenTrajectoryConfig(tuple(strips), *map(tuple, attachments.values()))
+    return BrokenTrajectoryConfig(tuple(strips), tuple(bottom), tuple(top))
 
 
 def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport:
