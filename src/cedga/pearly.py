@@ -497,18 +497,18 @@ def _clear(lows, highs, derived, lo: int, hi: int):
 
 
 def _walk(first: int, digits, derived, lo: int, hi: int, stride: int):
-    """(picks, values, degrees) of each tuple of one shape whose 1-based rank
-    in the unpruned enumeration (``first`` for the shape's first tuple) is a
-    multiple of ``stride`` and whose derived degrees all lie in [lo, hi].
-    A structure picks one (start, radix) range per entry of ``digits``, in
-    ``itertools.product`` order, and runs through them, first digit most
-    significant.  The walk jumps from one sampled rank to the structure
-    holding it.  A structure, or a prefix of its digit values holding several
-    sampled ranks, is entered digit by digit only if ``_clear`` finds its box
-    nonempty; a prefix holding one has its tuple decoded and tested."""
+    """(picks, values, degrees) of each tuple of one shape at a 1-based rank
+    (``first`` for its first tuple) that is a multiple of ``stride``, with
+    every derived degree in [lo, hi].  Structures pick one (start, radix)
+    range per entry of ``digits`` in ``itertools.product`` order and run
+    through them, first digit most significant.  From each sampled rank the
+    walk jumps to its structure; a structure, or a digit prefix holding
+    several sampled ranks, is entered only if ``_clear`` finds its box
+    nonempty, and a prefix holding one has its tuple decoded and tested."""
     n = len(digits)
-    totals = [sum(map(itemgetter(1), alts)) for alts in digits]
-    rest = [math.prod(totals[j:]) for j in range(n + 1)]  # tuples per picks before j
+    rest = [1] * (n + 1)  # tuples per picks before j
+    for j in range(n - 1, -1, -1):
+        rest[j] = rest[j + 1] * sum(map(itemgetter(1), digits[j]))
     picks, lows, highs, radices = [0] * n, [0] * n, [0] * n, [0] * n
 
     def enter(j, at, size):  # ranks at..at + size - 1, digit values before j fixed
@@ -524,7 +524,7 @@ def _walk(first: int, digits, derived, lo: int, hi: int, stride: int):
             if ends is not None:
                 yield tuple(picks), values, [a for a, _ in ends]
             return
-        start, end, size = lows[j], highs[j], size // radices[j]  # or enter each value of j
+        start, end, size = lows[j], highs[j], size // radices[j]  # else each value of digit j
         value = start + -at % stride // size
         while value <= end:
             lows[j] = highs[j] = value
@@ -738,8 +738,7 @@ def _materialize_trajectory(marks, attached, disk_inputs, c_in_deg, bare_groups,
                        for t, d in enumerate(_distribute(out_deg - 2 + n, n, lo, hi)))
         disks_at[s, side, pos] = DiskComponent(
             Generator(f"do{s}_{side}_{pos}", out_deg, Fraction(n + 1), dp), inputs)
-    strips: list[StripComponent] = []
-    bottom, top = [], []  # attachments per side
+    strips, bottom, top = [], [], []  # bottom, top: the attachments per side
     chord = Generator("q0", c_in_deg, one, mixed)
     for s, (nb, nt) in enumerate(marks):
         sides, degree = ([], []), chord.degree + 1 - nb - nt  # marked generators per side
@@ -779,7 +778,6 @@ def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport
     enumerated = in_window = failures = materialized = 0
     disk_digits = [_disk_digit(n, lo, hi) for n in range(bounds.max_inputs_per_disk + 1)]
     disk_spread = _spread(disk_digits)  # a disk's output degrees over its input counts
-    disk_total = sum(disk_spread.values())
     steps: dict[tuple, dict[int, int]] = {}  # degree-change counts
     prefix_ids: dict[tuple[int, tuple], int] = {}
     longer_ids: dict[tuple[int, tuple], int] = {}  # prefix_ids by a strip's side counts
@@ -801,7 +799,7 @@ def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport
                 if (prefix, key) not in prefix_ids:
                     prefix_ids[prefix, key] = len(prefixes)
                     prefixes.append(_clip(_convolve(prefixes[prefix], steps[key]), lo, hi))
-                    counts.append(counts[prefix] * disk_total ** (ab + at)
+                    counts.append(counts[prefix] * sum(disk_spread.values()) ** (ab + at)
                                   * math.prod((hi - lo) * n + 1 for n in bare))
                 longer_ids[prefix, side_counts] = prefix_ids[prefix, key]
             prefix = longer_ids[prefix, side_counts]
@@ -810,14 +808,17 @@ def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport
         in_window += window
         if not window or enumerated // stride == before // stride:
             continue
-        bare_groups = [(s, side, n - a) for s, (nb, nt, ab, at) in enumerate(sides)
-                       for side, n, a in (("bottom", nb, ab), ("top", nt, at)) if n]
         # digits: the input chord, one bare sum per nonempty side, one output per disk
-        digits = ([[(lo, hi - lo + 1)]] + [[(lo * n, (hi - lo) * n + 1)] for *_, n in bare_groups]
-                  + [disk_digits] * len(attached))
-        owned: list[list[int]] = [[] for _ in marks]
-        for i, (s, *_) in enumerate([(0,)] + bare_groups + list(attached)):
-            owned[s].append(i)
+        bare_groups, digits, owned = [], [[(lo, hi - lo + 1)]], [[0]] + [[] for _ in marks[1:]]
+        for s, (nb, nt, ab, at) in enumerate(sides):
+            for side, n, bare in (("bottom", nb, nb - ab), ("top", nt, nt - at)):
+                if n:
+                    owned[s].append(len(digits))
+                    bare_groups.append((s, side, bare))
+                    digits.append([(lo * bare, (hi - lo) * bare + 1)])
+        for s, _, _ in attached:
+            owned[s].append(len(digits))
+            digits.append(disk_digits)
         derived = [(1 - sum(marks[s]), owned[s], (K - s,) if s else ())  # chords, last first
                    for s in range(K - 1, -1, -1)]
         split = 1 + len(bare_groups)
