@@ -478,22 +478,21 @@ def _clip(dist: dict[int, int], lo: int, hi: int) -> dict[int, int]:
     return {d: c for d, c in dist.items() if lo <= d <= hi}
 
 
-def _clear(lows, highs, derived, lo: int, hi: int):
-    """Each derived degree's interval over the box of digit values lows[i] to
-    highs[i], clipped to [lo, hi], or None once one is empty.  Entry k of
-    ``derived`` (constant, digits, later entries) sums them; last one first."""
-    ends = [None] * len(derived)
+def _degrees(values, derived, lo: int, hi: int):
+    """The derived degrees of one tuple of digit values, or None once one
+    leaves [lo, hi].  Entry k of ``derived`` (constant, digits, later
+    entries) sums them; last one first."""
+    degrees = [0] * len(derived)
     for k in range(len(derived) - 1, -1, -1):
-        a, own, later = derived[k]
-        b = a
+        d, own, later = derived[k]
         for i in own:
-            a, b = a + lows[i], b + highs[i]
+            d += values[i]
         for c in later:
-            a, b = a + ends[c][0], b + ends[c][1]
-        if a > hi or b < lo:  # a <= b, as every digit range and later interval is nonempty
+            d += degrees[c]
+        if d < lo or d > hi:
             return None
-        ends[k] = (a if a > lo else lo, b if b < hi else hi)
-    return ends
+        degrees[k] = d
+    return degrees
 
 
 def _walk(first: int, digits, derived, lo: int, hi: int, stride: int):
@@ -502,37 +501,13 @@ def _walk(first: int, digits, derived, lo: int, hi: int, stride: int):
     every derived degree in [lo, hi].  Structures pick one (start, radix)
     range per entry of ``digits`` in ``itertools.product`` order and run
     through them, first digit most significant.  From each sampled rank the
-    walk jumps to its structure; a structure, or a digit prefix holding
-    several sampled ranks, is entered only if ``_clear`` finds its box
-    nonempty, and a prefix holding one has its tuple decoded and tested."""
+    walk jumps to its structure, then decodes and tests every sampled rank
+    in it."""
     n = len(digits)
     rest = [1] * (n + 1)  # tuples per picks before j
     for j in range(n - 1, -1, -1):
         rest[j] = rest[j + 1] * sum(map(itemgetter(1), digits[j]))
-    picks, lows, highs, radices = [0] * n, [0] * n, [0] * n, [0] * n
-
-    def enter(j, at, size):  # ranks at..at + size - 1, digit values before j fixed
-        held = (at - 1 + size) // stride - (at - 1) // stride
-        if (held > 1 or not j) and _clear(lows, highs, derived, lo, hi) is None:
-            return
-        if held == 1:  # decode and test its one sampled tuple
-            offset, values = -at % stride, lows[:]
-            for i in range(n - 1, j - 1, -1):
-                offset, d = divmod(offset, radices[i])
-                values[i] += d
-            ends = _clear(values, values, derived, lo, hi)
-            if ends is not None:
-                yield tuple(picks), values, [a for a, _ in ends]
-            return
-        start, end, size = lows[j], highs[j], size // radices[j]  # else each value of digit j
-        value = start + -at % stride // size
-        while value <= end:
-            lows[j] = highs[j] = value
-            after = at + (value - start + 1) * size
-            yield from enter(j + 1, after - size, size)
-            value = start + (after + -after % stride - at) // size
-        lows[j], highs[j] = start, end
-
+    picks, starts, radices = [0] * n, [0] * n, [0] * n
     rank, end = first + -first % stride, first + rest[0]
     while rank < end:
         at, scale = first, 1  # find the structure holding rank
@@ -542,8 +517,15 @@ def _walk(first: int, digits, derived, lo: int, hi: int, stride: int):
                 if rank < at + size:
                     break
                 at += size
-            lows[j], highs[j], radices[j], scale = start, start + radix - 1, radix, scale * radix
-        yield from enter(0, at, scale)
+            starts[j], radices[j], scale = start, radix, scale * radix
+        for offset in range(rank - at, scale, stride):
+            values = starts[:]
+            for i in range(n - 1, -1, -1):
+                offset, d = divmod(offset, radices[i])
+                values[i] += d
+            degrees = _degrees(values, derived, lo, hi)
+            if degrees is not None:
+                yield tuple(picks), values, degrees
         rank = at + scale + -(at + scale) % stride
 
 
@@ -847,9 +829,9 @@ def exhaustive_search(bounds) -> CounterexampleReport:
     ``max_configs``, before any counting; ``enumerated`` equals it.
     ``in_window`` is counted exactly, per shape, by convolving degree counts
     clipped to the degree range, which lets each disk's extras and each
-    attached disk's input count be summed out.  ``_walk`` finds each
-    in-window tuple whose 1-based position in the unpruned enumeration is a
-    multiple of ``materialize_stride``; it is checked by the full ledgers."""
+    attached disk's input count be summed out.  In a shape with in-window
+    tuples ``_walk`` decodes each tuple at a 1-based position that is a multiple
+    of ``materialize_stride``; the full ledgers check those in the window."""
     if isinstance(bounds, TreeSearchBounds):
         return _search_trees(bounds)
     if isinstance(bounds, TrajectorySearchBounds):

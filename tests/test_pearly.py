@@ -134,6 +134,7 @@ def test_tree_validation_errors():
 def test_diskless_tree():
     gen = dp("x", 1, 1)
     tree = PearlyTreeConfig((), (), edge_generator=gen)
+    assert tree.all_generators() == tree.external_inputs() == [gen]
     ledger = tree_ledger(tree)
     assert ledger.m == 0 and ledger.k == 1 and ledger.telescoped
     verdict = tree_verdict(tree)
@@ -325,6 +326,12 @@ def test_search_refuses_oversized_bounds():
     with pytest.raises(BoundsTooLargeError) as exc:
         exhaustive_search(TreeSearchBounds(max_disks=4, max_configs=1000))
     assert exc.value.estimate > 1000
+
+
+def test_search_refuses_foreign_bounds():
+    # the fields of tree bounds in a plain tuple select no search
+    with pytest.raises(TypeError, match="unsupported bounds"):
+        exhaustive_search(tuple(TreeSearchBounds()))
 
 
 def test_telescoping_on_randomized_larger_trees():
@@ -878,34 +885,28 @@ def holding_a_sample(bounds):
 
 def count_walking(monkeypatch):
     """Count, during the next searches, the shapes walked, the sampled tuples
-    the walker decodes and how many of them it rejects, and its box tests and
-    how many of them clip empty.  The walker passes a decoded tuple to
-    ``_clear`` as both box ends."""
-    counts = {"walks": 0, "decoded": 0, "rejected": 0, "boxes": 0, "pruned": 0}
+    the walker decodes and how many of them it rejects."""
+    counts = {"walks": 0, "decoded": 0, "rejected": 0}
 
     def walk(*args, real=pearly._walk):
         counts["walks"] += 1
         return real(*args)
 
-    def clear(lows, highs, *args, real=pearly._clear):
-        ends = real(lows, highs, *args)
-        if lows is highs:
-            counts["decoded"] += 1
-            counts["rejected"] += ends is None
-        else:
-            counts["boxes"] += 1
-            counts["pruned"] += ends is None
-        return ends
+    def degrees(*args, real=pearly._degrees):
+        found = real(*args)
+        counts["decoded"] += 1
+        counts["rejected"] += found is None
+        return found
 
     monkeypatch.setattr(pearly, "_walk", walk)
-    monkeypatch.setattr(pearly, "_clear", clear)
+    monkeypatch.setattr(pearly, "_degrees", degrees)
     return counts
 
 
 def test_trajectory_digits_derived_only_where_a_sample_falls(monkeypatch):
     # each of the 210 of the 2,667 structures that hold a sampled rank holds
-    # one, in a shape of its own: the walker tests each one's box once (all
-    # 210 hold in-window tuples) and decodes its one tuple, and no other
+    # one, in a shape of its own: the walker decodes and tests that one
+    # tuple, and no other
     bounds = TrajectorySearchBounds(max_strips=3, max_attached_disks=2, degree_range=(-3, 4))
     assert sum(1 for _ in _traj_structures(bounds)) == 2_667
     assert holding_a_sample(bounds) == 210
@@ -913,31 +914,39 @@ def test_trajectory_digits_derived_only_where_a_sample_falls(monkeypatch):
     report = exhaustive_search(bounds)
     assert (report.enumerated, report.in_window, report.materialized) == (
         4_211_384, 1_995_121, 79)
-    assert counts == {"walks": 210, "decoded": 210, "rejected": 131, "boxes": 210, "pruned": 0}
+    assert counts == {"walks": 210, "decoded": 210, "rejected": 131}
 
 
-@pytest.mark.parametrize("bounds,holding,decoded", [
+def test_tree_walks_at_the_acceptance_bounds(monkeypatch):
+    counts = count_walking(monkeypatch)
+    report = exhaustive_search(TreeSearchBounds(max_disks=4, max_inputs_per_disk=3,
+                                                degree_range=(-3, 4)))
+    assert report.materialized == 15
+    assert counts == {"walks": 8, "decoded": 130, "rejected": 115}
+
+
+@pytest.mark.parametrize("bounds,holding,walking,materialized", [
     (TreeSearchBounds(max_disks=3, max_inputs_per_disk=2, degree_range=(2, 3),
-                      materialize_stride=7), 15, 1),
+                      materialize_stride=7), 15, (1, 3, 2), 1),
     (TrajectorySearchBounds(max_strips=2, degree_range=(2, 3), materialize_stride=7),
-     230, 0),
+     230, (0, 0, 0), 0),
 ])
-def test_no_decoding_where_no_tuple_is_in_window(monkeypatch, bounds, holding, decoded):
-    # a shape whose in-window count is 0 is not walked, and a structure whose
-    # box has no in-window tuple holds no sampled tuple that could be
-    # materialized, so none of its tuples is decoded: each structure here
-    # holds one sampled rank, and only those whose box passes are decoded
+def test_no_walk_where_a_shape_has_no_tuple_in_window(monkeypatch, bounds, holding, walking,
+                                                      materialized):
+    # a shape whose in-window count is 0 is not walked: each structure here
+    # holds one sampled rank, and only the one shape with in-window tuples
+    # has its sampled tuples decoded
     assert holding_a_sample(bounds) == holding
     counts = count_walking(monkeypatch)
     report = assert_matches_oracle(bounds)
-    assert counts["walks"] == counts["decoded"] == report.materialized == decoded
-    assert counts["boxes"] - counts["pruned"] == decoded and not counts["rejected"]
+    assert (counts["walks"], counts["decoded"], counts["rejected"]) == walking
+    assert report.materialized == materialized
 
 
-def test_no_decoding_where_a_structure_has_no_tuple_in_window(monkeypatch):
+def test_every_sampled_rank_of_a_walked_shape_is_decoded(monkeypatch):
     # every shape here has in-window tuples, yet 3 of the 31 structures that
-    # hold a sampled rank have none, found tuple by tuple: their boxes clip
-    # empty, and only the 45 sampled tuples of the other 28 are decoded
+    # hold a sampled rank have none, found tuple by tuple: their 3 sampled
+    # tuples are decoded and rejected beside the 45 of the other 28
     bounds = TrajectorySearchBounds(max_strips=1, max_marked_per_strip=2, max_total_marked=2,
                                     max_attached_disks=2, max_inputs_per_disk=1,
                                     degree_range=(0, 2), materialize_stride=7)
@@ -958,19 +967,71 @@ def test_no_decoding_where_a_structure_has_no_tuple_in_window(monkeypatch):
     counts = count_walking(monkeypatch)
     report = assert_matches_oracle(bounds)
     assert report.materialized == 17
-    assert counts == {"walks": 16, "decoded": 45, "rejected": 28, "boxes": 32, "pruned": 3}
+    assert counts == {"walks": 16, "decoded": 48, "rejected": 31}
+
+
+def sampled_in_walked_shapes(bounds):
+    """The shapes with an in-window tuple and a rank that is a multiple of
+    the stride, and how many such ranks they hold, counted from the shapes'
+    sizes and the stride; the window is tested tuple by tuple."""
+    lo, hi = bounds.degree_range
+    shapes = {}  # per shape, in search order: tuple count, whether one is in window
+    if isinstance(bounds, TreeSearchBounds):
+        for m, parents, child_counts, extras in _tree_structures(
+                bounds.max_disks, bounds.max_inputs_per_disk):
+            shape = shapes.setdefault(parents, [0, False])
+            for sums in itertools.product(*[range(lo * e, hi * e + 1) for e in extras]):
+                out_degs = [2 - c - e + v for c, e, v in zip(child_counts, extras, sums)]
+                for child in range(m - 1, 0, -1):  # a child's index exceeds its parent's
+                    out_degs[parents[child - 1]] += out_degs[child]
+                shape[0] += 1
+                shape[1] = shape[1] or all(lo <= d <= hi for d in out_degs)
+    else:
+        for _, marks, attached, inputs in _traj_structures(bounds):
+            bare_groups, starts, radices = _traj_digits(marks, attached, inputs, lo, hi)
+            owners = [s for s, _, _ in bare_groups] + [s for s, _, _ in attached]
+            shape = shapes.setdefault((marks, attached), [0, False])
+            for digits in itertools.product(*map(range, radices)):
+                values = [start + d for start, d in zip(starts, digits)]
+                deltas = [1 - nb - nt for nb, nt in marks]
+                for s, value in zip(owners, values[1:]):
+                    deltas[s] += value
+                shape[0] += 1
+                shape[1] = shape[1] or all(
+                    lo <= c <= hi for c in itertools.accumulate(deltas, initial=values[0]))
+    stride, first, walks, decodes = bounds.materialize_stride, 0, 0, 0
+    for size, in_window in shapes.values():
+        held = (first + size) // stride - first // stride
+        walks += in_window and held > 0
+        decodes += in_window * held
+        first += size
+    return walks, decodes
+
+
+@pytest.mark.parametrize("bounds", [
+    *(TreeSearchBounds(max_disks=3, max_inputs_per_disk=2, degree_range=window,
+                       materialize_stride=stride)
+      for window in ((-1, 1), (2, 3)) for stride in (1, 7)),
+    *(TrajectorySearchBounds(max_strips=2, degree_range=window, materialize_stride=stride)
+      for window in ((0, 2), (2, 3)) for stride in (1, 7)),
+], ids=lambda b: f"{type(b).__name__}{b.degree_range}/{b.materialize_stride}")
+def test_decodes_are_the_sampled_ranks_of_walked_shapes(monkeypatch, bounds):
+    counts = count_walking(monkeypatch)
+    exhaustive_search(bounds)
+    assert (counts["walks"], counts["decoded"]) == sampled_in_walked_shapes(bounds)
+    # each case that walks a shape both keeps and rejects decoded tuples
+    assert counts["decoded"] > counts["rejected"] > 0 or not counts["walks"]
 
 
 def test_walker_rejections_at_five_disks(monkeypatch):
     # the default stride leaves one sampled rank per block of a few thousand
-    # tuples; no box holding several clips empty, so each sampled tuple is
-    # decoded once, and the 8,601 outside the window are rejected
+    # tuples; each sampled tuple of a walked shape is decoded once, and the
+    # 8,601 outside the window are rejected
     counts = count_walking(monkeypatch)
     report = exhaustive_search(TreeSearchBounds(max_disks=5, max_configs=10**9))
     assert (report.enumerated, report.in_window, report.materialized) == (
         186_421_946, 13_470_448, 720)
-    assert counts == {"walks": 31, "decoded": 9_321, "rejected": 8_601, "boxes": 4_306,
-                      "pruned": 0}
+    assert counts == {"walks": 31, "decoded": 9_321, "rejected": 8_601}
 
 
 def brute_walk(first, digits, derived, lo, hi, stride):
@@ -994,7 +1055,8 @@ def brute_walk(first, digits, derived, lo, hi, stride):
 def test_walker_matches_a_product_scan(monkeypatch):
     import random
     rng = random.Random(20)
-    walked, counts = 0, count_walking(monkeypatch)
+    walked = sampled = 0
+    counts = count_walking(monkeypatch)
     for _ in range(2_000):
         n = rng.randint(1, 5)
         digits = [[(rng.randint(-4, 4), rng.randint(0, 4)) for _ in range(rng.choice((1, 1, 2, 3)))]
@@ -1008,8 +1070,10 @@ def test_walker_matches_a_product_scan(monkeypatch):
         expected = list(brute_walk(first, digits, derived, lo, hi, stride))
         assert list(pearly._walk(first, digits, derived, lo, hi, stride)) == expected
         walked += bool(expected)
-    # a fifth yield tuples; boxes holding several sampled ranks clip empty
-    assert walked > 400 and counts["pruned"] > 5_000
+        total = math.prod(sum(radix for _, radix in alts) for alts in digits)
+        sampled += (first - 1 + total) // stride - (first - 1) // stride
+    # a fifth yield tuples, and every sampled rank is decoded once
+    assert walked > 400 and counts["decoded"] == sampled
 
 
 def test_structure_ledgers_hold_by_construction():
