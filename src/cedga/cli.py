@@ -7,13 +7,14 @@ reported as one ``internal error:`` line on stderr).
 
 An input error is any ``cedga.InputError``, and ``_run``, behind ``main``
 and every corpus case, is the one place that maps it to exit 2: an
-unreadable or non-UTF-8 file, a parse fault (``DocumentError``), an
-invalid characteristic, an undeclared generator
-(``UndeclaredGeneratorError``), a malformed surgery role set, a cochain
-outside its support (``SupportError``), a malformed configuration
+unreadable or non-UTF-8 file, an output path that cannot be written, a
+parse fault (``DocumentError``), an invalid characteristic, an undeclared
+generator (``UndeclaredGeneratorError``), a malformed surgery role set, a
+cochain outside its support (``SupportError``), a malformed configuration
 (``ConfigError``), vacuous search bounds, and refused work estimates
-(``EnumerationBoundError``, ``BoundsTooLargeError``).  A report's ``status``
-follows its exit code.
+(``EnumerationBoundError``, ``BoundsTooLargeError``); only a ``--json``
+path that cannot be written is reported by ``_Runner.finish`` itself.  A
+report's ``status`` follows its exit code.
 
 Each subcommand imports the modules it calls, so a process loads only what
 its subcommand uses: ``search`` loads no text parser, and no subcommand
@@ -37,6 +38,15 @@ OK, VIOLATIONS, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 _STATUS = {OK: "ok", VIOLATIONS: "violations", INPUT_ERROR: "error"}
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written raises InputError."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 class _Runner:
     """Collects human-readable lines and the machine report for one command."""
 
@@ -52,8 +62,7 @@ class _Runner:
     def emit(self, text: str, path: str | None) -> None:
         """Write a document to ``path``, or show it when no path is given."""
         if path:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            _write(path, text)
             self.say(f"wrote {path}")
         else:
             self.say(text.rstrip("\n"))
@@ -84,8 +93,11 @@ class _Runner:
         if self.json_path == "-":
             print(report_json(report), end="")
         elif self.json_path:
-            with open(self.json_path, "w", encoding="utf-8") as handle:
-                handle.write(report_json(report))
+            try:
+                _write(self.json_path, report_json(report))
+            except InputError as exc:  # reported here: input_error would finish again
+                print(f"error: {exc}")
+                return INPUT_ERROR
         return code
 
     def input_error(self, message: str) -> int:

@@ -224,6 +224,26 @@ def test_quotient_output_file(corpus_dir, tmp_path):
     assert "d g = s" in target.read_text()
 
 
+@pytest.mark.parametrize("argv,lines", [
+    (["quotient", "quotient_demo.txt", "-o", "."],
+     ["error: cannot write .: Is a directory"]),
+    (["validate", "ce_trivial.txt", "--json", "missing/r.json"],
+     ["ce_trivial.txt: 1 generators, 0 nonzero differentials",
+      "valid: d^2 = 0, grading and action filtration hold",
+      "error: cannot write missing/r.json: No such file or directory"]),
+    (["quotient", "quotient_demo.txt", "-o", ".", "--json", "missing/r.json"],
+     ["error: cannot write .: Is a directory",
+      "error: cannot write missing/r.json: No such file or directory"]),
+], ids=["output", "json", "both"])
+def test_unwritable_output_path_is_input_error(corpus_dir, monkeypatch, capsys, argv, lines):
+    # a --json path that fails is reported once, after what was printed, and
+    # not written again for the error report
+    monkeypatch.chdir(corpus_dir)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines() == lines and err == ""
+
+
 def test_tree_and_traj_check(corpus_dir):
     code, out = run_cli(["tree-check", str(corpus_dir / "tree_single.txt")])
     assert code == 0 and "telescoped=True" in out
