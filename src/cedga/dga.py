@@ -55,9 +55,10 @@ class Generator(_GeneratorFields):
                 kind: GeneratorKind = GeneratorKind.REEB_CHORD) -> "Generator":
         if type(action) is not Fraction:
             action = Fraction(action)
-        if kind is GeneratorKind.DOUBLE_POINT_POS and action <= 0:
+        # a Fraction's denominator is positive, so its numerator carries the sign
+        if kind is GeneratorKind.DOUBLE_POINT_POS and action.numerator <= 0:
             raise ValueError(f"double point {name!r} tagged positive must have action > 0")
-        if kind is GeneratorKind.DOUBLE_POINT_NEG and action >= 0:
+        if kind is GeneratorKind.DOUBLE_POINT_NEG and action.numerator >= 0:
             raise ValueError(f"double point {name!r} tagged negative must have action < 0")
         return super().__new__(cls, name, degree, action, kind)
 

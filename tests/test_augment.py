@@ -147,3 +147,5 @@ def test_enumeration_bound_refusal():
     dga = Dga.build(2, gens=gens)
     with pytest.raises(EnumerationBoundError):
         enumerate_augmentations(dga, max_degree_zero=5)
+    # exactly at the bound the enumeration runs: six free degree-0 generators
+    assert len(enumerate_augmentations(dga, max_degree_zero=6)) == 2 ** 6

@@ -67,6 +67,11 @@ def test_characteristic_must_be_small_prime():
         NcPoly.zero(101)
 
 
+def test_small_primes_are_the_primes_to_97():
+    from cedga.field import _SMALL_PRIMES
+    assert _SMALL_PRIMES == {p for p in range(2, 98) if all(p % d for d in range(2, p))}
+
+
 def test_scalar_multiplication():
     poly = NcPoly.from_pairs(5, [(2, ("x1",))])
     assert (poly * 3).terms == {("x1",): 1}
