@@ -1,6 +1,8 @@
 """Surgery algebras: quotients, shape validation, and the inductive
 augmentation extension."""
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +17,8 @@ from cedga import (Augmentation, ChordRole, Dga, GenerationBudgetError, NcPoly,
                    verify_certificate)
 from cedga.surgery import SurgeryCertificate
 from cedga.textio import DgaDocument, serialize_dga
+
+INSTANCE_DIGEST = "c059412dc1b6038b4be1e2954439eab77b390160f6a8513cd907ff973e2ce910"
 
 
 def _hand_k2(p=2, alpha_name="x1"):
@@ -355,6 +359,21 @@ def test_random_instances_pass_without_retry():
                 for seed in range(5):
                     S = random_surgery_instance(k, chords, seed, p)
                     assert S.precondition_report.ok and S.dga.validate_grading().ok
+
+
+def test_random_instances_pinned():
+    # every generated algebra, byte for byte: its text, role order, differential
+    # order and terms, and repr, over a wider grid than the mutation sweep uses
+    digest = hashlib.sha256()
+    for k, chords, p, seed in itertools.product(range(1, 7), range(5), (2, 3, 5), range(4)):
+        S = random_surgery_instance(k, chords, seed, p)
+        for part in (serialize_dga(DgaDocument(S.dga, (), S.roles)),
+                     repr(list(S.roles.items())),
+                     repr([(name, list(poly.terms.items()))
+                           for name, poly in S.dga.nonzero_differentials().items()]),
+                     repr(S)):
+            digest.update(part.encode() + b"\n")
+    assert digest.hexdigest() == INSTANCE_DIGEST
 
 
 def test_random_instance_that_fails_validation_raises(monkeypatch):
