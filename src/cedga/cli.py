@@ -259,8 +259,7 @@ def _cmd_surgery(args, runner: _Runner) -> int:
             return _violations_found(
                 runner, "order-reversing marking is not differential-closed:", exc.report)
         runner.say(f"quotiented {len(doc.marked)} order-reversing chord(s)")
-    k = sum(1 for role in doc.roles.values() if role.type == "a")
-    algebra = SurgeryAlgebra(dga, k, doc.roles)
+    algebra = SurgeryAlgebra(dga, doc.roles)
     eb = Augmentation(dga.p, base_values)
     try:
         certificate = construct_surgery_augmentation(algebra, eb,
@@ -269,14 +268,14 @@ def _cmd_surgery(args, runner: _Runner) -> int:
         return _violations_found(runner, exc.headline, exc.report)
     recheck = verify_certificate(algebra, certificate, eb)
     values = {n: certificate.augmentation.value(n) for n in dga.names()}
-    runner.say(f"extended augmentation over k={k} cocores:")
+    runner.say(f"extended augmentation over k={algebra.k} cocores:")
     for name in dga.names():
         if values[name]:
             runner.say(f"  {name} -> {values[name]}")
     for flag in certificate.flags:
         runner.say(f"flag: {flag}")
     payload = {
-        "k": k,
+        "k": algebra.k,
         "augmentation": {n: v for n, v in sorted(values.items()) if v},
         "flags": list(certificate.flags),
         "violations": recheck.as_dicts(),

@@ -58,16 +58,18 @@ _ROLE_KINDS = {
 class SurgeryAlgebra:
     """A Dga together with surgery roles for its cocore chords.
 
+    ``k``, the number of cocores, is the number of connector roles.
     Generators without a role form the base chord algebra.  Construction
-    checks structural sanity (indices in range, complete connector set);
-    the differential shapes are checked by ``validate_surgery_shape``.
+    checks structural sanity (indices in range, no index twice, so the
+    connectors cover 1..k); the differential shapes are checked by
+    ``validate_surgery_shape``.
     """
 
-    def __init__(self, dga: Dga, k: int, roles: Mapping[str, ChordRole]):
+    def __init__(self, dga: Dga, roles: Mapping[str, ChordRole]):
         self.dga = dga
-        self.k = int(k)
         self.roles: dict[str, ChordRole] = dict(roles)
-        if self.k < 1:
+        self.k = sum(role.type == "a" for role in self.roles.values())
+        if not self.k:
             raise InputError("need at least one cocore")
         a_names: dict[int, str] = {}
         b_names: dict[tuple[int, int, int], str] = {}
@@ -91,9 +93,6 @@ class SurgeryAlgebra:
                 if key in target:
                     raise InputError(f"duplicate {role.type}-chord index {key}")
                 target[key] = name
-        if sorted(a_names) != list(range(1, self.k + 1)):
-            raise InputError(f"connector chords must cover indices 1..{self.k}, "
-                             f"got {sorted(a_names)}")
         self._connectors = tuple(a_names[i] for i in range(1, self.k + 1))
         self._b_names = b_names
         self._c_names = c_names
@@ -480,19 +479,12 @@ def verify_certificate(S: SurgeryAlgebra, certificate: SurgeryCertificate,
 # -- seeded instance generation ----------------------------------------------
 
 
-def _poly_action_bound(actions: Mapping[str, Fraction], poly: NcPoly,
-                       connector_bound: Fraction) -> Fraction:
-    """Upper bound for the monomial actions of a polynomial.  Connector
-    chords get a placeholder bound since their final (tiny) action is fixed
-    only after all other actions are known."""
-    best = Fraction(0)
-    for word in poly.terms:
-        total = Fraction(0)
-        for letter in word:
-            total += actions.get(letter, connector_bound)
-        if total > best:
-            best = total
-    return best
+def _poly_action_bound(actions: Mapping[str, Fraction], poly: NcPoly) -> Fraction:
+    """Upper bound for the monomial actions of a polynomial.  A letter with
+    no action yet is a connector chord, whose action is fixed last, below
+    every transit chord's; counting it as 1 keeps the bound an upper one."""
+    return max((sum((actions.get(letter, 1) for letter in word), Fraction(0))
+                for word in poly.terms), default=Fraction(0))
 
 
 def _random_base_poly(rng: random.Random, p: int, letters: list[str],
@@ -547,12 +539,10 @@ def random_surgery_instance(k: int, max_chords_per_pair: int = 2, seed: int = 0,
     a_names = {i: f"a{i}" for i in range(1, k + 1)}
     roles: dict[str, ChordRole] = {name: ChordRole("a", i) for i, name in a_names.items()}
 
-    connector_bound = Fraction(1)
     last_action = Fraction(1)
-    c_closed: dict[tuple[int, int, int], bool] = {}
-    b_bare: dict[tuple[int, int, int], bool] = {}
+    c_closed: set[tuple[int, int, int]] = set()  # keys whose transit chord is closed
+    b_bare: set[tuple[int, int, int]] = set()  # keys whose d(hook) is a_j c, c closed
     built_order: list[tuple[int, int, int]] = []
-    source_pairs: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, k)}
     chord_gens: list[Generator] = []
 
     def cname(key):
@@ -561,42 +551,33 @@ def random_surgery_instance(k: int, max_chords_per_pair: int = 2, seed: int = 0,
     def bname(key):
         return f"b{key[2]}_{key[0]}{key[1]}"
 
-    def assign_action(poly: NcPoly) -> Fraction:
-        nonlocal last_action
-        bound = _poly_action_bound(actions, poly, connector_bound)
-        last_action = max(last_action, bound) + 1
-        return last_action
-
-    deep_pool_base = list(deg0)  # closed degree-0 letters usable in w-words
-
     for i in range(k - 1, 0, -1):
         for j in range(i + 1, k + 1):
             for m in range(1, rng.randint(0, max_chords_per_pair) + 1):
                 key = (i, j, m)
                 c_key_name, b_key_name = cname(key), bname(key)
-                closed_here = [hl for hl in source_pairs[i] if c_closed[(i,) + hl]]
+                closed_here = [kk for kk in built_order if kk[0] == i and kk in c_closed]
                 deeper_keys = [kk for kk in built_order if kk[0] > i]
 
                 # transit chord differential: usually closed; sometimes the
-                # engineered pattern through a deeper hook differential,
-                # which stays shape-legal and cancels inside d(d(hook))
+                # engineered pattern through a deeper hook differential, which
+                # stays shape-legal and cancels against its w-term in d(d(hook))
                 c_diff = NcPoly.zero(p)
-                engineered: tuple[tuple[int, int], NcPoly] | None = None
+                w_term: NcPoly | None = None
                 if (u_name is not None and closed_here and deeper_keys
                         and rng.random() < 0.4):
-                    hl = rng.choice(closed_here)
-                    deep = rng.choice(deeper_keys)
-                    inner = diffs[bname(deep)]
-                    target = NcPoly.generator(p, cname((i,) + hl))
-                    c_diff = NcPoly.generator(p, u_name) * inner * target
-                    engineered = (hl, (NcPoly.generator(p, a_names[j])
-                                       * NcPoly.generator(p, u_name)
-                                       * NcPoly.generator(p, bname(deep))))
-                c_action = assign_action(c_diff)
-                actions[c_key_name] = c_action
-                chord_gens.append(Generator(c_key_name, 0, c_action, GeneratorKind.SURGERY_C))
+                    target = cname(rng.choice(closed_here))
+                    deep = bname(rng.choice(deeper_keys))
+                    c_diff = (NcPoly.generator(p, u_name) * diffs[deep]
+                              * NcPoly.generator(p, target))
+                    w_term = NcPoly.monomial(p, (a_names[j], u_name, deep, target), 1)
+                last_action = max(last_action, _poly_action_bound(actions, c_diff)) + 1
+                actions[c_key_name] = last_action
+                chord_gens.append(Generator(c_key_name, 0, last_action, GeneratorKind.SURGERY_C))
                 roles[c_key_name] = ChordRole("c", i, j, m)
-                if not c_diff.is_zero:
+                if c_diff.is_zero:
+                    c_closed.add(key)
+                else:
                     diffs[c_key_name] = c_diff
 
                 # hook chord differential: distinguished term, optional base
@@ -610,50 +591,45 @@ def random_surgery_instance(k: int, max_chords_per_pair: int = 2, seed: int = 0,
                     if not alpha.is_zero:
                         b_diff = b_diff + alpha * NcPoly.generator(p, a_names[i])
                         bare = False
-                if engineered is not None:
-                    hl, wpoly = engineered
-                    b_diff = b_diff + wpoly * NcPoly.generator(p, cname((i,) + hl))
+                if w_term is not None:
+                    b_diff = b_diff + w_term
                     bare = False
                 if closed_here and rng.random() < 0.5:
-                    pool = list(deep_pool_base)
-                    pool += [a_names[s] for s in range(i + 1, k + 1)]
-                    pool += [cname(kk) for kk in deeper_keys if c_closed[kk]]
+                    pool = deg0 + [a_names[s] for s in range(i + 1, k + 1)]
+                    pool += [cname(kk) for kk in deeper_keys if kk in c_closed]
                     for _ in range(rng.randint(1, 2)):
-                        hl = rng.choice(closed_here)
+                        target = cname(rng.choice(closed_here))
                         length = rng.randint(0, 2)
                         word = tuple(rng.choice(pool) for _ in range(length))
                         coeff = rng.randint(1, p - 1)
                         b_diff = b_diff + (NcPoly.monomial(p, word, coeff)
-                                           * NcPoly.generator(p, cname((i,) + hl)))
+                                           * NcPoly.generator(p, target))
                     bare = False
-                bare_here = [hl for hl in source_pairs[i] if b_bare[(i,) + hl]]
+                bare_here = [kk for kk in built_order if kk[0] == i and kk in b_bare]
                 if (y_name is not None and bare_here and rng.random() < 0.45):
-                    hl = rng.choice(bare_here)
+                    kk = rng.choice(bare_here)
                     q_poly = NcPoly.generator(p, u_name) * NcPoly.generator(p, y_name)
                     beta = -(NcPoly.generator(p, u_name) * diffs[y_name])
                     b_diff = (b_diff
-                              + beta * NcPoly.generator(p, bname((i,) + hl))
-                              + (q_poly * NcPoly.generator(p, a_names[hl[0]]))
-                              * NcPoly.generator(p, cname((i,) + hl)))
+                              + beta * NcPoly.generator(p, bname(kk))
+                              + (q_poly * NcPoly.generator(p, a_names[kk[1]]))
+                              * NcPoly.generator(p, cname(kk)))
                     bare = False
 
-                b_action = assign_action(b_diff)
-                actions[b_key_name] = b_action
-                chord_gens.append(Generator(b_key_name, -1, b_action, GeneratorKind.SURGERY_B))
+                last_action = max(last_action, _poly_action_bound(actions, b_diff)) + 1
+                actions[b_key_name] = last_action
+                chord_gens.append(Generator(b_key_name, -1, last_action, GeneratorKind.SURGERY_B))
                 roles[b_key_name] = ChordRole("b", i, j, m)
                 diffs[b_key_name] = b_diff
-
-                c_closed[key] = c_diff.is_zero
-                b_bare[key] = bare
+                if bare:
+                    b_bare.add(key)
                 built_order.append(key)
-                source_pairs[i].append((j, m))
 
     eps_a = min((actions[cname(key)] for key in built_order), default=Fraction(1)) / 1000
     for i in range(1, k + 1):
         gens.append(Generator(a_names[i], 0, eps_a, GeneratorKind.SURGERY_A))
     gens.extend(chord_gens)
-    instance = SurgeryAlgebra(Dga(p, gens, diffs, d_degree=1), k, roles)
+    instance = SurgeryAlgebra(Dga(p, gens, diffs, d_degree=1), roles)
     if not (instance.precondition_report.ok and instance.dga.validate_grading().ok):
         raise GenerationBudgetError(f"invalid instance for k={k}, seed={seed}")
     return instance
-

@@ -34,7 +34,7 @@ def _hand_k2(p=2, alpha_name="x1"):
     dga = Dga.build(p, gens=gens, diffs=diffs)
     roles = {"a1": ChordRole("a", 1), "a2": ChordRole("a", 2),
              "b1": ChordRole("b", 1, 2, 1), "c1": ChordRole("c", 1, 2, 1)}
-    return SurgeryAlgebra(dga, 2, roles)
+    return SurgeryAlgebra(dga, roles)
 
 
 # -- quotient -----------------------------------------------------------------
@@ -83,7 +83,7 @@ def test_quotient_preserves_d_squared():
 
 def test_shape_base_case_valid():
     dga = Dga.build(2, gens=[("x", 0, 1), ("a1", 0, Fraction(1, 1000), "a")])
-    S = SurgeryAlgebra(dga, 1, {"a1": ChordRole("a", 1)})
+    S = SurgeryAlgebra(dga, {"a1": ChordRole("a", 1)})
     assert validate_surgery_shape(S).ok
 
 
@@ -108,12 +108,12 @@ def test_shape_flags_order_violation():
     roles = {"a1": ChordRole("a", 1), "a2": ChordRole("a", 2),
              "b1": ChordRole("b", 1, 2, 1), "c1": ChordRole("c", 1, 2, 1),
              "b2": ChordRole("b", 1, 2, 2), "c2": ChordRole("c", 1, 2, 2)}
-    assert validate_surgery_shape(SurgeryAlgebra(dga, 2, roles)).ok
+    assert validate_surgery_shape(SurgeryAlgebra(dga, roles)).ok
 
     diffs["c1"] = [(1, ("c2",))]   # references a larger-action transit chord
     diffs["c2"] = []
     dga_bad = Dga.build(2, gens=gens, diffs=diffs)
-    report = validate_surgery_shape(SurgeryAlgebra(dga_bad, 2, roles))
+    report = validate_surgery_shape(SurgeryAlgebra(dga_bad, roles))
     assert any(v.kind == "surgery.shape" and "action-smaller" in v.detail
                for v in report)
 
@@ -123,20 +123,20 @@ def test_shape_flags_unit_coefficient():
     dga = S.dga
     diffs = dict(dga.nonzero_differentials())
     diffs["b1"] = NcPoly.from_pairs(3, [(2, ("a2", "c1"))])
-    doubled = SurgeryAlgebra(Dga(3, dga.generators.values(), diffs), 2, S.roles)
+    doubled = SurgeryAlgebra(Dga(3, dga.generators.values(), diffs), S.roles)
     report = validate_surgery_shape(doubled)
     assert any("coefficient 2, expected 1" in v.detail for v in report)
 
     diffs["b1"] = NcPoly.from_pairs(3, [(1, ("x1", "a1"))])
-    missing = SurgeryAlgebra(Dga(3, dga.generators.values(), diffs), 2, S.roles)
+    missing = SurgeryAlgebra(Dga(3, dga.generators.values(), diffs), S.roles)
     report = validate_surgery_shape(missing)
     assert any("missing distinguished monomial" in v.detail for v in report)
 
 
 def test_structural_index_errors():
     dga = Dga.build(2, gens=[("a1", 0, 1, "a")])
-    with pytest.raises(ValueError):
-        SurgeryAlgebra(dga, 2, {"a1": ChordRole("a", 1)})  # a2 missing
+    with pytest.raises(ValueError, match=r"\Aconnector index 2 out of range for k=1\Z"):
+        SurgeryAlgebra(dga, {"a1": ChordRole("a", 2)})  # one connector, so k = 1
     with pytest.raises(ValueError):
         ChordRole("b", 1)  # hook roles need all indices
 
@@ -146,7 +146,7 @@ def test_structural_index_errors():
 
 def test_extension_base_case():
     dga = Dga.build(2, gens=[("x", 0, 1), ("a1", 0, Fraction(1, 1000), "a")])
-    S = SurgeryAlgebra(dga, 1, {"a1": ChordRole("a", 1)})
+    S = SurgeryAlgebra(dga, {"a1": ChordRole("a", 1)})
     eb = Augmentation(2, {"x": 1})
     cert = construct_surgery_augmentation(S, eb)
     assert cert.ok
@@ -216,7 +216,7 @@ def test_extension_splits_each_hook_once(monkeypatch):
     hooks = sorted(n for n, role in built.roles.items() if role.type == "b")
     assert hooks
     monkeypatch.setattr(cedga.surgery, "_split_hook_differential", counted_split)
-    S = SurgeryAlgebra(built.dga, built.k, built.roles)  # nothing cached yet
+    S = SurgeryAlgebra(built.dga, built.roles)  # nothing cached yet
     assert validate_surgery_shape(S).ok
     augs = enumerate_augmentations(S.base_ce())
     for eb in (augs * 3)[:3]:
@@ -228,7 +228,7 @@ def test_precondition_error_carries_report():
     S = _hand_k2()
     diffs = dict(S.dga.nonzero_differentials())
     diffs["b1"] = NcPoly.from_pairs(2, [(1, ("x1", "a1"))])
-    bad_shape = SurgeryAlgebra(Dga(2, S.dga.generators.values(), diffs), 2, S.roles)
+    bad_shape = SurgeryAlgebra(Dga(2, S.dga.generators.values(), diffs), S.roles)
     with pytest.raises(PreconditionError) as exc:
         construct_surgery_augmentation(bad_shape, Augmentation(2))
     assert exc.value.headline == "1 structural violation(s):"
@@ -258,7 +258,7 @@ def test_extension_flags_degree_conflict():
                     diffs={"b1": [(1, ("x1", "a1")), (1, ("a2", "c1"))]})
     roles = {"a1": ChordRole("a", 1), "a2": ChordRole("a", 2),
              "b1": ChordRole("b", 1, 2, 1), "c1": ChordRole("c", 1, 2, 1)}
-    S = SurgeryAlgebra(dga, 2, roles)
+    S = SurgeryAlgebra(dga, roles)
     assert validate_surgery_shape(S).ok
     cert = construct_surgery_augmentation(S, Augmentation(2))  # x1 has degree 1
     assert cert.ok  # zero demand on c1: no conflict when the base value is 0
@@ -267,7 +267,7 @@ def test_extension_flags_degree_conflict():
     gens[0] = ("x1", 0, Fraction(1, 50), "reeb")
     dga2 = Dga.build(2, gens=gens,
                      diffs={"b1": [(1, ("x1", "a1")), (1, ("a2", "c1"))]})
-    S2 = SurgeryAlgebra(dga2, 2, roles)
+    S2 = SurgeryAlgebra(dga2, roles)
     cert2 = construct_surgery_augmentation(S2, Augmentation(2, {"x1": 1}))
     assert cert2.flags and "degree" in cert2.flags[0]
     assert not cert2.ok
@@ -298,7 +298,7 @@ def test_verify_reports_residual_on_mutated_algebra():
     diffs = dict(S.dga.nonzero_differentials())
     diffs["u"] = NcPoly.unit(2)
     diffs["v"] = NcPoly.generator(2, "u")
-    mutated = SurgeryAlgebra(Dga(2, gens, diffs), 2, S.roles)
+    mutated = SurgeryAlgebra(Dga(2, gens, diffs), S.roles)
     report = verify_certificate(mutated, cert, eb)
     assert any(v.kind == "certificate.residual" and v.subject == "u"
                for v in report)
@@ -319,7 +319,7 @@ def test_extension_independent_of_declaration_order():
     reordered = SurgeryAlgebra(
         Dga(S.dga.p, list(S.dga.generators.values())[::-1],
             S.dga.nonzero_differentials(), S.dga.d_degree),
-        S.k, S.roles)
+        S.roles)
     cert2 = construct_surgery_augmentation(reordered, eb)
     assert cert.augmentation == cert2.augmentation
 

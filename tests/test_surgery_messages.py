@@ -32,7 +32,7 @@ K3_ROLES = {"a1": "a 1", "a2": "a 2", "a3": "a 3", "b1": "b 1 2 1", "c1": "c 1 2
 K3_DIFFS = {"b1": "a2 c1 + x a1", "b2": "a3 c2 + x c1", "b3": "a3 c3"}
 
 
-def k3(p=2, gens="", diffs=None, roles=None, k=3):
+def k3(p=2, gens="", diffs=None, roles=None):
     """A valid three-cocore algebra (one hook/transit pair per source/target
     pair, one lower-transit summand in d(b2)); ``gens`` lines replace
     generators of the same name, ``diffs`` and ``roles`` entries replace
@@ -44,7 +44,7 @@ def k3(p=2, gens="", diffs=None, roles=None, k=3):
     text += "".join(f"d {n} = {v}\n" for n, v in dict(K3_DIFFS, **(diffs or {})).items()
                     if v)
     doc = parse_dga(text)
-    return SurgeryAlgebra(doc.dga, k, doc.roles)
+    return SurgeryAlgebra(doc.dga, doc.roles)
 
 
 def shape_lines(S):
@@ -126,18 +126,19 @@ def test_shape_diagnostics_pinned(change, expected):
     assert shape_lines(k3(**change)) == expected
 
 
-@pytest.mark.parametrize("roles,k,message", [
-    ({}, 0, "need at least one cocore"),
-    ({"a3": "a 4"}, 3, "connector index 4 out of range for k=3"),
-    ({"a3": "a 2"}, 3, "duplicate connector index 2"),
-    ({"b3": "b 3 2 1"}, 3, "chord 'b3' needs 1 <= i < j <= k, got i=3, j=2"),
-    ({"c3": "c 2 3 0"}, 3, "chord 'c3' multiplicity must be >= 1"),
-    ({"c3": "c 1 2 1"}, 3, "duplicate c-chord index (1, 2, 1)"),
-    ({"a3": ""}, 3, "connector chords must cover indices 1..3, got [1, 2]"),
+@pytest.mark.parametrize("roles,message", [
+    ({"a1": "", "a2": "", "a3": ""}, "need at least one cocore"),
+    ({"a3": "a 4"}, "connector index 4 out of range for k=3"),
+    ({"a3": "a 2"}, "duplicate connector index 2"),
+    ({"b3": "b 3 2 1"}, "chord 'b3' needs 1 <= i < j <= k, got i=3, j=2"),
+    ({"c3": "c 2 3 0"}, "chord 'c3' multiplicity must be >= 1"),
+    ({"c3": "c 1 2 1"}, "duplicate c-chord index (1, 2, 1)"),
+    # two connectors make k = 2, so the chords that end at cocore 3 are refused
+    ({"a3": ""}, "chord 'b2' needs 1 <= i < j <= k, got i=1, j=3"),
 ])
-def test_structural_errors_pinned(roles, k, message):
+def test_structural_errors_pinned(roles, message):
     with pytest.raises(InputError) as exc:
-        k3(roles=roles, k=k)
+        k3(roles=roles)
     assert str(exc.value) == message
 
 
@@ -265,7 +266,7 @@ def _mutate(rng, S):
             else:
                 roles[name] = ChordRole(role.type, role.i, rng.randint(1, S.k), role.m)
     dga = Dga(p, gens.values(), {n: NcPoly(p, t) for n, t in diffs.items()}, S.dga.d_degree)
-    return SurgeryAlgebra(dga, S.k, roles)
+    return SurgeryAlgebra(dga, roles)
 
 
 def _lines(report):
