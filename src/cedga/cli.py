@@ -168,7 +168,9 @@ def _cmd_augment(args, runner: _Runner) -> int:
     if args.field is not None:  # refuse the flag before reading any file
         check_characteristic(args.field)
     doc = runner.load(args.file, parse_dga, args.field)
-    found = enumerate_augmentations(doc.dga, max_degree_zero=args.limit)
+    # a --limit that is not given leaves enumerate_augmentations' default bound
+    bound = {} if args.limit is None else {"max_degree_zero": args.limit}
+    found = enumerate_augmentations(doc.dga, **bound)
     runner.say(f"{len(found)} augmentation(s) over F_{doc.dga.p}")
     payload = {"field": doc.dga.p, "count": len(found)}
     if args.list:
@@ -444,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--field", type=int, default=None,
                    help="override the document's field characteristic")
-    p.add_argument("--limit", type=int, default=24,
+    p.add_argument("--limit", type=int, default=None,
                    help="refuse when there are more degree-0 generators than this")
     p.add_argument("--list", action="store_true", help="list every augmentation")
 

@@ -93,6 +93,15 @@ def test_augment_limit_refusal(corpus_dir):
     assert code == 2 and "exceed" in out
 
 
+def test_augment_default_limit_refusal(tmp_path):
+    # without --limit the library's default bound of 24 applies
+    path = tmp_path / "wide.txt"
+    path.write_text("field 2\n" + "".join(f"gen x{i} 0 {i + 1}/1 reeb\n" for i in range(25)),
+                    encoding="utf-8")
+    code, out = run_cli(["augment", str(path)])
+    assert (code, out) == (2, "error: 25 degree-0 generators exceed the bound 24\n")
+
+
 def test_json_report_deterministic(corpus_dir, tmp_path):
     target = tmp_path / "report.json"
     outputs = []
