@@ -439,6 +439,20 @@ def test_deformed_support_violation():
     t = _strip_table([])
     with pytest.raises(SupportError):
         deformed_differential(t, BoundingCochain(2, {"xt": 1}), BoundingCochain(2))
+    with pytest.raises(SupportError, match=r"\Atop cochain supported on 'xb', "
+                                           r"not a top double point\Z"):
+        deformed_differential(t, BoundingCochain(2), BoundingCochain(2, {"xb": 1}))
+
+
+@pytest.mark.parametrize("entry,message", [
+    (("cout", "zz", (), (), 1), "strip entry references undeclared chord 'zz'"),
+    (("cout", "cin", ("xt",), (), 1), "strip entry references 'xt', not a bottom double point"),
+    (("cout", "cin", (), ("xb",), 1), "strip entry references 'xb', not a top double point"),
+])
+def test_strip_entry_refusals_pinned(entry, message):
+    with pytest.raises(ValueError) as exc:
+        _strip_table([entry])
+    assert str(exc.value) == message
 
 
 def test_weights_agree_through_transcription():

@@ -379,6 +379,18 @@ def test_corpus_command():
     assert out.count("PASS") >= len(CASES)
 
 
+def test_corpus_command_reports_a_failing_case(monkeypatch):
+    import cedga.corpus
+    monkeypatch.setattr(cedga.corpus, "CASES", [
+        ("validate-ok", ["validate", "ce_trivial.txt"], 0, "valid"),
+        ("validate-wrong-fragment", ["validate", "ce_trivial.txt"], 0, "not in the output")])
+    code, out = run_cli(["corpus"])
+    assert (code, out) == (1, "PASS validate-ok: exit 0 (expected 0)\n"
+                              "FAIL validate-wrong-fragment: exit 0 (expected 0)\n"
+                              "     valid: d^2 = 0, grading and action filtration hold\n"
+                              "1/2 corpus cases behaved as expected\n")
+
+
 _FILE_CASES = [argv for _, argv, _, _ in CASES if any(arg in FILES for arg in argv)]
 _VOCAB = ["field", "ddeg", "gen", "d", "count", "strip", "disk", "edge", "attach",
           "set", "mark", "surgery", "=", "+", "bottom:", "top:", "#", "0", "1", "-1",

@@ -53,6 +53,13 @@ def test_non_int_coefficient_rejected():
         NcPoly(3, {("x",): 1.0})
 
 
+@pytest.mark.parametrize("operation", [
+    lambda a: a + 1, lambda a: a - 1, lambda a: a * "x", lambda a: 1.5 * a])
+def test_mixed_operand_arithmetic_unsupported(operation):
+    with pytest.raises(TypeError):
+        operation(NcPoly.generator(2, "x"))
+
+
 def test_field_mismatch_rejected():
     with pytest.raises(FieldMismatchError):
         NcPoly.unit(2) * NcPoly.unit(3)

@@ -57,6 +57,15 @@ def test_quotient_deletes_marked_monomials():
     assert result.differential_of("g").terms == {("s",): 1}
 
 
+def test_quotient_drops_marked_generators_with_differentials():
+    # d q = r with both marked: the ideal is closed, and q's differential goes with q
+    dga = Dga.build(2, gens=[("q", -1, 2), ("r", -2, 1), ("s", 0, Fraction(1, 2))],
+                    diffs={"q": [(1, ("r",))]})
+    result = quotient_order_reversing(dga, ("q", "r"))
+    assert list(result.generators) == ["s"]
+    assert result.nonzero_differentials() == {}
+
+
 def test_quotient_rejects_non_closed_ideal():
     dga = Dga.build(2, gens=[("q", -1, 1), ("s", 0, Fraction(1, 2))],
                     diffs={"q": [(1, ("s",))]})
