@@ -33,10 +33,10 @@ class GeneratorKind(enum.Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "GeneratorKind":
-        for kind in cls:
-            if kind.value == token:
-                return kind
-        raise ValueError(f"unknown generator kind {token!r}")
+        try:
+            return cls(token)
+        except ValueError:
+            raise ValueError(f"unknown generator kind {token!r}") from None
 
 
 class _GeneratorFields(NamedTuple):
