@@ -126,17 +126,20 @@ def test_shape_diagnostics_pinned(change, expected):
     assert shape_lines(k3(**change)) == expected
 
 
-@pytest.mark.parametrize("roles,message", [
-    ({"a1": "", "a2": "", "a3": ""}, "need at least one cocore"),
-    ({"a3": "a 4"}, "connector index 4 out of range for k=3"),
-    ({"a3": "a 2"}, "duplicate connector index 2"),
-    ({"b3": "b 3 2 1"}, "chord 'b3' needs 1 <= i < j <= k, got i=3, j=2"),
-    ({"c3": "c 2 3 0"}, "chord 'c3' multiplicity must be >= 1"),
-    ({"c3": "c 1 2 1"}, "duplicate c-chord index (1, 2, 1)"),
+@pytest.mark.parametrize("roles,k,message", [
+    ({"a1": "", "a2": "", "a3": ""}, 0, "need at least one cocore"),
+    ({"a3": "a 4"}, 3, "connector index 4 out of range for k=3"),
+    ({"a3": "a 2"}, 3, "duplicate connector index 2"),
+    ({"b3": "b 3 2 1"}, 3, "chord 'b3' needs 1 <= i < j <= k, got i=3, j=2"),
+    ({"c3": "c 2 3 0"}, 3, "chord 'c3' multiplicity must be >= 1"),
+    ({"c3": "c 1 2 1"}, 3, "duplicate c-chord index (1, 2, 1)"),
     # two connectors make k = 2, so the chords that end at cocore 3 are refused
-    ({"a3": ""}, "chord 'b2' needs 1 <= i < j <= k, got i=1, j=3"),
+    ({"a3": ""}, 2, "chord 'b2' needs 1 <= i < j <= k, got i=1, j=3"),
 ])
-def test_structural_errors_pinned(roles, message):
+def test_structural_errors_pinned(roles, k, message):
+    # k, the number of cocores, is the number of connector roles the document keeps
+    kept = dict(K3_ROLES, **roles).values()
+    assert sum(value.startswith("a ") for value in kept) == k
     with pytest.raises(InputError) as exc:
         k3(roles=roles)
     assert str(exc.value) == message
