@@ -147,7 +147,7 @@ def test_build_rejects_undeclared_and_bad_points():
 
 
 def test_declaration_message_text():
-    c, x = Generator("c", 0, -1, MIXED), dp("x", 1, "1/5")
+    c, x, t = Generator("c", 0, -1, MIXED), dp("x", 1, "1/5"), dp("t", 1, "1/7")
     y = Generator("y", 1, 1, GeneratorKind.REEB_CHORD)
     cases = [
         (lambda: DiskCountTable.build(2, [y], []),
@@ -161,6 +161,12 @@ def test_declaration_message_text():
         (lambda: StripCountTable.build(2, [c], [x, x], [], []), "duplicate generator 'x'"),
         (lambda: StripCountTable.build(2, [c], [], [dp("c", 1, 1)], []),
          "duplicate generator 'c'"),
+        (lambda: StripCountTable.build(2, [c], [x], [t], [("c", "zz", (), (), 1)]),
+         "strip entry references undeclared chord 'zz'"),
+        (lambda: StripCountTable.build(2, [c], [x], [t], [("c", "c", ("t",), (), 1)]),
+         "strip entry references 't', not a bottom double point"),
+        (lambda: StripCountTable.build(2, [c], [x], [t], [("c", "c", (), ("x",), 1)]),
+         "strip entry references 'x', not a top double point"),
     ]
     for build, message in cases:
         with pytest.raises(ValueError) as info:
@@ -442,17 +448,6 @@ def test_deformed_support_violation():
     with pytest.raises(SupportError, match=r"\Atop cochain supported on 'xb', "
                                            r"not a top double point\Z"):
         deformed_differential(t, BoundingCochain(2), BoundingCochain(2, {"xb": 1}))
-
-
-@pytest.mark.parametrize("entry,message", [
-    (("cout", "zz", (), (), 1), "strip entry references undeclared chord 'zz'"),
-    (("cout", "cin", ("xt",), (), 1), "strip entry references 'xt', not a bottom double point"),
-    (("cout", "cin", (), ("xb",), 1), "strip entry references 'xb', not a top double point"),
-])
-def test_strip_entry_refusals_pinned(entry, message):
-    with pytest.raises(ValueError) as exc:
-        _strip_table([entry])
-    assert str(exc.value) == message
 
 
 def test_weights_agree_through_transcription():

@@ -91,11 +91,8 @@ def test_augment_limit_refusal(corpus_dir):
     code, out = run_cli(["augment", "--limit", "0",
                          str(corpus_dir / "ce_trivial.txt")])
     assert code == 2 and "exceed" in out
-
-
-def test_augment_default_limit_refusal(tmp_path):
     # without --limit the library's default bound of 24 applies
-    path = tmp_path / "wide.txt"
+    path = corpus_dir / "wide.txt"
     path.write_text("field 2\n" + "".join(f"gen x{i} 0 {i + 1}/1 reeb\n" for i in range(25)),
                     encoding="utf-8")
     code, out = run_cli(["augment", str(path)])
