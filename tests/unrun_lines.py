@@ -28,10 +28,8 @@ def code_lines(code) -> set[int]:
     """Line numbers a code object and its nested code objects can run.  A
     function's own first line is the ``def`` (or decorator) line, which runs in
     the enclosing code, so it is left to that code."""
-    lines = {line for _, _, line in code.co_lines()
-             if line is not None and line != code.co_firstlineno}
-    if code.co_name == "<module>":
-        lines |= {line for _, _, line in code.co_lines() if line is not None}
+    own_first = None if code.co_name == "<module>" else code.co_firstlineno
+    lines = {line for _, _, line in code.co_lines() if line not in (None, own_first)}
     for const in code.co_consts:
         if hasattr(const, "co_lines"):
             lines |= code_lines(const)
