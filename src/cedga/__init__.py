@@ -12,7 +12,7 @@ combinatorial degeneration ledgers for disk trees and broken trajectories.
 
 import importlib
 
-from .report import VERSION as __version__
+__version__ = "0.1.0"
 
 _EXPORTS = {  # owning submodule -> the names it exports
     "field": "DEFAULT_CHARACTERISTIC FieldMismatchError InputError check_characteristic",
@@ -32,7 +32,7 @@ _EXPORTS = {  # owning submodule -> the names it exports
               "exhaustive_search trajectory_ledger trajectory_verdict tree_ledger tree_verdict",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "corpus", "report", "textio"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "corpus", "textio"}
 
 __all__ = sorted(_OWNER)
 

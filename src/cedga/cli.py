@@ -5,12 +5,14 @@ empty result still exits 0), 1 when violations or counterexamples were
 found, 2 on input errors, 3 on an internal error (any other exception,
 reported as one ``internal error:`` line on stderr).
 
-An input error is any ``cedga.InputError``, and ``_run``, behind ``main``
-and every corpus case, is the one place that maps it to exit 2: an
-unreadable or non-UTF-8 file, an output path that cannot be written, a
-parse fault (``DocumentError``), an invalid characteristic, an undeclared
-generator (``UndeclaredGeneratorError``), a malformed surgery role set, a
-cochain outside its support (``SupportError``), a malformed configuration
+Each subcommand prints its findings and returns ``(payload, ok)``; ``_run``,
+behind ``main`` and every corpus case, is the one place that maps every
+outcome to the exit code: ``ok`` to 0 or 1, any ``cedga.InputError`` to 2,
+any other exception to 3.  An input error is an unreadable or non-UTF-8
+file, an output path that cannot be written, a parse fault
+(``DocumentError``), an invalid characteristic, an undeclared generator
+(``UndeclaredGeneratorError``), a malformed surgery role set, a cochain
+outside its support (``SupportError``), a malformed configuration
 (``ConfigError``), vacuous search bounds, and refused work estimates
 (``EnumerationBoundError``, ``BoundsTooLargeError``); only a ``--json``
 path that cannot be written is reported by ``_Runner.finish`` itself.  A
@@ -28,8 +30,8 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
+from . import __version__
 from .field import InputError
-from .report import input_digest, make_report, report_json
 
 if TYPE_CHECKING:
     from .dga import ValidationReport
@@ -86,35 +88,42 @@ class _Runner:
         return parse(text, *args)
 
     def finish(self, payload: dict, code: int) -> int:
-        report = make_report(self.command, input_digest(*self.texts), _STATUS[code], payload)
+        """Print the collected lines and, under ``--json``, the report: the
+        tool, its version, the command, a digest of the raw inputs and the
+        status, then the payload, in that fixed order."""
         out = "\n".join(self.lines)
         if out:
             print(out)
+        if not self.json_path:
+            return code
+        import hashlib
+        import json
+        digest = hashlib.sha256()
+        for text in self.texts:
+            digest.update(text.encode("utf-8"))
+            digest.update(b"\x00")
+        report = json.dumps({"tool": "cedga", "version": __version__, "command": self.command,
+                             "input_sha256": digest.hexdigest(), "status": _STATUS[code],
+                             **payload}, indent=2) + "\n"
         if self.json_path == "-":
-            print(report_json(report), end="")
-        elif self.json_path:
+            print(report, end="")
+        else:
             try:
-                _write(self.json_path, report_json(report))
-            except InputError as exc:  # reported here: input_error would finish again
+                _write(self.json_path, report)
+            except InputError as exc:  # reported here: _run would finish again
                 print(f"error: {exc}")
                 return INPUT_ERROR
         return code
 
-    def input_error(self, message: str) -> int:
-        self.say(f"error: {message}")
-        return self.finish({"error": message}, INPUT_ERROR)
 
-
-def _violation_lines(runner: _Runner, report: ValidationReport) -> None:
+def _verdict(runner: _Runner, ok: bool, line: str, report: ValidationReport,
+             payload: dict | None = None) -> tuple[dict, bool]:
+    """Print ``line`` and the report's violations; return the payload (by
+    default the violations) and ``ok``."""
+    runner.say(line)
     for violation in report.violations:
         runner.say(f"  {violation}")
-
-
-def _violations_found(runner: _Runner, headline: str, report: ValidationReport) -> int:
-    """Print the headline and the violations; report them with exit 1."""
-    runner.say(headline)
-    _violation_lines(runner, report)
-    return runner.finish({"violations": report.as_dicts()}, VIOLATIONS)
+    return (payload if payload is not None else {"violations": report.as_dicts()}), ok
 
 
 def _rejected(runner: _Runner, table) -> list[dict]:
@@ -128,40 +137,36 @@ _NOT_RIGID = "configuration cannot satisfy the rigid global degree constraint"
 
 
 def _finish_verdict(runner: _Runner, ledger, verdict, fields: tuple[str, ...],
-                    conclusions: list[str]) -> int:
+                    conclusions: list[str]) -> tuple[dict, bool]:
     """Report a ledger and its verdict.  ``fields`` name the verdict's
     conclusions that join the payload, and ``conclusions`` states them once
-    the hypotheses hold.  Exit 1 on a violated hypothesis or a ledger that
+    the hypotheses hold.  Not ok on a violated hypothesis or a ledger that
     does not telescope."""
     payload = {"ledger": ledger._asdict(), "hypotheses_ok": verdict.hypotheses_ok,
                "hypothesis_violations": list(verdict.hypothesis_violations)}
     payload.update((name, getattr(verdict, name)) for name in fields)
-    code = OK if ledger.telescoped else VIOLATIONS
     if not verdict.hypotheses_ok:
         conclusions = ["hypothesis violations:",
                        *(f"  {violation}" for violation in verdict.hypothesis_violations)]
-        code = VIOLATIONS
     for line in conclusions:
         runner.say(line)
-    return runner.finish(payload, code)
+    return payload, ledger.telescoped and verdict.hypotheses_ok
 
 
 # -- subcommands ----------------------------------------------------------
 
 
-def _cmd_validate(args, runner: _Runner) -> int:
+def _cmd_validate(args, runner: _Runner) -> tuple[dict, bool]:
     from .textio import parse_dga
     doc = runner.load(args.file, parse_dga)
     report = doc.dga.validate_all()
     runner.say(f"{args.file}: {len(doc.dga.generators)} generators, "
                f"{len(doc.dga.nonzero_differentials())} nonzero differentials")
-    if report.ok:
-        runner.say("valid: d^2 = 0, grading and action filtration hold")
-        return runner.finish({"violations": []}, OK)
-    return _violations_found(runner, f"{len(report)} violation(s):", report)
+    return _verdict(runner, report.ok, "valid: d^2 = 0, grading and action filtration hold"
+                    if report.ok else f"{len(report)} violation(s):", report)
 
 
-def _cmd_augment(args, runner: _Runner) -> int:
+def _cmd_augment(args, runner: _Runner) -> tuple[dict, bool]:
     from .augment import enumerate_augmentations
     from .field import check_characteristic
     from .textio import parse_dga
@@ -180,20 +185,19 @@ def _cmd_augment(args, runner: _Runner) -> int:
             inside = ", ".join(f"{n}={v}" for n, v in values.items()) or "(trivial)"
             runner.say(f"  {inside}")
         payload["augmentations"] = listing
-    return runner.finish(payload, OK)
+    return payload, True
 
 
-def _cmd_ce_lift(args, runner: _Runner) -> int:
+def _cmd_ce_lift(args, runner: _Runner) -> tuple[dict, bool]:
     from .bridge import derive_ce
     from .textio import parse_disk_counts, serialize_dga
     table = runner.load(args.file, parse_disk_counts)
     dga = derive_ce(table)
     runner.emit(serialize_dga(dga), args.output)
-    payload = {"generators": len(dga.generators), "rejected": _rejected(runner, table)}
-    return runner.finish(payload, OK)
+    return {"generators": len(dga.generators), "rejected": _rejected(runner, table)}, True
 
 
-def _cmd_mc_check(args, runner: _Runner) -> int:
+def _cmd_mc_check(args, runner: _Runner) -> tuple[dict, bool]:
     from .bridge import BoundingCochain, mc_residual, verify_mc_aug_identity
     from .textio import parse_disk_counts, parse_values
     table = runner.load(args.file, parse_disk_counts)
@@ -214,10 +218,10 @@ def _cmd_mc_check(args, runner: _Runner) -> int:
         "solves": solves,
         "rejected": rejected,
     }
-    return runner.finish(payload, OK if solves and identity else VIOLATIONS)
+    return payload, solves and identity
 
 
-def _cmd_deform(args, runner: _Runner) -> int:
+def _cmd_deform(args, runner: _Runner) -> tuple[dict, bool]:
     from .bridge import BoundingCochain, check_squared_zero, deformed_differential
     from .textio import parse_strip_counts, parse_values
     table = runner.load(args.file, parse_strip_counts)
@@ -237,15 +241,11 @@ def _cmd_deform(args, runner: _Runner) -> int:
         "squared_zero": squared.ok,
         "violations": squared.as_dicts(),
     }
-    if squared.ok:
-        runner.say("twisted differential squares to zero")
-        return runner.finish(payload, OK)
-    runner.say("twisted differential does NOT square to zero:")
-    _violation_lines(runner, squared)
-    return runner.finish(payload, VIOLATIONS)
+    return _verdict(runner, squared.ok, "twisted differential squares to zero" if squared.ok
+                    else "twisted differential does NOT square to zero:", squared, payload)
 
 
-def _cmd_surgery(args, runner: _Runner) -> int:
+def _cmd_surgery(args, runner: _Runner) -> tuple[dict, bool]:
     from .augment import Augmentation
     from .surgery import (PreconditionError, QuotientError, SurgeryAlgebra,
                           construct_surgery_augmentation, quotient_order_reversing,
@@ -258,8 +258,8 @@ def _cmd_surgery(args, runner: _Runner) -> int:
         try:
             dga = quotient_order_reversing(dga, doc.marked)
         except QuotientError as exc:
-            return _violations_found(
-                runner, "order-reversing marking is not differential-closed:", exc.report)
+            return _verdict(runner, False, "order-reversing marking is not differential-closed:",
+                            exc.report)
         runner.say(f"quotiented {len(doc.marked)} order-reversing chord(s)")
     algebra = SurgeryAlgebra(dga, doc.roles)
     eb = Augmentation(dga.p, base_values)
@@ -267,7 +267,7 @@ def _cmd_surgery(args, runner: _Runner) -> int:
         certificate = construct_surgery_augmentation(algebra, eb,
                                                      order_reversing=doc.marked)
     except PreconditionError as exc:
-        return _violations_found(runner, exc.headline, exc.report)
+        return _verdict(runner, False, exc.headline, exc.report)
     recheck = verify_certificate(algebra, certificate, eb)
     values = {n: certificate.augmentation.value(n) for n in dga.names()}
     runner.say(f"extended augmentation over k={algebra.k} cocores:")
@@ -282,31 +282,26 @@ def _cmd_surgery(args, runner: _Runner) -> int:
         "flags": list(certificate.flags),
         "violations": recheck.as_dicts(),
     }
-    if recheck.ok and not certificate.flags:
-        runner.say("certificate verified: all conditions hold and the "
-                   "extension vanishes on every differential")
-        return runner.finish(payload, OK)
-    runner.say("certificate verification FAILED:")
-    _violation_lines(runner, recheck)
-    return runner.finish(payload, VIOLATIONS)
+    ok = recheck.ok and not certificate.flags
+    return _verdict(runner, ok, "certificate verified: all conditions hold and the extension "
+                    "vanishes on every differential" if ok
+                    else "certificate verification FAILED:", recheck, payload)
 
 
-def _cmd_quotient(args, runner: _Runner) -> int:
+def _cmd_quotient(args, runner: _Runner) -> tuple[dict, bool]:
     from .surgery import QuotientError, quotient_order_reversing
     from .textio import DgaDocument, parse_dga, serialize_dga
     doc = runner.load(args.file, parse_dga)
     try:
         quotient = quotient_order_reversing(doc.dga, doc.marked)
     except QuotientError as exc:
-        return _violations_found(
-            runner, "marking does not generate a differential-closed ideal:", exc.report)
+        return _verdict(runner, False, "marking does not generate a differential-closed ideal:",
+                        exc.report)
     runner.emit(serialize_dga(DgaDocument(quotient, (), dict(doc.roles))), args.output)
-    payload = {"removed": list(doc.marked),
-               "generators": len(quotient.generators)}
-    return runner.finish(payload, OK)
+    return {"removed": list(doc.marked), "generators": len(quotient.generators)}, True
 
 
-def _cmd_tree_check(args, runner: _Runner) -> int:
+def _cmd_tree_check(args, runner: _Runner) -> tuple[dict, bool]:
     from .pearly import tree_ledger, tree_verdict
     from .textio import parse_tree_config
     tree = runner.load(args.file, parse_tree_config)
@@ -328,7 +323,7 @@ def _cmd_tree_check(args, runner: _Runner) -> int:
         "forced_disk_count", "single_disk"), conclusions)
 
 
-def _cmd_traj_check(args, runner: _Runner) -> int:
+def _cmd_traj_check(args, runner: _Runner) -> tuple[dict, bool]:
     from .pearly import trajectory_ledger, trajectory_verdict
     from .textio import parse_traj_config
     traj = runner.load(args.file, parse_traj_config)
@@ -347,7 +342,7 @@ def _cmd_traj_check(args, runner: _Runner) -> int:
         "no_attached_disks"), [constraint])
 
 
-def _cmd_search(args, runner: _Runner) -> int:
+def _cmd_search(args, runner: _Runner) -> tuple[dict, bool]:
     from .pearly import TrajectorySearchBounds, TreeSearchBounds, exhaustive_search
     # a bound flag that is not given leaves the bounds type's default in place
     bounds_type, count, other = (
@@ -372,7 +367,7 @@ def _cmd_search(args, runner: _Runner) -> int:
     runner.say(f"counterexamples: {len(result.counterexamples)}")
     payload = result._asdict()
     del payload["in_window"]  # reported in the text only
-    return runner.finish(payload, OK if result.ok else VIOLATIONS)
+    return payload, result.ok
 
 
 def run_corpus() -> list[dict]:
@@ -410,7 +405,7 @@ def run_corpus() -> list[dict]:
     return results
 
 
-def _cmd_corpus(args, runner: _Runner) -> int:
+def _cmd_corpus(args, runner: _Runner) -> tuple[dict, bool]:
     results = run_corpus()
     failures = sum(not case["passed"] for case in results)
     for case in results:
@@ -420,8 +415,7 @@ def _cmd_corpus(args, runner: _Runner) -> int:
         if not case["passed"] and case.get("detail"):
             runner.say(f"     {case['detail']}")
     runner.say(f"{len(results) - failures}/{len(results)} corpus cases behaved as expected")
-    payload = {"cases": results, "failures": failures}
-    return runner.finish(payload, VIOLATIONS if failures else OK)
+    return {"cases": results, "failures": failures}, not failures
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,18 +426,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "extensions, and degeneration ledgers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, file=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", metavar="PATH",
                        help="write the machine-readable report to PATH ('-' for stdout)")
+        if file:
+            p.add_argument("file")
         p.set_defaults(func=func)
         return p
 
-    p = add("validate", _cmd_validate, "check d^2, grading, and the action filtration")
-    p.add_argument("file")
+    add("validate", _cmd_validate, "check d^2, grading, and the action filtration")
 
     p = add("augment", _cmd_augment, "enumerate augmentations")
-    p.add_argument("file")
     p.add_argument("--field", type=int, default=None,
                    help="override the document's field characteristic")
     p.add_argument("--limit", type=int, default=None,
@@ -451,44 +445,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="list every augmentation")
 
     p = add("ce-lift", _cmd_ce_lift, "derive the chord algebra from a disk-count table")
-    p.add_argument("file")
     p.add_argument("-o", "--output", help="write the derived algebra here")
 
     p = add("mc-check", _cmd_mc_check,
             "evaluate the obstruction series and the bridge identity")
-    p.add_argument("file")
     p.add_argument("--cochain", required=True)
 
     p = add("deform", _cmd_deform,
             "twisted differential from a strip table plus two cochains")
-    p.add_argument("file")
     p.add_argument("--cochain0", required=True)
     p.add_argument("--cochain1", required=True)
 
     p = add("surgery", _cmd_surgery,
             "validate a surgery algebra and extend a base augmentation")
-    p.add_argument("file")
     p.add_argument("--base-aug", required=True, dest="base_aug")
 
     p = add("quotient", _cmd_quotient, "quotient by the marked order-reversing chords")
-    p.add_argument("file")
     p.add_argument("-o", "--output")
 
     p = add("tree-check", _cmd_tree_check, "ledger and verdict for a disk tree")
-    p.add_argument("file")
     p.add_argument("--no-global", action="store_true",
                    help="do not impose the global rigid degree constraint")
 
-    p = add("traj-check", _cmd_traj_check, "ledger and verdict for a broken trajectory")
-    p.add_argument("file")
+    add("traj-check", _cmd_traj_check, "ledger and verdict for a broken trajectory")
 
-    p = add("search", _cmd_search, "exhaustive counterexample search")
+    p = add("search", _cmd_search, "exhaustive counterexample search", file=False)
     p.add_argument("--mode", choices=("trees", "trajectories"), required=True)
     for flag in ("--max-disks", "--max-strips", "--max-inputs", "--degree-lo",
                  "--degree-hi", "--max-configs"):
         p.add_argument(flag, type=int)
 
-    add("corpus", _cmd_corpus, "run the bundled example corpus")
+    add("corpus", _cmd_corpus, "run the bundled example corpus", file=False)
     return parser
 
 
@@ -497,9 +484,11 @@ def _run(parser: argparse.ArgumentParser, argv) -> int:
     args = parser.parse_args(argv)
     runner = _Runner(args.command, args.json)
     try:
-        return args.func(args, runner)
+        payload, ok = args.func(args, runner)
+        return runner.finish(payload, OK if ok else VIOLATIONS)
     except InputError as exc:  # the one place an exception becomes exit 2
-        return runner.input_error(str(exc))
+        runner.say(f"error: {exc}")
+        return runner.finish({"error": str(exc)}, INPUT_ERROR)
     except Exception as exc:  # anything else is a fault of cedga, not of the input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

@@ -567,8 +567,7 @@ def _estimate_trees(bounds: TreeSearchBounds) -> int:
                         bounds.max_configs)
 
 
-def _materialize_tree(m, parents, child_counts, extras, sums, out_degs, lo, hi
-                      ) -> PearlyTreeConfig:
+def _materialize_tree(m, parents, extras, sums, out_degs, lo, hi) -> PearlyTreeConfig:
     children: list[list[int]] = [[] for _ in range(m)]
     for child, parent in enumerate(parents, start=1):
         children[parent].append(child)
@@ -635,7 +634,7 @@ def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
             sums = [v - 2 + c + e for v, c, e in zip(values, child_counts, extras)]
             materialized += 1
             failures += not tree_ledger(_materialize_tree(
-                m, parents, child_counts, extras, sums, out_degs, lo, hi)).telescoped
+                m, parents, extras, sums, out_degs, lo, hi)).telescoped
     return CounterexampleReport("trees", bounds._asdict(), estimate, enumerated, in_window,
                                 failures, materialized, [])
 

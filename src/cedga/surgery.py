@@ -75,7 +75,8 @@ class SurgeryAlgebra:
         b_names: dict[tuple[int, int, int], str] = {}
         c_names: dict[tuple[int, int, int], str] = {}
         for name, role in self.roles.items():
-            dga.generator(name)
+            if name not in dga.generators:  # a marked chord the quotient dropped, say
+                raise InputError(f"surgery role on undeclared generator {name!r}")
             if role.type == "a":
                 if not 1 <= role.i <= self.k:
                     raise InputError(f"connector index {role.i} out of range for k={self.k}")

@@ -86,7 +86,8 @@ class _DocReader:
         self.issues.append(ParseIssue(lineno, message))
 
     def lines(self, text: str):
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        # not splitlines(): \f, U+0085, U+2028 and the like do not end a line
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             args = raw.split("#", 1)[0].split()
             if not args:
                 continue
@@ -503,6 +504,9 @@ def parse_tree_config(text: str) -> PearlyTreeConfig:
 
 
 def serialize_tree_config(tree: PearlyTreeConfig) -> str:
+    from .pearly import ConfigError
+    if not tree.disks:  # parse_tree_config reads no edge generator
+        raise ConfigError("the tree format has no text form for a diskless tree")
     lines = _gen_lines(tree.all_generators())
     lines.extend(_disk_line(disk) for disk in tree.disks)
     lines.extend(f"edge {src} {dst} {slot}" for src, dst, slot in tree.edges)

@@ -265,7 +265,7 @@ def test_tree_and_traj_check(corpus_dir):
      '  "ledger": {\n    "M": 2,\n    "K": 2,\n    "m0": 0,\n    "m1": 0,\n'
      '    "k": 0,\n    "l": 0,\n    "lhs": 2,\n    "rhs": 2,\n'
      '    "telescoped": true\n  },\n'),
-])
+], ids=["tree-check", "traj-check"])
 def test_check_json_ledger_block(corpus_dir, command, name, block):
     code, out = run_cli([command, str(corpus_dir / name), "--json", "-"])
     assert code == 0
@@ -534,21 +534,25 @@ def test_refusals_are_input_errors():
 
 
 def test_only_main_maps_input_errors():
-    # no subcommand reports exit 2 itself or catches a class that would
-    # intercept an InputError on its way to main
+    # no subcommand finishes or reports exit 2 itself, or catches a class
+    # that would intercept an InputError on its way to main; only _run
+    # finishes a runner
     import ast
     import builtins
     import inspect
 
     import cedga
     module = ast.parse(inspect.getsource(cli))
-    commands = [node for node in module.body
-                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    functions = [node for node in module.body if isinstance(node, ast.FunctionDef)]
+    finishing = {function.name for function in functions for node in ast.walk(function)
+                 if isinstance(node, ast.Attribute) and node.attr == "finish"}
+    assert finishing == {"_run"}
+    commands = [node for node in functions if node.name.startswith("_cmd_")]
     assert commands
     for command in commands:
         for node in ast.walk(command):
             if isinstance(node, ast.Attribute):
-                assert node.attr != "input_error", command.name
+                assert node.attr not in ("finish", "input_error"), command.name
             if isinstance(node, ast.ExceptHandler):
                 assert node.type is not None, command.name
                 types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
@@ -625,8 +629,16 @@ TWO_DISK_TREE = ("gen y 3 5/1 dp+\ngen v 2 3/1 dp+\ngen x1 1 1/1 dp+\ngen x2 1 1
      "disk y x1 x2\n", 1,
      "ledger: m=1 k=2 lhs=0 rhs=0 telescoped=True\nhypothesis violations:\n"
      "  external input 'x1' is not a positive-action double point\n"),
+    (["traj-check", "DOC"], "gen q1 1 -1/2 mixed\ngen q0 0 -1/4 mixed\nstrip q1 q0\n", 0,
+     "ledger: M=1 (K=1, m0=0, m1=0) k=0 l=0 lhs=1 rhs=1 telescoped=True\n"
+     "global constraint holds: forced component count = 1 (unbroken: True)\n"),
+    (["surgery", "DOC", "--base-aug", "cochain_x1.txt"],
+     corpus_text("surgery_k2.txt") + "mark a2\n", 2,
+     "quotiented 1 order-reversing chord(s)\n"
+     "error: surgery role on undeclared generator 'a2'\n"),
 ], ids=["deform-not-square-zero", "surgery-marks-not-closed", "surgery-degree-conflict",
-        "tree-no-global", "tree-two-disks-not-rigid-globally", "tree-reeb-external-input"])
+        "tree-no-global", "tree-two-disks-not-rigid-globally", "tree-reeb-external-input",
+        "traj-single-strip", "surgery-role-on-marked-chord"])
 def test_rare_cli_branches_pinned(corpus_dir, tmp_path, argv, text, expected_exit, expected):
     doc = tmp_path / "doc.txt"
     doc.write_text(text, encoding="utf-8")

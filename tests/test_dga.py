@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cedga import Dga, Generator, GeneratorKind, NcPoly, UndeclaredGeneratorError
+from cedga import (Dga, Generator, GeneratorKind, NcPoly, UndeclaredGeneratorError,
+                   ValidationReport)
 
 
 def test_dp_sign_invariants():
@@ -60,6 +61,25 @@ def test_apply_differential_rejects_undeclared_letters():
     dga = Dga.build(2, gens=[("x", 0, 1)])
     with pytest.raises(UndeclaredGeneratorError):
         dga.apply_differential(NcPoly.generator(2, "ghost"))
+
+
+def test_differential_of_undeclared_generator_rejected():
+    with pytest.raises(UndeclaredGeneratorError) as exc:
+        Dga.build(2, gens=[("x", 0, 1)], diffs={"y": [(1, ("x",))]})
+    assert str(exc.value) == "'y'"
+
+
+def test_max_action_of_zero_is_none():
+    dga = Dga.build(2, gens=[("x", 0, 1)])
+    assert dga.max_action(NcPoly.zero(2)) is None
+    assert dga.max_action(NcPoly.monomial(2, ("x", "x"))) == 2
+
+
+def test_dga_repr_and_valid_summary():
+    dga = Dga.build(3, gens=[("x", 0, 1), ("y", -1, 2)], diffs={"y": [(1, ("x",))]},
+                    d_degree=-1)
+    assert repr(dga) == "Dga(p=3, generators=2, nonzero_differentials=1, d_degree=-1)"
+    assert ValidationReport().summary() == "valid"
 
 
 def test_char_two_square_word():

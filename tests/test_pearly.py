@@ -432,14 +432,12 @@ def brute_force_trees(bounds):
             if lhs != m + 1 - k:
                 tally.telescope_failures += 1
             if lhs == 2 - k and m >= 2:
-                tree = _materialize_tree(m, parents, child_counts, extras,
-                                         sums, out_degs, lo, hi)
+                tree = _materialize_tree(m, parents, extras, sums, out_degs, lo, hi)
                 tally.counterexamples.append({
                     "disks": m, "externals": k, "lhs": lhs,
                     "ledger": tree_ledger(tree)._asdict()})
             elif tally.enumerated % bounds.materialize_stride == 0:
-                tree = _materialize_tree(m, parents, child_counts, extras,
-                                         sums, out_degs, lo, hi)
+                tree = _materialize_tree(m, parents, extras, sums, out_degs, lo, hi)
                 tally.materialized += 1
                 if not tree_ledger(tree).telescoped:
                     tally.telescope_failures += 1
@@ -670,8 +668,7 @@ def per_structure_trees(bounds):
                 out_degs[i] = (rigid[i] + sums[i]
                                + sum(out_degs[c] for c in children.get(i, ())))
             if all(lo <= d <= hi for d in out_degs):
-                tree = _materialize_tree(m, parents, child_counts, extras,
-                                         sums, out_degs, lo, hi)
+                tree = _materialize_tree(m, parents, extras, sums, out_degs, lo, hi)
                 tally.materialized += 1
                 if not tree_ledger(tree).telescoped:
                     tally.telescope_failures += 1
@@ -761,7 +758,7 @@ def test_mid_size_grid_reaches_radix_zero_digits():
 # The searches' materializers must build equal configurations with equal reprs.
 
 
-def reference_tree(m, parents, child_counts, extras, sums, out_degs, lo, hi):
+def reference_tree(m, parents, extras, sums, out_degs, lo, hi):
     children = [[] for _ in range(m)]
     for child, parent in enumerate(parents, start=1):
         children[parent].append(child)

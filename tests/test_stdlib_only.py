@@ -56,11 +56,11 @@ def test_package_exports_resolve():
     assert len(set(cedga.__all__)) == len(cedga.__all__)
 
 
-def test_import_cedga_loads_no_submodule_but_report():
-    # report holds __version__; everything else loads on first use
+def test_import_cedga_loads_no_submodule():
+    # everything but __version__ loads on first use
     out = run_fresh("import sys, cedga\n"
                     "print(sorted(m for m in sys.modules if m.startswith('cedga')))")
-    assert out == "['cedga', 'cedga.report']\n"
+    assert out == "['cedga']\n"
 
 
 def test_import_cedga_loads_neither_hashlib_nor_json():

@@ -403,6 +403,37 @@ def test_two_disk_tree_round_trip_with_edge():
     assert serialize_tree_config(tree) == text
 
 
+def test_diskless_tree_has_no_text_form():
+    # the format has no line for the edge generator, so the parser refuses a
+    # diskless tree and the serializer must not write one
+    from cedga import ConfigError, Generator, PearlyTreeConfig
+    tree = PearlyTreeConfig((), (), Generator("x", 1, 1, GeneratorKind.DOUBLE_POINT_POS))
+    with pytest.raises(ConfigError) as exc:
+        serialize_tree_config(tree)
+    assert str(exc.value) == "the tree format has no text form for a diskless tree"
+    with pytest.raises(DocumentError) as exc:
+        parse_tree_config("gen x 1 1/1 dp+\n")
+    assert str(exc.value) == "document: a diskless tree needs its edge generator"
+
+
+@pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                       "\u2028", "\u2029"],
+                         ids=["vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps"])
+def test_only_newline_ends_a_line(separator):
+    # str.splitlines() would also break at these, ending a comment early and
+    # shifting every later line number
+    assert parse_dga(f"# note{separator}gen x 0 1/2 reeb\n").dga.generators == {}
+    with pytest.raises(DocumentError) as exc:
+        parse_dga(f"field 2\n# note{separator}more\nbogus\n")
+    assert str(exc.value) == "line 3: unknown directive 'bogus'"
+
+
+def test_crlf_document_parses():
+    # the \r before each \n is whitespace to str.split
+    doc = parse_dga("field 2\r\ngen x 0 1/2 reeb  # trailing\r\n\r\ngen y -1 1/1 reeb\r\n")
+    assert list(doc.dga.generators) == ["x", "y"]
+
+
 def test_trajectory_round_trip_with_top_marks_and_attach():
     text = ("gen q1 1 -1/2 mixed\ngen q0 0 -1/4 mixed\ngen m 0 1/2 dp+\ngen t 1 1/2 dp+\n"
             "gen i 1 1/4 dp+\nstrip q1 q0 bottom: m top: t\ndisk t i\nattach 0 top 0 0\n")
