@@ -2,8 +2,8 @@
 
 An augmentation stores only its nonzero values; every unlisted generator is
 implicitly sent to 0 and the empty word always evaluates to 1.  Words are
-evaluated by ``poly.evaluate_terms``, the one implementation of "coeff times
-the product of the letter values mod p".  Enumeration is a depth-first search
+evaluated by ``poly.evaluate_terms``, the fast kernel of "coeff times the
+product of the letter values mod p".  Enumeration is a depth-first search
 over the degree-0 generators that evaluates each differential with that same
 kernel as soon as its last variable is set, pruning the branch when it is
 nonzero.

@@ -17,7 +17,7 @@ from .augment import Augmentation
 from .dga import Dga, Generator, GeneratorKind, ValidationReport
 from .field import (InputError, SparseValues, check_characteristic, reduce_mod,
                     require_same_field)
-from .poly import NcPoly, evaluate_terms
+from .poly import NcPoly, evaluate_terms, weighted_series
 
 
 class SupportError(InputError):
@@ -120,9 +120,6 @@ class DiskCountTable:
         counts = dict(sorted(counts.items()))
         return cls(p, points, counts, tuple(rejected))
 
-    def outputs(self) -> list[str]:
-        return list(self.counts)
-
     def __repr__(self) -> str:
         return (f"DiskCountTable(p={self.p}, points={len(self.double_points)}, "
                 f"entries={sum(map(len, self.counts.values()))}, "
@@ -173,27 +170,6 @@ def derive_ce(table: DiskCountTable) -> Dga:
     return Dga(table.p, gens, diff, d_degree=1)
 
 
-def _weighted_series(words: Mapping[tuple[str, ...], int], weights: Mapping[str, int],
-                     p: int) -> int:
-    """The finite series sum over the entries ``words`` at one output of
-    count * product of input weights (missing weight = 0).
-
-    This loop deliberately does not call ``poly.evaluate_terms``: it reads
-    the raw table, so that ``verify_mc_aug_identity`` compares it against
-    the kernel-evaluated derived differential along independent code paths."""
-    total = 0
-    for word, coeff in words.items():
-        prod = coeff
-        for name in word:
-            v = weights.get(name, 0)
-            if not v:
-                prod = 0
-                break
-            prod = prod * v % p
-        total += prod
-    return total % p
-
-
 def mc_residual(table: DiskCountTable, b: BoundingCochain) -> dict[str, int]:
     """Obstruction series evaluated at every degree-2 output present in the
     table; b solves the deformation equation iff the residual is identically
@@ -202,7 +178,7 @@ def mc_residual(table: DiskCountTable, b: BoundingCochain) -> dict[str, int]:
     out: dict[str, int] = {}
     for output, words in table.counts.items():
         if table.double_points[output].degree == 2:
-            out[output] = _weighted_series(words, b.coefficients, table.p)
+            out[output] = weighted_series(words, b.coefficients, table.p)
     return out
 
 
@@ -229,7 +205,7 @@ def verify_mc_aug_identity(table: DiskCountTable, b: BoundingCochain) -> bool:
     _require_degree_one(table, b.p, b.coefficients)
     eps = eps_from_b(b)
     for output, words in table.counts.items():
-        lhs = _weighted_series(words, b.coefficients, table.p)
+        lhs = weighted_series(words, b.coefficients, table.p)
         rhs = eps.evaluate(_derived_differential(table, output))
         if lhs != rhs:
             return False
@@ -307,29 +283,12 @@ class ChordMap(SparseValues):
     """Linear endomorphism of the chord module, stored as a sparse matrix
     keyed by (output chord, input chord)."""
 
-    __slots__ = ("p", "chords", "entries")
+    __slots__ = ("p", "entries")
     _values = "entries"
 
-    def __init__(self, p: int, chords: Iterable[str],
-                 entries: Mapping[tuple[str, str], int] | None = None):
+    def __init__(self, p: int, entries: Mapping[tuple[str, str], int] | None = None):
         self.p = check_characteristic(p)
-        self.chords = tuple(chords)
         self.entries: dict[tuple[str, str], int] = reduce_mod(p, entries or {}, "entry {!r}")
-
-    def entry(self, out: str, inp: str) -> int:
-        return self.entries.get((out, inp), 0)
-
-    def compose(self, other: "ChordMap") -> "ChordMap":
-        require_same_field(self.p, other.p)
-        acc: dict[tuple[str, str], int] = {}
-        by_input: dict[str, list[tuple[str, int]]] = {}
-        for (out, mid), c in self.entries.items():
-            by_input.setdefault(mid, []).append((out, c))
-        for (mid, inp), c2 in other.entries.items():
-            for out, c1 in by_input.get(mid, ()):
-                key = (out, inp)
-                acc[key] = (acc.get(key, 0) + c1 * c2) % self.p
-        return ChordMap(self.p, self.chords, acc)
 
     def nonzero_entries(self) -> list[tuple[str, str, int]]:
         return sorted((out, inp, c) for (out, inp), c in self.entries.items())
@@ -363,18 +322,23 @@ def deformed_differential(table: StripCountTable, b0: BoundingCochain,
         if weight:
             key = (c_out, c_in)
             acc[key] = (acc.get(key, 0) + weight) % p
-    return ChordMap(p, sorted(table.chords), acc)
+    return ChordMap(p, acc)
 
 
-def check_squared_zero(table: StripCountTable, b0: BoundingCochain,
-                       b1: BoundingCochain) -> ValidationReport:
-    """Diagnostic: does the twisted differential square to zero?  This is a
+def check_squared_zero(matrix: ChordMap) -> ValidationReport:
+    """Diagnostic: does a twisted differential square to zero?  This is a
     consequence of geometric consistency, not an invariant of arbitrary
     user-supplied tables."""
+    by_input: dict[str, list[tuple[str, int]]] = {}
+    for (out, mid), c in matrix.entries.items():
+        by_input.setdefault(mid, []).append((out, c))
+    square: dict[tuple[str, str], int] = {}
+    for (mid, inp), c2 in matrix.entries.items():
+        for out, c1 in by_input.get(mid, ()):
+            square[out, inp] = (square.get((out, inp), 0) + c1 * c2) % matrix.p
     report = ValidationReport()
-    m = deformed_differential(table, b0, b1)
-    square = m.compose(m)
-    for out, inp, coeff in square.nonzero_entries():
-        report.add("squared", f"({out}, {inp})",
-                   f"square of the twisted differential has entry {coeff}")
+    for (out, inp), coeff in sorted(square.items()):
+        if coeff:
+            report.add("squared", f"({out}, {inp})",
+                       f"square of the twisted differential has entry {coeff}")
     return report

@@ -230,7 +230,7 @@ def _cmd_deform(args, runner: _Runner) -> tuple[dict, bool]:
     b0 = BoundingCochain(table.p, v0)
     b1 = BoundingCochain(table.p, v1)
     matrix = deformed_differential(table, b0, b1)
-    squared = check_squared_zero(table, b0, b1)
+    squared = check_squared_zero(matrix)
     entries = matrix.nonzero_entries()
     runner.say(f"twisted differential has {len(entries)} nonzero entr"
                f"{'y' if len(entries) == 1 else 'ies'}")
@@ -371,37 +371,34 @@ def _cmd_search(args, runner: _Runner) -> tuple[dict, bool]:
 
 
 def run_corpus() -> list[dict]:
-    """Run every corpus case through the CLI, capturing stdout, and compare
-    the exit code and a diagnostic fragment against expectations."""
+    """Run every corpus case through the CLI on the installed corpus files,
+    capturing stdout, and compare the exit code and a diagnostic fragment
+    against expectations."""
     import contextlib
     import io
-    import tempfile
 
-    from .corpus import CASES, FILES, corpus_text
+    from . import corpus
 
+    here = os.path.dirname(corpus.__file__)
     parser = build_parser()
     results = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in FILES:
-            with open(os.path.join(tmp, name), "w", encoding="utf-8") as handle:
-                handle.write(corpus_text(name))
-        for name, argv, expected_exit, fragment in CASES:
-            resolved = [os.path.join(tmp, a) if a in FILES else a for a in argv]
-            buffer = io.StringIO()
-            with contextlib.redirect_stdout(buffer):
-                code = _run(parser, resolved)
-            text = buffer.getvalue()
-            passed = code == expected_exit and fragment in text
-            entry = {
-                "name": name,
-                "exit": code,
-                "expected_exit": expected_exit,
-                "fragment": fragment,
-                "passed": passed,
-            }
-            if not passed:
-                entry["detail"] = text.strip().splitlines()[-1] if text.strip() else ""
-            results.append(entry)
+    for name, argv, expected_exit, fragment in corpus.CASES:
+        resolved = [os.path.join(here, a) if a in corpus.FILES else a for a in argv]
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = _run(parser, resolved)
+        text = buffer.getvalue()
+        passed = code == expected_exit and fragment in text
+        entry = {
+            "name": name,
+            "exit": code,
+            "expected_exit": expected_exit,
+            "fragment": fragment,
+            "passed": passed,
+        }
+        if not passed:
+            entry["detail"] = text.strip().splitlines()[-1] if text.strip() else ""
+        results.append(entry)
     return results
 
 

@@ -130,6 +130,27 @@ def evaluate_terms(terms: Iterable[tuple[Word, int]], values: Mapping[str, int],
     return total % p
 
 
+def weighted_series(words: Mapping[Word, int], weights: Mapping[str, int], p: int) -> int:
+    """The reference evaluator: the finite series sum over the entries
+    ``words`` of count * product of letter weights (missing weight = 0).
+
+    This loop deliberately does not call ``evaluate_terms``, the fast kernel
+    of construction and search: the bridge identity's series side and every
+    surgery residual read it, so they recheck the kernel along an
+    independent code path."""
+    total = 0
+    for word, coeff in words.items():
+        prod = coeff
+        for name in word:
+            v = weights.get(name, 0)
+            if not v:
+                prod = 0
+                break
+            prod = prod * v % p
+        total += prod
+    return total % p
+
+
 def format_poly(poly: NcPoly) -> str:
     """Canonical text rendering: terms ordered by (length, word), spaces
     between letters, coefficient prefixed only when it is not the implicit 1,

@@ -20,8 +20,8 @@ from typing import Iterable, Mapping
 
 from .augment import Augmentation, check_augmentation
 from .dga import ChordRole, Dga, Generator, GeneratorKind, ValidationReport
-from .field import InputError
-from .poly import NcPoly, evaluate_terms, format_poly
+from .field import InputError, require_same_field
+from .poly import NcPoly, evaluate_terms, format_poly, weighted_series
 
 
 class PreconditionError(ValueError):
@@ -401,12 +401,14 @@ def _check_conditions(S: SurgeryAlgebra, eps: Augmentation, eb: Augmentation,
 def _residuals(S: SurgeryAlgebra, eps: Augmentation):
     """(name, eps(d(name)), d(name)) for each nonzero differential that eps
     does not send to 0, in declaration order: the one residual pass of both
-    the certificate and its recheck."""
+    the certificate and its recheck.  It reads the reference evaluator, not
+    the kernel that solved the extension recursion."""
+    require_same_field(eps.p, S.dga.p)
     diffs = S.dga.nonzero_differentials()
     for name in S.dga.generators:
         poly = diffs.get(name)
         if poly is not None:
-            residual = eps.evaluate(poly)
+            residual = weighted_series(poly.terms, eps.values, eps.p)
             if residual:
                 yield name, residual, poly
 

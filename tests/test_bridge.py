@@ -135,7 +135,7 @@ def test_build_drops_cancelled_outputs():
     points = [dp("y", 2, 2), dp("z", 2, 3), dp("x", 1, "1/4")]
     t = table(points, [("y", ("x",), 1), ("z", ("x",), 1), ("y", ("x",), 1)])
     assert t.counts == {"z": {("x",): 1}}
-    assert t.outputs() == ["z"]
+    assert list(t.counts) == ["z"]
     assert derive_ce(t).differential_of("y").is_zero
 
 
@@ -321,7 +321,7 @@ def test_identity_differential_matches_derive_ce():
         for _ in range(60):
             t = _random_table(rng, p=p)
             ce = derive_ce(t)
-            for output in t.outputs():
+            for output in t.counts:
                 assert (cedga.bridge._derived_differential(t, output)
                         == ce.differential_of(output))
                 checked += 1
@@ -345,14 +345,14 @@ def test_non_int_strip_count_rejected():
 
 def test_non_int_chord_map_entry_rejected():
     with pytest.raises(TypeError):
-        ChordMap(2, ["a"], {("a", "a"): Fraction(1, 2)})
+        ChordMap(2, {("a", "a"): Fraction(1, 2)})
 
 
 @pytest.mark.parametrize("build, message", [
     (lambda: NcPoly(2, {("x",): Fraction(1, 2)}), "coefficient of ('x',)"),
     (lambda: Augmentation(2, {"x": Fraction(1, 2)}), "value of 'x'"),
     (lambda: BoundingCochain(2, {"x": Fraction(1, 2)}), "coefficient of 'x'"),
-    (lambda: ChordMap(2, ["a"], {("a", "a"): Fraction(1, 2)}), "entry ('a', 'a')"),
+    (lambda: ChordMap(2, {("a", "a"): Fraction(1, 2)}), "entry ('a', 'a')"),
     (lambda: table([dp("y", 2, 1), dp("x", 1, "1/4")], [("y", ("x",), Fraction(1, 2))]),
      "count of (y; x)"),
     (lambda: _strip_table([("cout", "cin", (), (), Fraction(1, 2))]),
@@ -369,7 +369,7 @@ def test_sparse_reprs():
     assert repr(Augmentation(3, {"y": 2, "x": 4, "z": 3})) == "Augmentation(p=3, {x=1, y=2})"
     assert (repr(BoundingCochain(3, {"y": 5, "x": 1}))
             == "BoundingCochain(p=3, {x=1, y=2})")
-    assert (repr(ChordMap(3, ["a", "b"], {("b", "a"): 2, ("a", "b"): 4, ("a", "a"): 3}))
+    assert (repr(ChordMap(3, {("b", "a"): 2, ("a", "b"): 4, ("a", "a"): 3}))
             == "ChordMap(p=3, entries=[('a', 'b', 1), ('b', 'a', 2)])")
 
 
@@ -378,9 +378,9 @@ def test_sparse_equality():
     assert Augmentation(3, {"x": 1}) != Augmentation(5, {"x": 1})
     assert Augmentation(3, {"x": 1}) != BoundingCochain(3, {"x": 1})
     assert BoundingCochain(3, {"x": 1}) != Augmentation(3, {"x": 1})
-    assert ChordMap(3, ["a"], {("a", "a"): 3}) == ChordMap(3, ["a", "b"])
+    assert ChordMap(3, {("a", "a"): 3}) == ChordMap(3)
     assert NcPoly(3, {("x",): 1}) != NcPoly(3, {("x",): 2})
-    for value in (NcPoly(2), Augmentation(2), BoundingCochain(2), ChordMap(2, [])):
+    for value in (NcPoly(2), Augmentation(2), BoundingCochain(2), ChordMap(2)):
         with pytest.raises(TypeError):
             hash(value)
 
@@ -432,13 +432,13 @@ def test_deformed_differential_weights():
     zero = BoundingCochain(2)
     assert not deformed_differential(t, zero, zero).entries
     weighted = deformed_differential(t, BoundingCochain(2, {"xb": 1}), zero)
-    assert weighted.entry("cout", "cin") == 1
+    assert weighted.entries.get(("cout", "cin"), 0) == 1
 
 
 def test_deformed_differential_bare_strips():
     t = _strip_table([("cout", "cin", (), (), 1)])
     m = deformed_differential(t, BoundingCochain(2), BoundingCochain(2))
-    assert m.entry("cout", "cin") == 1
+    assert m.entries.get(("cout", "cin"), 0) == 1
 
 
 def test_deformed_support_violation():
@@ -456,23 +456,24 @@ def test_weights_agree_through_transcription():
     b1 = BoundingCochain(2, {"xt": 1})
     m = deformed_differential(t, b0, b1)
     eps0, eps1 = eps_from_b(b0), eps_from_b(b1)
-    assert m.entry("cout", "cin") == eps0.value("xb") * eps1.value("xt")
+    assert m.entries.get(("cout", "cin"), 0) == eps0.value("xb") * eps1.value("xt")
 
 
 def test_check_squared_zero():
-    zero_table = _strip_table([])
-    assert check_squared_zero(zero_table, BoundingCochain(2), BoundingCochain(2)).ok
+    def bare(t):
+        return deformed_differential(t, BoundingCochain(2), BoundingCochain(2))
+
+    assert check_squared_zero(bare(_strip_table([]))).ok
 
     # two-chord complex d(cin) = cout, d(cout) = 0
-    ok_table = _strip_table([("cout", "cin", (), (), 1)])
-    assert check_squared_zero(ok_table, BoundingCochain(2), BoundingCochain(2)).ok
+    assert check_squared_zero(bare(_strip_table([("cout", "cin", (), (), 1)]))).ok
 
     chords = [Generator("c1", 0, -1, MIXED), Generator("c2", 1, -2, MIXED),
               Generator("c3", 2, -3, MIXED)]
     chain = StripCountTable.build(2, chords, [], [],
                                   [("c2", "c1", (), (), 1),
                                    ("c3", "c2", (), (), 1)])
-    report = check_squared_zero(chain, BoundingCochain(2), BoundingCochain(2))
+    report = check_squared_zero(bare(chain))
     assert not report.ok
     assert report.violations[0].subject == "(c3, c1)"
 
@@ -518,7 +519,7 @@ def test_fast_paths_match_checked_constructors():
         eps = eps_from_b(b)
         _assert_twins(eps, Augmentation(p, b.coefficients))
         _assert_twins(b_from_eps(t, eps), BoundingCochain(p, eps.values))
-        for output in t.outputs():
+        for output in t.counts:
             _assert_twins(cedga.bridge._derived_differential(t, output),
                           NcPoly(p, t.counts[output]))
         ce = derive_ce(t)
@@ -541,7 +542,7 @@ def test_outputs_and_residual_keys_keep_sorted_order():
             entries = [(g.name, (anchor.name,) * (g.degree != 1), 1) for g in points]
             rng.shuffle(entries)
             t = table(points, entries, p=p)
-            assert t.outputs() == sorted(t.counts)
+            assert list(t.counts) == sorted(t.counts)
             arrived = list(dict.fromkeys(o for o, _, _ in entries if o in t.counts))
             unsorted += arrived != sorted(arrived)
             b = _shuffled_cochain(rng, t)
@@ -594,7 +595,7 @@ def test_fast_paths_skip_reduce_mod(monkeypatch):
     assert found and calls == []
     for build in (lambda: NcPoly(3, {("x",): 4}), lambda: Augmentation(3, {"x": 4}),
                   lambda: BoundingCochain(3, {"x": 4}),
-                  lambda: ChordMap(3, ["a"], {("a", "a"): 4})):
+                  lambda: ChordMap(3, {("a", "a"): 4})):
         calls.clear()
         build()
         assert len(calls) == 1

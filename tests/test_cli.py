@@ -250,6 +250,22 @@ def test_unwritable_output_path_is_input_error(corpus_dir, monkeypatch, capsys, 
     assert out.splitlines() == lines and err == ""
 
 
+def test_deform_builds_the_twisted_differential_once(corpus_dir, monkeypatch):
+    import cedga.bridge
+    real, calls = cedga.bridge.deformed_differential, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cedga.bridge, "deformed_differential", counting)
+    empty = str(corpus_dir / "cochain_empty.txt")
+    code, out = run_cli(["deform", str(corpus_dir / "strip_small.txt"),
+                         "--cochain0", empty, "--cochain1", empty])
+    assert code == 0 and "squares to zero" in out
+    assert len(calls) == 1
+
+
 def test_tree_and_traj_check(corpus_dir):
     code, out = run_cli(["tree-check", str(corpus_dir / "tree_single.txt")])
     assert code == 0 and "telescoped=True" in out
@@ -363,9 +379,16 @@ def test_search_cli_small():
     assert "in degree window" in out
 
 
-def test_corpus_runner_all_pass():
+def test_corpus_runner_all_pass(monkeypatch):
+    # the cases read the installed corpus files: no copy is written
+    import tempfile
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_corpus made a temporary directory")
+
+    monkeypatch.setattr(tempfile, "TemporaryDirectory", refuse)
     results = run_corpus()
-    assert len(results) == len(CASES)
+    assert len(results) == len(CASES) == 21
     failed = [r["name"] for r in results if not r["passed"]]
     assert failed == []
 

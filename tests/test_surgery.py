@@ -1,16 +1,22 @@
 """Surgery algebras: quotients, shape validation, and the inductive
 augmentation extension."""
 
+import ast
 import hashlib
 import itertools
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import cedga.augment
+import cedga.bridge
+import cedga.poly
 import cedga.surgery
-from cedga import (Augmentation, ChordRole, Dga, GenerationBudgetError, NcPoly,
-                   PreconditionError, QuotientError, SurgeryAlgebra, ValidationReport,
+from cedga import (Augmentation, ChordRole, Dga, FieldMismatchError, GenerationBudgetError,
+                   NcPoly, PreconditionError, QuotientError, SurgeryAlgebra, ValidationReport,
                    check_augmentation, construct_surgery_augmentation,
                    enumerate_augmentations, quotient_order_reversing,
                    random_surgery_instance, validate_surgery_shape,
@@ -19,6 +25,8 @@ from cedga.surgery import SurgeryCertificate
 from cedga.textio import DgaDocument, serialize_dga
 
 INSTANCE_DIGEST = "c059412dc1b6038b4be1e2954439eab77b390160f6a8513cd907ff973e2ce910"
+# (k, chords per pair, p, seed) of the 360 pinned instances
+INSTANCE_GRID = tuple(itertools.product(range(1, 7), range(5), (2, 3, 5), range(4)))
 
 
 def _hand_k2(p=2, alpha_name="x1"):
@@ -313,6 +321,16 @@ def test_verify_reports_residual_on_mutated_algebra():
                for v in report)
 
 
+def test_verify_refuses_a_certificate_over_another_field():
+    S = _hand_k2()
+    eb = Augmentation(2, {"x1": 1})
+    cert = construct_surgery_augmentation(S, eb)
+    other = SurgeryCertificate(Augmentation(3, cert.augmentation.values),
+                               cert.verification, cert.conditions)
+    with pytest.raises(FieldMismatchError, match="mixed field characteristics 3 and 2"):
+        verify_certificate(S, other, eb)
+
+
 def test_order_reversing_condition_recorded():
     S = _hand_k2()
     eb = Augmentation(2, {"x1": 1})
@@ -374,7 +392,7 @@ def test_random_instances_pinned():
     # every generated algebra, byte for byte: its text, role order, differential
     # order and terms, and repr, over a wider grid than the mutation sweep uses
     digest = hashlib.sha256()
-    for k, chords, p, seed in itertools.product(range(1, 7), range(5), (2, 3, 5), range(4)):
+    for k, chords, p, seed in INSTANCE_GRID:
         S = random_surgery_instance(k, chords, seed, p)
         for part in (serialize_dga(DgaDocument(S.dga, (), S.roles)),
                      repr(list(S.roles.items())),
@@ -396,3 +414,86 @@ def test_random_instance_that_fails_validation_raises(monkeypatch):
 def test_random_instance_rejects_bad_k():
     with pytest.raises(ValueError):
         random_surgery_instance(0)
+
+
+# -- independence of the certificate recheck ------------------------------------
+
+
+def test_recheck_rejects_certificates_of_a_wrong_kernel(monkeypatch):
+    # a word-evaluation kernel that ignores every word longer than two letters
+    # solves some recursions wrongly; the recheck reads the reference
+    # evaluator, so it must not share the fault
+    kernel = cedga.poly.evaluate_terms
+
+    def short_words_only(terms, values, p):
+        return kernel([(word, c) for word, c in terms if len(word) <= 2], values, p)
+
+    patched = []
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("cedga.") \
+                and getattr(module, "evaluate_terms", None) is kernel:
+            monkeypatch.setattr(module, "evaluate_terms", short_words_only)
+            patched.append(module.__name__)
+    assert {"cedga.augment", "cedga.bridge", "cedga.surgery"} <= set(patched)
+    rejected = 0
+    for k, chords, p, seed in INSTANCE_GRID:
+        S = random_surgery_instance(k, chords, seed, p)
+        eb = Augmentation(p)
+        rejected += not verify_certificate(S, construct_surgery_augmentation(S, eb), eb).ok
+    assert rejected == 27
+
+
+def _reachable(*roots):
+    """Names (``module.function`` or ``module.Class.method``) of the cedga
+    functions that may run under ``roots``, over-approximated from the
+    source: a call or reference by bare name follows the module's own
+    definitions and its ``from .module import`` names, a class name reaches
+    its dunder methods, and an attribute ``x.name`` reaches every cedga
+    method or property called ``name``.  Also returns every attribute name
+    those functions read."""
+    bodies, by_attr, names = {}, {}, {}
+    for path in pathlib.Path(cedga.poly.__file__).parent.glob("*.py"):
+        module = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scope = names.setdefault(module, {})
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for alias in node.names:
+                    scope[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope[node.name] = f"{module}.{node.name}"
+                bodies[scope[node.name]] = (module, node)
+                for method in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(method, ast.FunctionDef):
+                        qual = f"{module}.{node.name}.{method.name}"
+                        bodies[qual] = (module, method)
+                        by_attr.setdefault(method.name, []).append(qual)
+    seen, attrs, todo = set(), set(), list(roots)
+    while todo:
+        qual = todo.pop()
+        if qual in seen or qual not in bodies:
+            continue
+        seen.add(qual)
+        module, node = bodies[qual]
+        if isinstance(node, ast.ClassDef):
+            todo += [f"{qual}.{m.name}" for m in node.body
+                     if isinstance(m, ast.FunctionDef) and m.name.startswith("__")]
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and sub.id in names[module]:
+                todo.append(names[module][sub.id])
+            elif isinstance(sub, ast.Attribute):
+                attrs.add(sub.attr)
+                todo += by_attr.get(sub.attr, [])
+    return seen, attrs
+
+
+def test_certificate_recheck_shares_no_code_with_the_kernel():
+    kernel = "poly.evaluate_terms"
+    reached, attrs = _reachable("surgery.verify_certificate")
+    assert kernel not in reached and "_extension_plan" not in attrs
+    assert "poly.weighted_series" in reached
+    assert kernel not in _reachable("poly.weighted_series")[0]
+    # the analysis does see the construction's kernel and plan
+    reached, attrs = _reachable("surgery.construct_surgery_augmentation")
+    assert kernel in reached and "_extension_plan" in attrs
