@@ -11,11 +11,8 @@ nonzero.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from .dga import Dga, ValidationReport, Violation
-from .field import (InputError, SparseValues, check_characteristic, reduce_mod,
-                    require_same_field)
+from .field import InputError, SparseValues, require_same_field
 from .poly import NcPoly, evaluate_terms, format_poly
 
 
@@ -28,10 +25,7 @@ class Augmentation(SparseValues):
 
     __slots__ = ("p", "values")
     _values = "values"
-
-    def __init__(self, p: int, values: Mapping[str, int] | None = None):
-        self.p = check_characteristic(p)
-        self.values: dict[str, int] = reduce_mod(p, values or {}, "value of {!r}")
+    _label = "value of {!r}"
 
     def value(self, name: str) -> int:
         return self.values.get(name, 0)
@@ -106,7 +100,9 @@ def _walk(depth, names, ready, p, values, found):
 def enumerate_augmentations(dga: Dga, max_degree_zero: int = 24) -> list[Augmentation]:
     """All augmentations of a validated Dga, in lexicographic order by sorted
     generator name then value.  Refuses to run when the degree-0 generator
-    count exceeds ``max_degree_zero``."""
+    count exceeds ``max_degree_zero``, or the bound is negative."""
+    if max_degree_zero < 0:
+        raise InputError(f"max_degree_zero must be nonnegative, got {max_degree_zero}")
     names = sorted(dga.degree_zero_names())
     if len(names) > max_degree_zero:
         raise EnumerationBoundError(

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Container, Iterable, Mapping, NamedTuple
+from typing import Container, Iterable, NamedTuple
 
 from .augment import Augmentation
 from .dga import Dga, Generator, GeneratorKind, ValidationReport
-from .field import (InputError, SparseValues, check_characteristic, reduce_mod,
-                    require_same_field)
+from .field import InputError, SparseValues, check_characteristic, require_same_field
 from .poly import NcPoly, evaluate_terms, weighted_series
 
 
@@ -131,11 +130,7 @@ class BoundingCochain(SparseValues):
 
     __slots__ = ("p", "coefficients")
     _values = "coefficients"
-
-    def __init__(self, p: int, coefficients: Mapping[str, int] | None = None):
-        self.p = check_characteristic(p)
-        self.coefficients: dict[str, int] = reduce_mod(p, coefficients or {},
-                                                       "coefficient of {!r}")
+    _label = "coefficient of {!r}"
 
 
 def _require_degree_one(table: DiskCountTable, p: int, support: Iterable[str],
@@ -285,10 +280,7 @@ class ChordMap(SparseValues):
 
     __slots__ = ("p", "entries")
     _values = "entries"
-
-    def __init__(self, p: int, entries: Mapping[tuple[str, str], int] | None = None):
-        self.p = check_characteristic(p)
-        self.entries: dict[tuple[str, str], int] = reduce_mod(p, entries or {}, "entry {!r}")
+    _label = "entry {!r}"
 
     def nonzero_entries(self) -> list[tuple[str, str, int]]:
         return sorted((out, inp, c) for (out, inp), c in self.entries.items())
@@ -321,7 +313,7 @@ def deformed_differential(table: StripCountTable, b0: BoundingCochain,
         weight = evaluate_terms(((tw, weight),), b1.coefficients, p)
         if weight:
             key = (c_out, c_in)
-            acc[key] = (acc.get(key, 0) + weight) % p
+            acc[key] = acc.get(key, 0) + weight
     return ChordMap(p, acc)
 
 
@@ -335,10 +327,9 @@ def check_squared_zero(matrix: ChordMap) -> ValidationReport:
     square: dict[tuple[str, str], int] = {}
     for (mid, inp), c2 in matrix.entries.items():
         for out, c1 in by_input.get(mid, ()):
-            square[out, inp] = (square.get((out, inp), 0) + c1 * c2) % matrix.p
+            square[out, inp] = square.get((out, inp), 0) + c1 * c2
     report = ValidationReport()
-    for (out, inp), coeff in sorted(square.items()):
-        if coeff:
-            report.add("squared", f"({out}, {inp})",
-                       f"square of the twisted differential has entry {coeff}")
+    for out, inp, coeff in ChordMap(matrix.p, square).nonzero_entries():
+        report.add("squared", f"({out}, {inp})",
+                   f"square of the twisted differential has entry {coeff}")
     return report

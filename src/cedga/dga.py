@@ -215,7 +215,7 @@ class Dga:
                     head, tail = word[:pos], word[pos + 1:]
                     for dword, dcoeff in dg.terms.items():
                         key = head + dword + tail
-                        acc[key] = (acc.get(key, 0) + sign * coeff * dcoeff) % p
+                        acc[key] = acc.get(key, 0) + sign * coeff * dcoeff
                 prefix_degree += self.generator(letter).degree
         return NcPoly(p, acc)
 

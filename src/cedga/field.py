@@ -3,9 +3,11 @@
 Coefficients are plain ints reduced into ``[0, p)``; the object that owns
 them (polynomial, algebra, count table, cochain) carries the characteristic.
 Mixing values from different characteristics is always an error.
-``reduce_mod`` is the one place where the sparse values of a polynomial,
-augmentation, cochain or chord map are type-checked and reduced; count
-tables reduce their entries one by one, before summing, as they load.
+``SparseValues.__init__`` is the one place where the sparse values of a
+polynomial, augmentation, cochain or chord map are checked and reduced;
+arithmetic hands it raw sums.  Count tables are the exception: each entry is
+reduced as it loads, so a zero residue is skipped before the filters run,
+not rejected by them.
 """
 
 from __future__ import annotations
@@ -59,13 +61,19 @@ def reduce_mod(p: int, mapping: Mapping, label: str) -> dict:
 
 class SparseValues:
     """Nonzero values mod p by key, held in the dict attribute that
-    ``_values`` names: equal when the characteristic and the values are,
-    unhashable (the dict is mutable), and shown as ``key=value`` sorted by key.
-    Instances are treated as immutable, so a checked object's values stay
-    canonical for its p and ``_trusted`` holds them without ``reduce_mod``."""
+    ``_values`` names (``_label`` names a key in a type error): equal when the
+    characteristic and the values are, unhashable (the dict is mutable), and
+    shown as ``key=value`` sorted by key.  Instances are treated as immutable,
+    so ``_trusted`` holds values already canonical for p without ``reduce_mod``."""
 
     __slots__ = ()
     _values: str
+    _label: str
+
+    def __init__(self, p: int, values: Mapping | None = None):
+        self.p = check_characteristic(p)
+        # the empty check skips a call for the many zero polynomials
+        setattr(self, self._values, reduce_mod(p, values, self._label) if values else {})
 
     @classmethod
     def _trusted(cls, p: int, values: dict):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .field import SparseValues, check_characteristic, reduce_mod, require_same_field
+from .field import SparseValues, require_same_field
 
 Word = tuple[str, ...]
 
@@ -23,11 +23,7 @@ class NcPoly(SparseValues):
 
     __slots__ = ("p", "terms")
     _values = "terms"
-
-    def __init__(self, p: int, terms: Mapping[Word, int] | None = None):
-        self.p = check_characteristic(p)
-        # the empty check skips a call for the many zero polynomials
-        self.terms: dict[Word, int] = reduce_mod(p, terms, "coefficient of {!r}") if terms else {}
+    _label = "coefficient of {!r}"
 
     # -- constructors -------------------------------------------------
 
@@ -79,7 +75,7 @@ class NcPoly(SparseValues):
         require_same_field(self.p, other.p)
         acc = dict(self.terms)
         for word, coeff in other.terms.items():
-            acc[word] = (acc.get(word, 0) + coeff) % self.p
+            acc[word] = acc.get(word, 0) + coeff
         return NcPoly(self.p, acc)
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
@@ -97,11 +93,10 @@ class NcPoly(SparseValues):
             return NotImplemented
         require_same_field(self.p, other.p)
         acc: dict[Word, int] = {}
-        p = self.p
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 key = w1 + w2
-                acc[key] = (acc.get(key, 0) + c1 * c2) % p
+                acc[key] = acc.get(key, 0) + c1 * c2
         return NcPoly(self.p, acc)
 
     def __rmul__(self, other):

@@ -107,7 +107,11 @@ class SurgeryAlgebra:
         return role.i if role is not None else self.k + 1
 
     def base_ce(self) -> Dga:
-        """The base chord algebra as a standalone Dga."""
+        """The base chord algebra as a standalone Dga, built once."""
+        return self._base_ce
+
+    @cached_property
+    def _base_ce(self) -> Dga:
         gens = [self.dga.generators[n] for n in self.base_names]
         diffs = {n: poly for n, poly in self.dga.nonzero_differentials().items()
                  if n not in self.roles}
@@ -425,8 +429,8 @@ def construct_surgery_augmentation(S: SurgeryAlgebra, eb: Augmentation,
        value(c) = -eval(connector terms + lower-transit terms of d(hook))
     which solves eps(d(hook)) = 0 for c.  The result is re-verified
     generator by generator rather than trusted.
-    Shape, d^2 and the extension plan are derived once per algebra, the base
-    augmentation on every call; a failed check raises PreconditionError.
+    Shape, d^2, the base algebra and the extension plan are derived once;
+    a failed shape, d^2 or base augmentation check raises PreconditionError.
     """
     structural = S.precondition_report
     if not structural.ok:

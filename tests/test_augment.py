@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cedga import (Augmentation, Dga, EnumerationBoundError, NcPoly,
+from cedga import (Augmentation, Dga, EnumerationBoundError, InputError, NcPoly,
                    check_augmentation, enumerate_augmentations)
 
 
@@ -154,3 +154,8 @@ def test_enumeration_bound_refusal():
     with pytest.raises(EnumerationBoundError,
                        match=r"\A25 degree-0 generators exceed the bound 24\Z"):
         enumerate_augmentations(wide)
+    # a negative bound is vacuous, with or without degree-0 generators
+    for algebra in (dga, Dga.build(2, gens=[("y", 1, 1)])):
+        with pytest.raises(InputError,
+                           match=r"\Amax_degree_zero must be nonnegative, got -1\Z"):
+            enumerate_augmentations(algebra, max_degree_zero=-1)

@@ -371,6 +371,17 @@ def test_sparse_reprs():
             == "BoundingCochain(p=3, {x=1, y=2})")
     assert (repr(ChordMap(3, {("b", "a"): 2, ("a", "b"): 4, ("a", "a"): 3}))
             == "ChordMap(p=3, entries=[('a', 'b', 1), ('b', 'a', 2)])")
+    for empty in (None, {}):
+        assert repr(NcPoly(97, empty)) == "NcPoly(97, '0')"
+        assert repr(Augmentation(97, empty)) == "Augmentation(p=97, {})"
+        assert repr(BoundingCochain(97, empty)) == "BoundingCochain(p=97, {})"
+        assert repr(ChordMap(97, empty)) == "ChordMap(p=97, entries=[])"
+    raw = dict(zip("abcd", (-1, 97, 98, 10**30)))  # 10**30 = 85 mod 97
+    assert repr(NcPoly(97, {(k,): v for k, v in raw.items()})) == "NcPoly(97, '96 a + c + 85 d')"
+    assert repr(Augmentation(97, raw)) == "Augmentation(p=97, {a=96, c=1, d=85})"
+    assert repr(BoundingCochain(97, raw)) == "BoundingCochain(p=97, {a=96, c=1, d=85})"
+    assert (repr(ChordMap(97, {(k, "a"): v for k, v in raw.items()}))
+            == "ChordMap(p=97, entries=[('a', 'a', 96), ('c', 'a', 1), ('d', 'a', 85)])")
 
 
 def test_sparse_equality():
@@ -433,6 +444,10 @@ def test_deformed_differential_weights():
     assert not deformed_differential(t, zero, zero).entries
     weighted = deformed_differential(t, BoundingCochain(2, {"xb": 1}), zero)
     assert weighted.entries.get(("cout", "cin"), 0) == 1
+    # the bare and the weighted strip cancel mod 2: no entry, no violation
+    both = _strip_table([("cout", "cin", (), (), 1), ("cout", "cin", ("xb",), (), 1)])
+    cancelled = deformed_differential(both, BoundingCochain(2, {"xb": 1}), zero)
+    assert cancelled.entries == {} and check_squared_zero(cancelled).ok
 
 
 def test_deformed_differential_bare_strips():
@@ -476,6 +491,13 @@ def test_check_squared_zero():
     report = check_squared_zero(bare(chain))
     assert not report.ok
     assert report.violations[0].subject == "(c3, c1)"
+
+    # a diamond c1 -> c2, c4 -> c3: its two paths from c1 to c3 cancel mod 2
+    chords.append(Generator("c4", 1, -4, MIXED))
+    diamond = StripCountTable.build(2, chords, [], [],
+                                    [("c2", "c1", (), (), 1), ("c4", "c1", (), (), 1),
+                                     ("c3", "c2", (), (), 1), ("c3", "c4", (), (), 1)])
+    assert len(diamond.counts) == 4 and check_squared_zero(bare(diamond)).ok
 
 
 def test_relabeling_equivariance():

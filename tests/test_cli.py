@@ -97,6 +97,8 @@ def test_augment_limit_refusal(corpus_dir):
                     encoding="utf-8")
     code, out = run_cli(["augment", str(path)])
     assert (code, out) == (2, "error: 25 degree-0 generators exceed the bound 24\n")
+    code, out = run_cli(["augment", "--limit", "-1", str(corpus_dir / "ce_trivial.txt")])
+    assert (code, out) == (2, "error: max_degree_zero must be nonnegative, got -1\n")
 
 
 def test_json_report_deterministic(corpus_dir, tmp_path):

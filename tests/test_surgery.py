@@ -20,7 +20,7 @@ from cedga import (Augmentation, ChordRole, Dga, FieldMismatchError, GenerationB
                    check_augmentation, construct_surgery_augmentation,
                    enumerate_augmentations, quotient_order_reversing,
                    random_surgery_instance, validate_surgery_shape,
-                   verify_certificate)
+                   UndeclaredGeneratorError, verify_certificate)
 from cedga.surgery import SurgeryCertificate
 from cedga.textio import DgaDocument, serialize_dga
 
@@ -199,6 +199,12 @@ def test_extension_rejects_bad_preconditions():
     bad_eb = Augmentation(2, {"b1": 1})  # supported outside the base algebra
     with pytest.raises(PreconditionError):
         construct_surgery_augmentation(S, bad_eb)
+    # a base differential through a connector has no base algebra, on every call
+    dga = Dga.build(2, gens=[("y", -1, 2), ("a1", 0, 1, "a")], diffs={"y": [(1, ("a1",))]})
+    leaky = SurgeryAlgebra(dga, {"a1": ChordRole("a", 1)})
+    for _ in range(2):
+        with pytest.raises(UndeclaredGeneratorError, match="a1"):
+            leaky.base_ce()
 
 
 def test_extension_validates_each_algebra_once(monkeypatch):
@@ -219,6 +225,7 @@ def test_extension_validates_each_algebra_once(monkeypatch):
     for value in (0, 1, 1):
         assert construct_surgery_augmentation(S, Augmentation(2, {"x1": value})).ok
     assert calls == {"shape": 1, "d_squared": 1}
+    assert S.base_ce() is S.base_ce()
 
 
 def test_extension_splits_each_hook_once(monkeypatch):
