@@ -13,8 +13,10 @@ family in CHANGES.md.  ``--against PATH`` computes the digests of this
 checkout's ``src`` and of ``PATH/src`` (a checkout made with ``git archive``
 or ``git clone``), each in a child process, prints whether each family is
 the same, and exits 1 if any differs, 0 if none does, and 2 when PATH holds
-no ``src/cedga``.  ``test_same_results.py`` checks every family against the
-committed digests in tier-1; together they take about 2 s.
+no ``src/cedga``.  ``test_same_results.py`` checks the first four families
+against the committed digests in tier-1, in about 2 s together; ``bounds``
+and ``instances`` take about 3 minutes and 7 s on a 2-vCPU machine, so only
+the first form and ``--against`` compute them.
 
 The families:
 
@@ -30,7 +32,18 @@ The families:
 - ``reprs``: the reprs of ``NcPoly``, ``Augmentation``, ``BoundingCochain``
   and ``ChordMap`` built from a seeded grid of raw dicts (negative, huge
   and multiple-of-p values, empty dicts), with the polynomials' sums,
-  differences and products.
+  differences and products;
+- ``bounds``: ``exhaustive_search(bounds)._asdict()``, or the refusal text,
+  for 1,888 bounds: trees ``max_disks`` 1-3 x ``max_inputs_per_disk`` 0-2 and
+  trajectories ``max_strips`` 1-3 x ``max_marked_per_strip`` 0-2 x
+  ``max_total_marked`` 2, 3 x ``max_attached_disks`` 0-2 x
+  ``max_inputs_per_disk`` 0, 2, each on the windows (-1, 1), (0, 2), (-2, 2),
+  (1, 1) at strides 1, 3, 97 and 20,000; both default bounds at strides
+  20,000, 1, 97 and 10^9; trees ``max_disks`` 5 and 6 and trajectories
+  ``max_strips`` 4 and 5 (``max_configs`` 10^15) at strides 20,000 and 10^9;
+- ``instances``: 3,150 seeded surgery algebras (k 1-7 x chords 0-5 x p 2, 3,
+  5 x seeds 0-24), each as its text, role order, differential terms and
+  repr, with every generator's degree, action and kind.
 """
 
 from __future__ import annotations
@@ -48,7 +61,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIGESTS = os.path.join(ROOT, "tests", "same_results.json")
-FAMILIES = ("corpus", "help", "search", "reprs")
+TIER1 = ("corpus", "help", "search", "reprs")  # the families tier-1 checks
+FAMILIES = TIER1 + ("bounds", "instances")
 # argparse lays out help text differently across Python versions
 PYTHON = "{}.{}".format(*sys.version_info)
 
@@ -138,8 +152,49 @@ def repr_records():
         yield [repr(record) for record in records]
 
 
-RECORDS = {"corpus": corpus_records, "help": help_records,
-           "search": search_records, "reprs": repr_records}
+def bound_records():
+    from cedga import InputError, TrajectorySearchBounds, TreeSearchBounds, exhaustive_search
+    shapes = [(TreeSearchBounds, {"max_disks": m, "max_inputs_per_disk": n})
+              for m, n in itertools.product((1, 2, 3), (0, 1, 2))]
+    shapes += [(TrajectorySearchBounds, dict(zip(
+        ("max_strips", "max_marked_per_strip", "max_total_marked", "max_attached_disks",
+         "max_inputs_per_disk"), values)))
+        for values in itertools.product((1, 2, 3), (0, 1, 2), (2, 3), (0, 1, 2), (0, 2))]
+    grid = [(make, dict(fields, degree_range=window, materialize_stride=stride))
+            for make, fields in shapes for window in ((-1, 1), (0, 2), (-2, 2), (1, 1))
+            for stride in (1, 3, 97, 20_000)]
+    grid += [(make, {"materialize_stride": stride})
+             for make in (TreeSearchBounds, TrajectorySearchBounds)
+             for stride in (20_000, 1, 97, 10**9)]
+    grid += [(make, {field: size, "max_configs": 10**15, "materialize_stride": stride})
+             for make, field in ((TreeSearchBounds, "max_disks"),
+                                 (TrajectorySearchBounds, "max_strips"))
+             for size in ((5, 6) if make is TreeSearchBounds else (4, 5))
+             for stride in (20_000, 10**9)]
+    for make, fields in grid:
+        try:
+            outcome = exhaustive_search(make(**fields))._asdict()
+        except InputError as exc:
+            outcome = str(exc)
+        yield [make.__name__, fields, outcome]
+
+
+def instance_records():
+    from cedga import random_surgery_instance
+    from cedga.textio import DgaDocument, serialize_dga
+    for k, chords, p, seed in itertools.product(range(1, 8), range(6), (2, 3, 5), range(25)):
+        algebra = random_surgery_instance(k, chords, seed, p)
+        yield [serialize_dga(DgaDocument(algebra.dga, (), algebra.roles)),
+               repr(list(algebra.roles.items())),
+               repr([(name, list(poly.terms.items()))
+                     for name, poly in algebra.dga.nonzero_differentials().items()]),
+               repr(algebra),
+               [[gen.name, gen.degree, str(gen.action), gen.kind.value]
+                for gen in algebra.dga.generators.values()]]
+
+
+RECORDS = {"corpus": corpus_records, "help": help_records, "search": search_records,
+           "reprs": repr_records, "bounds": bound_records, "instances": instance_records}
 
 
 def digest(family: str) -> str:
