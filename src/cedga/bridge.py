@@ -231,11 +231,11 @@ class StripCountTable:
         check_characteristic(p)
         chord_map = _declare(chords, GeneratorKind.MIXED_CHORD,
                              "chord {0.name!r} must have the mixed kind", "duplicate chord {!r}")
-        # a double point may sit on both sides, but never share a chord's name
-        bottom, top = (_declare(gens, GeneratorKind.DOUBLE_POINT_POS,
-                                "{0.name!r} must be a positive double point",
-                                "duplicate generator {!r}", chord_map)
-                       for gens in (dp_bottom, dp_top))
+        # a name is one chord or one double point, on one side
+        dp = (GeneratorKind.DOUBLE_POINT_POS, "{0.name!r} must be a positive double point",
+              "duplicate generator {!r}")
+        bottom = _declare(dp_bottom, *dp, chord_map)
+        top = _declare(dp_top, *dp, chord_map.keys() | bottom.keys())
         counts: dict[tuple[str, str, tuple[str, ...], tuple[str, ...]], int] = {}
         rejected: list[RejectedEntry] = []
         for c_out, c_in, b_word, t_word, coeff in entries:
@@ -304,13 +304,10 @@ def deformed_differential(table: StripCountTable, b0: BoundingCochain,
         if name not in table.dp_top:
             raise SupportError(f"top cochain supported on {name!r}, "
                                "not a top double point")
-    p = table.p
+    p, weights = table.p, {**b0.coefficients, **b1.coefficients}  # the sides share no name
     acc: dict[tuple[str, str], int] = {}
     for (c_out, c_in, bw, tw), coeff in table.counts.items():
-        # b0 weighs the bottom word and b1 the top word; a name may sit on
-        # both sides, so the two cochains cannot be merged into one mapping
-        weight = evaluate_terms(((bw, coeff),), b0.coefficients, p)
-        weight = evaluate_terms(((tw, weight),), b1.coefficients, p)
+        weight = evaluate_terms(((bw + tw, coeff),), weights, p)
         if weight:
             key = (c_out, c_in)
             acc[key] = acc.get(key, 0) + weight

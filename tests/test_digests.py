@@ -90,18 +90,17 @@ def _word(rng, names, longest):
     return tuple(rng.choice(names) for _ in range(rng.randint(0, longest))) if names else ()
 
 
-def table_outcomes():
+def random_tables():
+    """400 seeded disk tables, then 400 seeded strip tables, each strip table
+    with a cochain per side (None for a disk table)."""
     rng = random.Random(23)
-    out = []
     for _ in range(400):
         p = rng.choice((2, 3, 5))
         points = _points(rng, "g", GeneratorKind.DOUBLE_POINT_POS, rng.randint(1, 5))
         names = [g.name for g in points]
-        table = DiskCountTable.build(p, points, [
+        yield DiskCountTable.build(p, points, [
             (rng.choice(names), _word(rng, names, 3), rng.randint(-1, p))
-            for _ in range(rng.randint(0, 12))])
-        out += [repr(table), repr(table.counts), repr(table.rejected),
-                serialize_dga(derive_ce(table))]
+            for _ in range(rng.randint(0, 12))]), None
     for _ in range(400):
         p = rng.choice((2, 3))
         chords = _points(rng, "c", GeneratorKind.MIXED_CHORD, rng.randint(1, 4))
@@ -113,10 +112,16 @@ def table_outcomes():
              _word(rng, [g.name for g in bottom], 2), _word(rng, [g.name for g in top], 2),
              rng.randint(-1, p))
             for _ in range(rng.randint(0, 10))])
-        b0, b1 = (BoundingCochain(p, {g.name: rng.randrange(p) for g in side})
-                  for side in (bottom, top))
+        yield table, [BoundingCochain(p, {g.name: rng.randrange(p) for g in side})
+                      for side in (bottom, top)]
+
+
+def table_outcomes():
+    out = []
+    for table, cochains in random_tables():
         out += [repr(table), repr(table.counts), repr(table.rejected),
-                repr(deformed_differential(table, b0, b1))]
+                serialize_dga(derive_ce(table)) if cochains is None
+                else repr(deformed_differential(table, *cochains))]
     return out
 
 
@@ -124,3 +129,11 @@ def test_random_count_tables_pinned():
     outcomes = table_outcomes()
     assert sum(o != "()" for o in outcomes[2::4]) > 200  # tables with rejections
     assert _digest(outcomes) == TABLE_DIGEST
+
+
+def test_strip_tables_parse_back_from_their_text():
+    strips = [table for table, cochains in random_tables() if cochains is not None]
+    # 97 of them keep at least one count
+    assert len(strips) == 400 and sum(bool(table.counts) for table in strips) == 97
+    for table in strips:
+        assert parse_strip_counts(serialize_strip_counts(table)).counts == table.counts
