@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
 from operator import itemgetter
@@ -380,14 +380,10 @@ def trajectory_verdict(traj: BrokenTrajectoryConfig) -> TrajectoryVerdict:
 def _check_bounds(bounds, positive: tuple[str, ...], nonnegative: tuple[str, ...]):
     """Reject bounds that would search nothing or cannot be searched; return
     them otherwise."""
-    for name in positive:
-        value = getattr(bounds, name)
-        if value < 1:
-            raise InputError(f"{name} must be at least 1, got {value}")
-    for name in nonnegative:
-        value = getattr(bounds, name)
-        if value < 0:
-            raise InputError(f"{name} must be nonnegative, got {value}")
+    for names, least, rule in ((positive, 1, "at least 1"), (nonnegative, 0, "nonnegative")):
+        for name in names:
+            if getattr(bounds, name) < least:
+                raise InputError(f"{name} must be {rule}, got {getattr(bounds, name)}")
     lo, hi = bounds.degree_range
     if lo > hi:
         raise InputError(f"empty degree range [{lo}, {hi}]")
@@ -433,7 +429,7 @@ class TrajectorySearchBounds(_TrajectorySearchFields):
 
 
 class CounterexampleReport(NamedTuple):
-    """What one search found; each search builds it once, when it is done.
+    """What one search found; ``exhaustive_search`` builds it once, at the end.
     ``enumerated`` counts sum tuples; ``in_window`` counts those whose
     derived degrees all lie in the degree range, per shape, not one by
     one.  ``materialized`` counts the sampled tuples re-checked through real
@@ -584,31 +580,37 @@ def _materialize_tree(m, parents, extras, sums, out_degs, lo, hi) -> PearlyTreeC
     return PearlyTreeConfig(tuple(disks), tuple(edges))
 
 
-def _spread(ranges) -> Counter:
-    """Counts of one digit that runs through each (start, radix) range."""
-    return sum((Counter(_uniform(start, radix)) for start, radix in ranges), Counter())
+def _spread(ranges, lo: int, hi: int) -> dict[int, int]:
+    """Counts in [lo, hi] of a digit running through each (start, radix) range."""
+    marks = [0] * (hi - lo + 2)
+    for start, radix in ranges:
+        first, last = max(start, lo), min(start + radix - 1, hi)
+        if first <= last:
+            marks[first - lo] += 1
+            marks[last + 1 - lo] -= 1
+    return {d: c for d, c in zip(range(lo, hi + 1), itertools.accumulate(marks)) if c}
 
 
-def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
-    """out_degs[i] = rigid[i] + sums[i] + the outputs of i's children, with
-    rigid[i] = 2 - child_counts[i] - extras[i], so the ledger lhs =
-    out_degs[0] - sum(sums) is sum(rigid) for every tuple.  Every disk but
-    the root is one child, so sum(rigid) = 2m - (m - 1) - k = m + 1 - k, the
-    rhs, and the counterexample test lhs = 2 - k forces m = 1.  Both hold by
-    construction and are not tested per structure.
+def _tree_counts(bounds: TreeSearchBounds):
+    """Each tree shape's (tuples, in-window tuples, recheck).  out_degs[i] =
+    rigid[i] + sums[i] + the outputs of i's children, with rigid[i] = 2 -
+    child_counts[i] - extras[i], so the ledger lhs = out_degs[0] - sum(sums)
+    is sum(rigid) for every tuple.  Every disk but the root is one child, so
+    sum(rigid) = 2m - (m - 1) - k = m + 1 - k, the rhs, and the
+    counterexample test lhs = 2 - k forces m = 1.  Both hold by construction
+    and are not tested per structure.
 
     With each disk's extras summed out, a subtree's clipped output-degree
     counts depend only on its class: the sorted classes of its children.
     Each class is interned as an int and counted once, from the leaves up; a
-    shape counts as its root's class.  ``_walk`` finds its sampled in-window
-    tuples, disk i's output degree being its digit plus its children's."""
+    shape counts as its root's class.  A disk with k children reaches the
+    window only from a digit in [lo - k hi, hi - k lo]; ``recheck`` walks its
+    output as that digit plus its children's."""
     lo, hi = bounds.degree_range
     cap, stride = bounds.max_inputs_per_disk, bounds.materialize_stride
-    estimate = _estimate_trees(bounds)
-    enumerated = in_window = failures = materialized = 0
     # per child count c, each extras count e's (rigid + lo * e, radix) range
     ranges = [[(2 - c - e + lo * e, (hi - lo) * e + 1) for e in range(cap - c + 1)]
-              for c in range(cap + 1)]
+              for c in range(min(cap, bounds.max_disks - 1) + 1)]
     totals = [sum(map(itemgetter(1), per_extras)) for per_extras in ranges]
     class_ids: dict[tuple[int, ...], int] = {}
     classes: list[dict[int, int]] = []  # per class: clipped output-degree counts
@@ -619,24 +621,19 @@ def _search_trees(bounds: TreeSearchBounds) -> CounterexampleReport:
         node = [0] * m
         for i in range(m - 1, -1, -1):
             key = tuple(sorted([node[c] for c in children[i]]))
-            node[i] = class_ids.get(key, -1)
-            if node[i] < 0:
-                counts = reduce(_convolve, [classes[c] for c in key], _spread(ranges[len(key)]))
-                class_ids[key] = node[i] = len(classes)
-                classes.append(_clip(counts, lo, hi))
-        window = sum(classes[node[0]].values())
-        before, enumerated = enumerated, enumerated + math.prod(totals[c] for c in child_counts)
-        in_window += window
-        if not window or enumerated // stride == before // stride:
-            continue
-        for extras, values, out_degs in _walk(before + 1, [ranges[c] for c in child_counts], [
-                (0, (i,), kids) for i, kids in enumerate(children)], lo, hi, stride):
-            sums = [v - 2 + c + e for v, c, e in zip(values, child_counts, extras)]
-            materialized += 1
-            failures += not tree_ledger(_materialize_tree(
-                m, parents, extras, sums, out_degs, lo, hi)).telescoped
-    return CounterexampleReport("trees", bounds._asdict(), estimate, enumerated, in_window,
-                                failures, materialized, [])
+            if key not in class_ids:
+                k, class_ids[key] = len(key), len(classes)
+                classes.append(_clip(reduce(_convolve, [classes[c] for c in key], _spread(
+                    ranges[k], lo - k * hi, hi - k * lo)), lo, hi))
+            node[i] = class_ids[key]
+
+        def recheck(first):
+            for extras, values, out_degs in _walk(first, [ranges[c] for c in child_counts], [
+                    (0, (i,), kids) for i, kids in enumerate(children)], lo, hi, stride):
+                sums = [v - 2 + c + e for v, c, e in zip(values, child_counts, extras)]
+                yield tree_ledger(_materialize_tree(
+                    m, parents, extras, sums, out_degs, lo, hi)).telescoped
+        yield math.prod(totals[c] for c in child_counts), sum(classes[node[0]].values()), recheck
 
 
 def _traj_shapes(bounds: TrajectorySearchBounds):
@@ -738,13 +735,14 @@ def _materialize_trajectory(marks, attached, disk_inputs, c_in_deg, bare_groups,
     return BrokenTrajectoryConfig(tuple(strips), tuple(bottom), tuple(top))
 
 
-def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport:
-    """Strip s moves the chord by 1 - #marked plus its bare sums and attached
-    disk outputs, and a disk with n inputs has output 2 - n + its input
-    degrees, so the ledger lhs = chord_out - c_in - externals is sum(1 -
-    #marked) + sum(2 - n) for every tuple.  With a attached disks, k + l =
-    sum(#marked) - a + sum(n), so lhs = M - k - l for M = K + a, the rhs,
-    and the counterexample test lhs = 1 - k - l forces M = 1.  Both hold by
+def _trajectory_counts(bounds: TrajectorySearchBounds):
+    """Each trajectory shape's (tuples, in-window tuples, recheck).  Strip s
+    moves the chord by 1 - #marked plus its bare sums and attached disk
+    outputs, and a disk with n inputs has output 2 - n + its input degrees,
+    so the ledger lhs = chord_out - c_in - externals is sum(1 - #marked) +
+    sum(2 - n) for every tuple.  With a attached disks, k + l = sum(#marked)
+    - a + sum(n), so lhs = M - k - l for M = K + a, the rhs, and the
+    counterexample test lhs = 1 - k - l forces M = 1.  Both hold by
     construction and are not tested per structure.
 
     With each attached disk's input count summed out, a strip's step counts
@@ -752,13 +750,11 @@ def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport
     the clipped chord counts after a strip only on the steps so far.  Each
     step and each prefix of steps is counted once, a prefix interned as an
     int, ``prefix_ids[prefix, step]`` naming the longer one; a shape counts as
-    its last prefix.  ``_walk`` finds its sampled in-window tuples, the chord
-    after strip s being the chord before it plus 1 - #marked and its digits."""
+    its last prefix.  ``recheck`` walks the chord after strip s as the chord
+    before it plus 1 - #marked and its digits."""
     (lo, hi), stride = bounds.degree_range, bounds.materialize_stride
-    estimate = _estimate_trajectories(bounds)
-    enumerated = in_window = failures = materialized = 0
     disk_digits = [_disk_digit(n, lo, hi) for n in range(bounds.max_inputs_per_disk + 1)]
-    disk_spread = _spread(disk_digits)  # a disk's output degrees over its input counts
+    disk_spread = _spread(disk_digits, lo, hi)  # a disk's output degrees over its input counts
     steps: dict[tuple, dict[int, int]] = {}  # degree-change counts
     prefix_ids: dict[tuple[int, tuple], int] = {}
     longer_ids: dict[tuple[int, tuple], int] = {}  # prefix_ids by a strip's side counts
@@ -784,32 +780,27 @@ def _search_trajectories(bounds: TrajectorySearchBounds) -> CounterexampleReport
                                   * math.prod((hi - lo) * n + 1 for n in bare))
                 longer_ids[prefix, side_counts] = prefix_ids[prefix, key]
             prefix = longer_ids[prefix, side_counts]
-        window = sum(prefixes[prefix].values())
-        before, enumerated = enumerated, enumerated + counts[prefix]
-        in_window += window
-        if not window or enumerated // stride == before // stride:
-            continue
-        # digits: the input chord, one bare sum per nonempty side, one output per disk
-        bare_groups, digits, owned = [], [[(lo, hi - lo + 1)]], [[0]] + [[] for _ in marks[1:]]
-        for s, (nb, nt, ab, at) in enumerate(sides):
-            for side, n, bare in (("bottom", nb, nb - ab), ("top", nt, nt - at)):
-                if n:
-                    owned[s].append(len(digits))
-                    bare_groups.append((s, side, bare))
-                    digits.append([(lo * bare, (hi - lo) * bare + 1)])
-        for s, _, _ in attached:
-            owned[s].append(len(digits))
-            digits.append(disk_digits)
-        derived = [(1 - sum(marks[s]), owned[s], (K - s,) if s else ())  # chords, last first
-                   for s in range(K - 1, -1, -1)]
-        split = 1 + len(bare_groups)
-        for picks, values, _ in _walk(before + 1, digits, derived, lo, hi, stride):
-            materialized += 1
-            failures += not trajectory_ledger(_materialize_trajectory(
-                marks, attached, picks[split:], values[0], bare_groups, values[1:split],
-                values[split:], lo, hi)).telescoped
-    return CounterexampleReport("trajectories", bounds._asdict(), estimate, enumerated,
-                                in_window, failures, materialized, [])
+
+        def recheck(first):
+            # digits: the input chord, one bare sum per nonempty side, one output per disk
+            bare_groups, digits, owned = [], [[(lo, hi - lo + 1)]], [[0]] + [[] for _ in marks[1:]]
+            for s, (nb, nt, ab, at) in enumerate(sides):
+                for side, n, bare in (("bottom", nb, nb - ab), ("top", nt, nt - at)):
+                    if n:
+                        owned[s].append(len(digits))
+                        bare_groups.append((s, side, bare))
+                        digits.append([(lo * bare, (hi - lo) * bare + 1)])
+            for s, _, _ in attached:
+                owned[s].append(len(digits))
+                digits.append(disk_digits)
+            derived = [(1 - sum(marks[s]), owned[s], (K - s,) if s else ())  # chords, last first
+                       for s in range(K - 1, -1, -1)]
+            split = 1 + len(bare_groups)
+            for picks, values, _ in _walk(first, digits, derived, lo, hi, stride):
+                yield trajectory_ledger(_materialize_trajectory(
+                    marks, attached, picks[split:], values[0], bare_groups, values[1:split],
+                    values[split:], lo, hi)).telescoped
+        yield counts[prefix], sum(prefixes[prefix].values()), recheck
 
 
 def exhaustive_search(bounds) -> CounterexampleReport:
@@ -822,17 +813,26 @@ def exhaustive_search(bounds) -> CounterexampleReport:
     and each sum value in range is realizable, so the reduction is complete
     for the counterexample question.
 
-    The sum tuples are counted, not visited, and the per-structure ledger
-    and counterexample tests hold by construction (each search states the
-    proof).  ``estimated_configs`` is summed, and refused past
-    ``max_configs``, before any counting; ``enumerated`` equals it.
-    ``in_window`` is counted exactly, per shape, by convolving degree counts
-    clipped to the degree range, which lets each disk's extras and each
-    attached disk's input count be summed out.  In a shape with in-window
-    tuples ``_walk`` decodes each tuple at a 1-based position that is a multiple
-    of ``materialize_stride``; the full ledgers check those in the window."""
+    This is the one sampling loop.  It refuses the estimate past
+    ``max_configs`` before any counting.  Each shape then gives its tuple
+    count, its in-window count, in work that grows with the window's width,
+    not the square of the inputs per disk, and a re-check, run before the
+    next shape is drawn, where the shape holds in-window tuples and a rank
+    that is a multiple of ``materialize_stride``."""
     if isinstance(bounds, TreeSearchBounds):
-        return _search_trees(bounds)
-    if isinstance(bounds, TrajectorySearchBounds):
-        return _search_trajectories(bounds)
-    raise TypeError(f"unsupported bounds {bounds!r}")
+        mode, estimate, shapes = "trees", _estimate_trees, _tree_counts
+    elif isinstance(bounds, TrajectorySearchBounds):
+        mode, estimate, shapes = "trajectories", _estimate_trajectories, _trajectory_counts
+    else:
+        raise TypeError(f"unsupported bounds {bounds!r}")
+    estimated, stride = estimate(bounds), bounds.materialize_stride
+    enumerated = in_window = failures = materialized = 0
+    for tuples, window, recheck in shapes(bounds):
+        before, enumerated = enumerated, enumerated + tuples
+        in_window += window
+        if window and enumerated // stride > before // stride:
+            for telescoped in recheck(before + 1):
+                materialized += 1
+                failures += not telescoped
+    return CounterexampleReport(mode, bounds._asdict(), estimated, enumerated, in_window,
+                                failures, materialized, [])

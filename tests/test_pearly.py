@@ -866,6 +866,32 @@ def test_each_shape_counted_once_past_the_acceptance_bounds(monkeypatch, bounds,
     assert len(calls) <= ceiling
 
 
+@pytest.mark.parametrize("bounds,counts", [
+    (TreeSearchBounds(max_disks=1, max_inputs_per_disk=3_700), (47_931_651, 29_600, 1)),
+    (TreeSearchBounds(max_disks=1, max_inputs_per_disk=700, degree_range=(-100, 100)),
+     (49_070_701, 140_700, 4)),
+    (TreeSearchBounds(), (2_608_154, 313_228, 15)),
+    (TrajectorySearchBounds(), (4_211_384, 1_995_121, 79)),
+], ids=["trees-3700", "trees-700-wide", "trees", "trajectories"])
+def test_counts_hold_only_the_degree_window(monkeypatch, bounds, counts):
+    # a disk's digit is spread only over the degrees that can reach the window,
+    # and only the child counts max_disks allows get ranges; counting every
+    # input count's range against every other took 20 s for each of the first
+    # two cases, and 914 MB for the first
+    spreads = []
+
+    def spread(ranges, lo, hi, real=pearly._spread):
+        found = real(ranges, lo, hi)
+        spreads.append(all(lo <= degree <= hi for degree in found))
+        return found
+
+    monkeypatch.setattr(pearly, "_spread", spread)
+    report = exhaustive_search(bounds)
+    assert report.estimated_configs == report.enumerated and report.ok
+    assert (report.enumerated, report.in_window, report.materialized) == counts
+    assert spreads and all(spreads)
+
+
 def holding_a_sample(bounds):
     """How many structures hold a rank that is a multiple of the stride."""
     lo, hi = bounds.degree_range
