@@ -167,10 +167,9 @@ def bound_records():
              for make in (TreeSearchBounds, TrajectorySearchBounds)
              for stride in (20_000, 1, 97, 10**9)]
     grid += [(make, {field: size, "max_configs": 10**15, "materialize_stride": stride})
-             for make, field in ((TreeSearchBounds, "max_disks"),
-                                 (TrajectorySearchBounds, "max_strips"))
-             for size in ((5, 6) if make is TreeSearchBounds else (4, 5))
-             for stride in (20_000, 10**9)]
+             for make, field, sizes in ((TreeSearchBounds, "max_disks", (5, 6)),
+                                        (TrajectorySearchBounds, "max_strips", (4, 5)))
+             for size in sizes for stride in (20_000, 10**9)]
     for make, fields in grid:
         try:
             outcome = exhaustive_search(make(**fields))._asdict()

@@ -875,9 +875,10 @@ def test_each_shape_counted_once_past_the_acceptance_bounds(monkeypatch, bounds,
 ], ids=["trees-3700", "trees-700-wide", "trees", "trajectories"])
 def test_counts_hold_only_the_degree_window(monkeypatch, bounds, counts):
     # a disk's digit is spread only over the degrees that can reach the window,
-    # and only the child counts max_disks allows get ranges; counting every
-    # input count's range against every other took 20 s for each of the first
-    # two cases, and 914 MB for the first
+    # and only the child counts max_disks allows get ranges: summing every
+    # extras count's range pairwise, or building ranges for child counts no
+    # shape has, takes tens of seconds on the first two cases and close to
+    # 1 GB on the first
     spreads = []
 
     def spread(ranges, lo, hi, real=pearly._spread):
