@@ -9,12 +9,11 @@ of aborting the load.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Container, Iterable, NamedTuple
 
 from .augment import Augmentation
-from .dga import Dga, Generator, GeneratorKind, ValidationReport
+from .dga import Dga, Generator, GeneratorKind, ValidationReport, scale_actions
 from .field import InputError, SparseValues, check_characteristic, require_same_field
 from .poly import NcPoly, evaluate_terms, weighted_series
 
@@ -77,9 +76,8 @@ class DiskCountTable:
                           "{0.name!r} must be a positive double point, got {0.kind}",
                           "duplicate double point {!r}")
         # each point's degree and action numerator over the common denominator
-        scale = math.lcm(*(g.action.denominator for g in points.values()))
-        scaled = {n: (g.degree, g.action.numerator * (scale // g.action.denominator))
-                   for n, g in points.items()}
+        scale, numerators = scale_actions(points)
+        scaled = {n: (g.degree, numerators[n]) for n, g in points.items()}
         counts: dict[str, dict[tuple[str, ...], int]] = {}
         rejected: list[RejectedEntry] = []
         for output, inputs, coeff in entries:

@@ -9,7 +9,9 @@ violation, so whole corpora can be checked in one pass.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -61,6 +63,14 @@ class Generator(_GeneratorFields):
         if kind is GeneratorKind.DOUBLE_POINT_NEG and action.numerator >= 0:
             raise ValueError(f"double point {name!r} tagged negative must have action < 0")
         return super().__new__(cls, name, degree, action, kind)
+
+
+def scale_actions(generators: Mapping[str, Generator]) -> tuple[int, dict[str, int]]:
+    """``(scale, {name: action * scale})`` with ``scale`` the lcm of the action
+    denominators, so that action sums and comparisons are integer ones."""
+    scale = math.lcm(*(g.action.denominator for g in generators.values()))
+    return scale, {n: g.action.numerator * (scale // g.action.denominator)
+                   for n, g in generators.items()}
 
 
 class _ChordRoleFields(NamedTuple):
@@ -186,14 +196,25 @@ class Dga:
     def word_degree(self, word: Word) -> int:
         return sum(self.generator(name).degree for name in word)
 
+    @cached_property
+    def scaled_actions(self) -> tuple[int, dict[str, int]]:
+        """``scale_actions(self.generators)``, derived once."""
+        return scale_actions(self.generators)
+
+    def _scaled_word_action(self, word: Word) -> int:
+        try:
+            return sum(map(self.scaled_actions[1].__getitem__, word))
+        except KeyError as exc:
+            raise UndeclaredGeneratorError(exc.args[0]) from None
+
     def word_action(self, word: Word) -> Fraction:
-        return sum((self.generator(name).action for name in word), Fraction(0))
+        return Fraction(self._scaled_word_action(word), self.scaled_actions[0])
 
     def max_action(self, poly: NcPoly) -> Fraction | None:
         """Largest monomial action of a polynomial, or None if zero."""
         if poly.is_zero:
             return None
-        return max(self.word_action(word) for word in poly.terms)
+        return Fraction(max(map(self._scaled_word_action, poly.terms)), self.scaled_actions[0])
 
     # -- the differential -------------------------------------------------
 
@@ -251,13 +272,12 @@ class Dga:
         """
         report = ValidationReport()
         for name, poly in self._diff.items():
-            bound = self.generator(name).action
+            bound = self.scaled_actions[1][name]
             for word in poly.words():
-                got = self.word_action(word)
-                if got >= bound:
-                    report.add("action", name,
-                               f"monomial {' '.join(word) or '1'} has action {got}, "
-                               f"not below {bound}")
+                if self._scaled_word_action(word) >= bound:
+                    got, expected = self.word_action(word), self.generator(name).action
+                    report.add("action", name, f"monomial {' '.join(word) or '1'} has action "
+                               f"{got}, not below {expected}")
         return report
 
     def validate_all(self) -> ValidationReport:

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 from .augment import Augmentation, check_augmentation
 from .dga import ChordRole, Dga, Generator, GeneratorKind, ValidationReport
-from .field import InputError, require_same_field
+from .field import InputError, check_characteristic, require_same_field
 from .poly import NcPoly, evaluate_terms, format_poly, weighted_series
 
 
@@ -53,6 +53,7 @@ _ROLE_KINDS = {
     "b": GeneratorKind.SURGERY_B,
     "c": GeneratorKind.SURGERY_C,
 }
+_GRID = 202  # every random_surgery_instance action but the connectors' is a multiple of 1/_GRID
 
 
 class SurgeryAlgebra:
@@ -139,9 +140,8 @@ class SurgeryAlgebra:
         lower-transit terms, source by source from the deepest level
         outward and by ascending action within a source.  Read only once
         the shape checks pass."""
-        gens = self.dga.generators
-        order = sorted(self._c_names,
-                       key=lambda key: (-key[0], gens[self._c_names[key]].action))
+        gens, scaled = self.dga.generators, self.dga.scaled_actions[1]
+        order = sorted(self._c_names, key=lambda key: (-key[0], scaled[self._c_names[key]]))
         return tuple((self._c_names[key], gens[self._c_names[key]].degree,
                       self._hook_splits[self._b_names[key]][0]) for key in order)
 
@@ -196,8 +196,8 @@ def _lower_transit_issue(S: SurgeryAlgebra, word, partner: str, subject: str,
     the source i of the transit chord ``partner``, is not a lower-transit
     summand: its chord must be action-smaller than ``partner`` and its
     coefficient must lie in the level-(i+1) subalgebra.  None if it is one."""
-    last, gens = word[-1], S.dga.generators
-    if not gens[last].action < gens[partner].action:
+    last, scaled = word[-1], S.dga.scaled_actions[1]
+    if not scaled[last] < scaled[partner]:
         return f"transit summand {last} is not action-smaller than {subject}"
     i = S.roles[last].i
     if any(S.level(name) <= i for name in word[:-1]):
@@ -217,7 +217,7 @@ def _split_hook_differential(S: SurgeryAlgebra, bname: str):
     role = S.roles[bname]
     i, connector = role.i, S._connectors[role.j - 1]
     partner = S._c_names[(i, role.j, role.m)]
-    gens = S.dga.generators
+    scaled = S.dga.scaled_actions[1]
     terms: list[tuple] = []
     unit_coeff = None
     issues: list[str] = []
@@ -242,7 +242,7 @@ def _split_hook_differential(S: SurgeryAlgebra, bname: str):
             flag(f"{'hook' if lrole.type == 'b' else 'transit'} summand targets "
                  f"source {lrole.i}, expected {i}")
         elif lrole.type == "b":
-            if not gens[S._c_names[(i, lrole.j, lrole.m)]].action < gens[partner].action:
+            if not scaled[S._c_names[(i, lrole.j, lrole.m)]] < scaled[partner]:
                 flag(f"hook summand {last} is not action-smaller than {bname}")
             elif not _is_base_word(S, prefix):
                 flag(f"hook summand {' '.join(word)} has non-base coefficient")
@@ -305,18 +305,18 @@ def validate_surgery_shape(S: SurgeryAlgebra) -> ValidationReport:
                    f"transit chord {key} has no hook partner")
 
     # pairwise distinct actions over all hook and transit chords
-    seen: dict[Fraction, str] = {}
+    seen: dict[int, str] = {}  # scaled action -> name
+    scaled = dga.scaled_actions[1]
     for key in sorted(b_keys | c_keys):
         for table in (S._b_names, S._c_names):
             name = table.get(key)
             if name is None:
                 continue
-            action = dga.generator(name).action
-            if action in seen:
-                report.add("surgery.actions", name,
-                           f"action {action} repeats that of {seen[action]}")
+            if scaled[name] in seen:
+                report.add("surgery.actions", name, f"action {dga.generators[name].action} "
+                           f"repeats that of {seen[scaled[name]]}")
             else:
-                seen[action] = name
+                seen[scaled[name]] = name
 
     # base closure and filtration
     for name, poly in sorted(dga.nonzero_differentials().items()):
@@ -486,12 +486,11 @@ def verify_certificate(S: SurgeryAlgebra, certificate: SurgeryCertificate,
 # -- seeded instance generation ----------------------------------------------
 
 
-def _poly_action_bound(actions: Mapping[str, Fraction], poly: NcPoly) -> Fraction:
-    """Upper bound for the monomial actions of a polynomial.  A letter with
-    no action yet is a connector chord, whose action is fixed last, below
-    every transit chord's; counting it as 1 keeps the bound an upper one."""
-    return max((sum((actions.get(letter, 1) for letter in word), Fraction(0))
-                for word in poly.terms), default=Fraction(0))
+def _poly_action_bound(actions: Mapping[str, int], poly: NcPoly) -> int:
+    """Upper bound, times _GRID, for the monomial actions of a polynomial.  A
+    letter with no action yet is a connector chord, whose action is fixed last,
+    below every transit chord's; counting it as 1 keeps the bound an upper one."""
+    return max((sum(actions.get(name, _GRID) for name in word) for word in poly.terms), default=0)
 
 
 def _random_base_poly(rng: random.Random, p: int, letters: list[str],
@@ -512,9 +511,13 @@ def random_surgery_instance(k: int, max_chords_per_pair: int = 2, seed: int = 0,
     Differentials are built triangularly (transit targets are closed, deeper
     pieces are built first) with the two engineered cancellation patterns,
     so d^2 = 0 holds by construction.  The instance is still validated once,
-    and GenerationBudgetError is raised if it fails."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    and GenerationBudgetError is raised if it fails.  A bad k,
+    max_chords_per_pair or p raises InputError before any draw."""
+    for name, value, least in (("k", k, 1), ("max_chords_per_pair", max_chords_per_pair, 0)):
+        if not isinstance(value, int) or value < least:
+            raise InputError(f"{name} must be >= {least}" if isinstance(value, int)
+                             else f"{name} must be an int, got {value!r}")
+    check_characteristic(p)
     # the ":0" suffix is part of the seed token: dropping it changes every instance
     rng = random.Random(f"{seed}:0")
 
@@ -522,22 +525,22 @@ def random_surgery_instance(k: int, max_chords_per_pair: int = 2, seed: int = 0,
     # degree-1 chord and one degree -1 chord with a nonconstant differential
     gens: list[Generator] = []
     diffs: dict[str, NcPoly] = {}
-    actions: dict[str, Fraction] = {}
+    actions: dict[str, int] = {}  # times _GRID
     n0 = rng.randint(1, 3)
     deg0 = [f"e{t}" for t in range(1, n0 + 1)]
     for t, name in enumerate(deg0, start=1):
         gens.append(Generator(name, 0, Fraction(t, 101), GeneratorKind.REEB_CHORD))
-        actions[name] = Fraction(t, 101)
+        actions[name] = 2 * t
     u_name = None
     if rng.random() < 0.8:
         u_name = "u1"
         gens.append(Generator(u_name, 1, Fraction(n0 + 1, 101), GeneratorKind.REEB_CHORD))
-        actions[u_name] = Fraction(n0 + 1, 101)
+        actions[u_name] = 2 * (n0 + 1)
     y_name = None
     if u_name is not None and rng.random() < 0.7:
         y_name = "y1"
         gens.append(Generator(y_name, -1, Fraction(1, 2), GeneratorKind.REEB_CHORD))
-        actions[y_name] = Fraction(1, 2)
+        actions[y_name] = _GRID // 2
         dy = _random_base_poly(rng, p, deg0, allow_unit=False)
         while dy.is_zero:
             dy = _random_base_poly(rng, p, deg0, allow_unit=False)
@@ -546,11 +549,10 @@ def random_surgery_instance(k: int, max_chords_per_pair: int = 2, seed: int = 0,
     a_names = {i: f"a{i}" for i in range(1, k + 1)}
     roles: dict[str, ChordRole] = {name: ChordRole("a", i) for i, name in a_names.items()}
 
-    last_action = Fraction(1)
+    last_action = _GRID
     c_closed: set[tuple[int, int, int]] = set()  # keys whose transit chord is closed
     b_bare: set[tuple[int, int, int]] = set()  # keys whose d(hook) is a_j c, c closed
     built_order: list[tuple[int, int, int]] = []
-    chord_gens: list[Generator] = []
 
     def cname(key):
         return f"c{key[2]}_{key[0]}{key[1]}"
@@ -578,9 +580,8 @@ def random_surgery_instance(k: int, max_chords_per_pair: int = 2, seed: int = 0,
                     c_diff = (NcPoly.generator(p, u_name) * diffs[deep]
                               * NcPoly.generator(p, target))
                     w_term = NcPoly.monomial(p, (a_names[j], u_name, deep, target), 1)
-                last_action = max(last_action, _poly_action_bound(actions, c_diff)) + 1
+                last_action = max(last_action, _poly_action_bound(actions, c_diff)) + _GRID
                 actions[c_key_name] = last_action
-                chord_gens.append(Generator(c_key_name, 0, last_action, GeneratorKind.SURGERY_C))
                 roles[c_key_name] = ChordRole("c", i, j, m)
                 if c_diff.is_zero:
                     c_closed.add(key)
@@ -623,19 +624,19 @@ def random_surgery_instance(k: int, max_chords_per_pair: int = 2, seed: int = 0,
                               * NcPoly.generator(p, cname(kk)))
                     bare = False
 
-                last_action = max(last_action, _poly_action_bound(actions, b_diff)) + 1
+                last_action = max(last_action, _poly_action_bound(actions, b_diff)) + _GRID
                 actions[b_key_name] = last_action
-                chord_gens.append(Generator(b_key_name, -1, last_action, GeneratorKind.SURGERY_B))
                 roles[b_key_name] = ChordRole("b", i, j, m)
                 diffs[b_key_name] = b_diff
                 if bare:
                     b_bare.add(key)
                 built_order.append(key)
 
-    eps_a = min((actions[cname(key)] for key in built_order), default=Fraction(1)) / 1000
-    for i in range(1, k + 1):
-        gens.append(Generator(a_names[i], 0, eps_a, GeneratorKind.SURGERY_A))
-    gens.extend(chord_gens)
+    eps_a = Fraction(min((actions[cname(key)] for key in built_order), default=_GRID),
+                     1000 * _GRID)
+    for name, role in roles.items():  # the connectors, then the chords as they were built
+        action = eps_a if role.type == "a" else Fraction(actions[name], _GRID)
+        gens.append(Generator(name, -1 if role.type == "b" else 0, action, _ROLE_KINDS[role.type]))
     instance = SurgeryAlgebra(Dga(p, gens, diffs, d_degree=1), roles)
     if not (instance.precondition_report.ok and instance.dga.validate_grading().ok):
         raise GenerationBudgetError(f"invalid instance for k={k}, seed={seed}")

@@ -220,6 +220,79 @@ def test_action_filtration_lowering():
         assert dga.max_action(dq) < dga.max_action(q)
 
 
+def _fraction_word_action(dga, word):
+    return sum((dga.generator(name).action for name in word), Fraction(0))
+
+
+def _fraction_max_action(dga, poly):
+    if poly.is_zero:
+        return None
+    return max(_fraction_word_action(dga, word) for word in poly.terms)
+
+
+def _fraction_validate_action(dga):
+    report = ValidationReport()
+    for name, poly in dga.nonzero_differentials().items():
+        bound = dga.generator(name).action
+        for word in poly.words():
+            got = _fraction_word_action(dga, word)
+            if got >= bound:
+                report.add("action", name, f"monomial {' '.join(word) or '1'} has action {got}, "
+                                           f"not below {bound}")
+    return report
+
+
+# thirds, 101sts and large coprime primes, so the common scale is huge
+DENOMINATORS = (1, 2, 3, 6, 101, 1_000_003, 998_244_353, 2 ** 61 - 1)
+
+
+def _mixed_action_dga(rng):
+    """A Dga whose actions mix the denominators above, spell equal actions
+    apart (``1/3`` and ``2/6``), are negative on some morse, reeb and dp-
+    generators, and often tie, so that ``>=`` decides at equality."""
+    pool = [Fraction(n, rng.choice(DENOMINATORS)) for n in range(-4, 9)]
+    gens = []
+    for i in range(rng.randint(3, 7)):
+        kind = rng.choice(("morse", "reeb", "dp+", "dp-", "mixed"))
+        action = rng.choice([a for a in pool if a != 0] if kind[:2] == "dp" else pool)
+        if kind[:2] == "dp" and (action > 0) != (kind == "dp+"):
+            action = -action
+        spelled = rng.choice((action, str(action),
+                              f"{2 * action.numerator}/{2 * action.denominator}"))
+        gens.append((f"g{i}", 0, spelled, kind))
+    names = [g[0] for g in gens]
+    diffs = {name: [(1, tuple(rng.choice(names) for _ in range(rng.randint(0, 3))))
+                    for _ in range(rng.randint(1, 3))]
+             for name in rng.sample(names, rng.randint(1, len(names)))}
+    return Dga.build(rng.choice((2, 3)), gens, diffs)
+
+
+def test_integer_actions_agree_with_fraction_sums():
+    rng = random.Random(29)
+    violations = ties = 0
+    for _ in range(300):
+        dga = _mixed_action_dga(rng)
+        names = list(dga.generators)
+        for _ in range(5):
+            word = tuple(rng.choice(names) for _ in range(rng.randint(0, 4)))
+            got = dga.word_action(word)
+            assert type(got) is Fraction and got == _fraction_word_action(dga, word)
+            poly = _random_poly(rng, dga)
+            got = dga.max_action(poly)
+            assert got == _fraction_max_action(dga, poly)
+            assert got is None if poly.is_zero else type(got) is Fraction
+        report = dga.validate_action()
+        assert report.as_dicts() == _fraction_validate_action(dga).as_dicts()
+        violations += len(report)
+        ties += sum(_fraction_word_action(dga, word) == dga.generator(name).action
+                    for name, poly in dga.nonzero_differentials().items() for word in poly.terms)
+        with pytest.raises(UndeclaredGeneratorError, match="ghost"):
+            dga.word_action((names[0], "ghost"))
+        with pytest.raises(UndeclaredGeneratorError, match="ghost"):
+            dga.max_action(NcPoly.generator(dga.p, "ghost"))
+    assert violations > 100 and ties > 20
+
+
 @given(st.integers(0, 7))
 def test_build_round_trips_kinds(seed):
     kind = list(GeneratorKind)[seed]

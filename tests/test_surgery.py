@@ -13,11 +13,12 @@ import pytest
 
 import cedga.augment
 import cedga.bridge
+import cedga.dga
 import cedga.poly
 import cedga.surgery
 from cedga import (Augmentation, ChordRole, Dga, FieldMismatchError, GenerationBudgetError,
-                   NcPoly, PreconditionError, QuotientError, SurgeryAlgebra, ValidationReport,
-                   check_augmentation, construct_surgery_augmentation,
+                   InputError, NcPoly, PreconditionError, QuotientError, SurgeryAlgebra,
+                   ValidationReport, check_augmentation, construct_surgery_augmentation,
                    enumerate_augmentations, quotient_order_reversing,
                    random_surgery_instance, validate_surgery_shape,
                    UndeclaredGeneratorError, verify_certificate)
@@ -421,6 +422,49 @@ def test_random_instance_that_fails_validation_raises(monkeypatch):
 def test_random_instance_rejects_bad_k():
     with pytest.raises(ValueError):
         random_surgery_instance(0)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2.5,), "k must be an int, got 2.5"),
+    ((2, -1), "max_chords_per_pair must be >= 0"),
+    ((2, 2.5), "max_chords_per_pair must be an int, got 2.5"),
+    ((2, 2, 3, 1), "field characteristic must be a prime <= 97, got 1"),
+])
+def test_random_instance_refuses_bad_arguments(args, message):
+    with pytest.raises(InputError) as exc:
+        random_surgery_instance(*args)
+    assert str(exc.value) == message
+
+
+def test_instances_validate_without_adding_fractions(monkeypatch):
+    def no_addition(self, other):
+        raise AssertionError("Fraction addition")
+
+    monkeypatch.setattr(Fraction, "__add__", no_addition)
+    monkeypatch.setattr(Fraction, "__radd__", no_addition)
+    for p in (2, 3):
+        for seed in range(3):
+            S = random_surgery_instance(6, 6, seed, p)
+            assert validate_surgery_shape(S).ok and S.dga.validate_action().ok
+
+
+def test_action_numerators_derived_once_per_algebra(monkeypatch):
+    derived = []
+    scale_actions = cedga.dga.scale_actions
+
+    def counted(generators):
+        derived.append(generators)
+        return scale_actions(generators)
+
+    monkeypatch.setattr(cedga.dga, "scale_actions", counted)
+    S = random_surgery_instance(4, 3, seed=2)
+    for _ in range(2):
+        assert validate_surgery_shape(S).ok and S.dga.validate_action().ok
+        for name, poly in S.dga.nonzero_differentials().items():
+            assert S.dga.max_action(poly) < S.dga.generator(name).action
+        for eb in enumerate_augmentations(S.base_ce()):
+            assert construct_surgery_augmentation(S, eb).ok
+    assert len(derived) == 1 and derived[0] is S.dga.generators
 
 
 # -- independence of the certificate recheck ------------------------------------

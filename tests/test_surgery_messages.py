@@ -121,6 +121,14 @@ def shape_lines(S):
      ["[surgery.filtration] c3: differential leaves level 2 via a1",
       "[surgery.shape] c3: transit summand c3 is not action-smaller than c3",
       "[action] c3: monomial a1 c3 has action 5001/1000, not below 5"]),
+    # mixed denominators: equal actions spelled apart, thirds against sevenths,
+    # and a word sum that reduces (1/6 + 1/3 = 1/2)
+    (dict(gens="gen b1 -1 3/2 b\ngen c2 0 6/4 c\n"),
+     ["[surgery.actions] c2: action 3/2 repeats that of b1"]),
+    (dict(gens="gen c1 0 7/3 c\ngen c2 0 16/7 c\ngen b1 -1 5/2 b\n"),
+     ["[surgery.shape] b2: transit summand c1 is not action-smaller than b2"]),
+    (dict(gens="gen x 0 1/6 reeb\ngen z 0 1/3 reeb\ngen y -1 1/2 reeb\n", diffs={"y": "x z"}),
+     ["[action] y: monomial x z has action 1/2, not below 1/2"]),
 ])
 def test_shape_diagnostics_pinned(change, expected):
     assert shape_lines(k3(**change)) == expected
