@@ -46,7 +46,7 @@ def _declare(gens: Iterable[Generator], kind: GeneratorKind, wrong_kind: str,
     return declared
 
 
-class DiskCountTable:
+class DiskCountTable(NamedTuple):
     """Rigid-disk counts, stored by output: ``counts[output][word]`` is the
     nonzero count of disks with that output double point and ordered input
     word; outputs without a count are absent, the rest sorted.
@@ -58,15 +58,10 @@ class DiskCountTable:
     the table's common denominator, and a reason prints both sides reduced.
     """
 
-    __slots__ = ("p", "double_points", "counts", "rejected")
-
-    def __init__(self, p: int, double_points: dict[str, Generator],
-                 counts: dict[str, dict[tuple[str, ...], int]],
-                 rejected: tuple[RejectedEntry, ...] = ()):
-        self.p = p
-        self.double_points = double_points
-        self.counts = counts
-        self.rejected = rejected
+    p: int
+    double_points: dict[str, Generator]
+    counts: dict[str, dict[tuple[str, ...], int]]
+    rejected: tuple[RejectedEntry, ...] = ()
 
     @classmethod
     def build(cls, p: int, double_points: Iterable[Generator],
@@ -114,8 +109,7 @@ class DiskCountTable:
                 del words[word]
                 if not words:
                     del counts[output]
-        counts = dict(sorted(counts.items()))
-        return cls(p, points, counts, tuple(rejected))
+        return cls(p, points, dict(sorted(counts.items())), tuple(rejected))
 
     def __repr__(self) -> str:
         return (f"DiskCountTable(p={self.p}, points={len(self.double_points)}, "
@@ -205,21 +199,18 @@ def verify_mc_aug_identity(table: DiskCountTable, b: BoundingCochain) -> bool:
     return True
 
 
-class StripCountTable:
+class StripCountTable(NamedTuple):
     """Decorated-strip counts for a pair of Lagrangians: entries are
     (output chord, input chord, bottom word, top word) -> count, filtered by
     the per-strip degree identity
     deg(out) - deg(in) - sum deg(marked) = 1 - #marked."""
 
-    __slots__ = ("p", "chords", "dp_bottom", "dp_top", "counts", "rejected")
-
-    def __init__(self, p, chords, dp_bottom, dp_top, counts, rejected=()):
-        self.p = p
-        self.chords = chords
-        self.dp_bottom = dp_bottom
-        self.dp_top = dp_top
-        self.counts = counts
-        self.rejected = tuple(rejected)
+    p: int
+    chords: dict[str, Generator]
+    dp_bottom: dict[str, Generator]
+    dp_top: dict[str, Generator]
+    counts: dict[tuple[str, str, tuple[str, ...], tuple[str, ...]], int]
+    rejected: tuple[RejectedEntry, ...] = ()
 
     @classmethod
     def build(cls, p: int, chords: Iterable[Generator],

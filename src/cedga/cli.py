@@ -297,7 +297,7 @@ def _cmd_quotient(args, runner: _Runner) -> tuple[dict, bool]:
     except QuotientError as exc:
         return _verdict(runner, False, "marking does not generate a differential-closed ideal:",
                         exc.report)
-    runner.emit(serialize_dga(DgaDocument(quotient, (), dict(doc.roles))), args.output)
+    runner.emit(serialize_dga(DgaDocument(quotient, (), doc.roles)), args.output)
     return {"removed": list(doc.marked), "generators": len(quotient.generators)}, True
 
 

@@ -142,9 +142,9 @@ class ValidationReport:
 class Dga:
     """Generator set plus differential, over a fixed prime field.
 
-    Instances are immutable after construction.  The differential degree
-    defaults to +1 (cohomological); pass ``d_degree=-1`` for the homological
-    convention.
+    ``generators`` is a read-only view and the polynomials are immutable by
+    convention.  The differential degree defaults to +1 (cohomological); pass
+    ``d_degree=-1`` for the homological convention.
     """
 
     def __init__(self, p: int, generators: Iterable[Generator],
@@ -153,19 +153,20 @@ class Dga:
         check_characteristic(p)
         self.p = p
         self.d_degree = int(d_degree)
-        self.generators: dict[str, Generator] = {}
+        gens: dict[str, Generator] = {}
         for gen in generators:
-            if gen.name in self.generators:
+            if gen.name in gens:
                 raise ValueError(f"duplicate generator name {gen.name!r}")
-            self.generators[gen.name] = gen
+            gens[gen.name] = gen
+        self.generators: Mapping[str, Generator] = MappingProxyType(gens)
         self._diff: dict[str, NcPoly] = {}
         for name, poly in (differential or {}).items():
-            if name not in self.generators:
+            if name not in gens:
                 raise UndeclaredGeneratorError(name)
             require_same_field(self.p, poly.p)
             for letter in poly.letters():
-                if letter not in self.generators:  # name the least, whatever the set order
-                    raise UndeclaredGeneratorError(min(poly.letters() - self.generators.keys()))
+                if letter not in gens:  # name the least, whatever the set order
+                    raise UndeclaredGeneratorError(min(poly.letters() - gens.keys()))
             if not poly.is_zero:
                 self._diff[name] = poly
 

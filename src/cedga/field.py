@@ -63,8 +63,8 @@ class SparseValues:
     """Nonzero values mod p by key, held in the dict attribute that
     ``_values`` names (``_label`` names a key in a type error): equal when the
     characteristic and the values are, unhashable (the dict is mutable), and
-    shown as ``key=value`` sorted by key.  Instances are treated as immutable,
-    so ``_trusted`` holds values already canonical for p without ``reduce_mod``."""
+    shown as ``key=value`` sorted by key.  The dict is immutable by convention,
+    not type, so ``_trusted`` holds values canonical for p without ``reduce_mod``."""
 
     __slots__ = ()
     _values: str

@@ -753,7 +753,14 @@ def _trajectory_counts(bounds: TrajectorySearchBounds):
     its last prefix.  ``recheck`` walks the chord after strip s as the chord
     before it plus 1 - #marked and its digits."""
     (lo, hi), stride = bounds.degree_range, bounds.materialize_stride
-    disk_digits = [_disk_digit(n, lo, hi) for n in range(bounds.max_inputs_per_disk + 1)]
+    n0, cap = abs(lo) + abs(hi) + 3, bounds.max_inputs_per_disk
+    if not min(bounds.max_attached_disks, bounds.max_marked_per_strip, bounds.max_total_marked):
+        cap = -1  # no shape attaches a disk
+    elif not _disk_digit(n0, lo, hi)[1]:
+        cap = min(cap, n0)  # the radix is 0 from n0 on (``_disk_radix_sum``)
+    disk_digits = [_disk_digit(n, lo, hi) for n in range(cap + 1)]
+    while disk_digits and not disk_digits[-1][1]:  # only a tail: a pick's index is its input count
+        disk_digits.pop()
     disk_spread = _spread(disk_digits, lo, hi)  # a disk's output degrees over its input counts
     steps: dict[tuple, dict[int, int]] = {}  # degree-change counts
     prefix_ids: dict[tuple[int, tuple], int] = {}

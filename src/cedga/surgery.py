@@ -16,7 +16,8 @@ from __future__ import annotations
 import random
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .augment import Augmentation, check_augmentation
 from .dga import ChordRole, Dga, Generator, GeneratorKind, ValidationReport
@@ -68,7 +69,7 @@ class SurgeryAlgebra:
 
     def __init__(self, dga: Dga, roles: Mapping[str, ChordRole]):
         self.dga = dga
-        self.roles: dict[str, ChordRole] = dict(roles)
+        self.roles: Mapping[str, ChordRole] = MappingProxyType(dict(roles))
         self.k = sum(role.type == "a" for role in self.roles.values())
         if not self.k:
             raise InputError("need at least one cocore")
@@ -272,8 +273,7 @@ def validate_surgery_shape(S: SurgeryAlgebra) -> ValidationReport:
     report = ValidationReport()
     dga = S.dga
 
-    for name in sorted(S.roles):
-        role = S.roles[name]
+    for name, role in sorted(S.roles.items()):
         kind = dga.generator(name).kind
         if kind is not _ROLE_KINDS[role.type]:
             report.add("surgery.kind", name,
@@ -308,8 +308,7 @@ def validate_surgery_shape(S: SurgeryAlgebra) -> ValidationReport:
     seen: dict[int, str] = {}  # scaled action -> name
     scaled = dga.scaled_actions[1]
     for key in sorted(b_keys | c_keys):
-        for table in (S._b_names, S._c_names):
-            name = table.get(key)
+        for name in (S._b_names.get(key), S._c_names.get(key)):
             if name is None:
                 continue
             if scaled[name] in seen:
@@ -359,19 +358,16 @@ def validate_surgery_shape(S: SurgeryAlgebra) -> ValidationReport:
 # -- the inductive augmentation extension ------------------------------------
 
 
-class SurgeryCertificate:
+class SurgeryCertificate(NamedTuple):
     """Extension certificate: the extended augmentation, a re-verified
     vanishing report, the three defining conditions, and any degree
     conflicts hit by the recursion."""
 
-    def __init__(self, augmentation: Augmentation, verification: ValidationReport,
-                 conditions: ValidationReport, flags: tuple[str, ...] = (),
-                 order_reversing: tuple[str, ...] = ()):
-        self.augmentation = augmentation
-        self.verification = verification
-        self.conditions = conditions
-        self.flags = flags
-        self.order_reversing = order_reversing
+    augmentation: Augmentation
+    verification: ValidationReport
+    conditions: ValidationReport
+    flags: tuple[str, ...] = ()
+    order_reversing: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:

@@ -18,7 +18,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .dga import ChordRole, Dga, Generator, GeneratorKind
 from .field import DEFAULT_CHARACTERISTIC, InputError, check_characteristic
@@ -222,14 +223,12 @@ def _parse_poly_tokens(tokens, lineno, reader):
 # -- algebra documents --------------------------------------------------------
 
 
-class DgaDocument:
-    """A parsed algebra with its marked chords and surgery roles by name."""
+class DgaDocument(NamedTuple):
+    """A parsed algebra with its marked chords and a read-only view of its roles by name."""
 
-    def __init__(self, dga: Dga, marked: tuple[str, ...] = (),
-                 roles: dict[str, ChordRole] | None = None):
-        self.dga = dga
-        self.marked = marked
-        self.roles = {} if roles is None else roles
+    dga: Dga
+    marked: tuple[str, ...] = ()
+    roles: Mapping[str, ChordRole] = MappingProxyType({})
 
 
 def parse_dga(text: str, field_override: int | None = None) -> DgaDocument:
@@ -294,7 +293,7 @@ def parse_dga(text: str, field_override: int | None = None) -> DgaDocument:
     differential = {name: NcPoly.from_pairs(p, pairs)
                     for name, pairs in diff_pairs.items()}
     dga = Dga(p, declared.values(), differential, reader.header.get("ddeg", 1))
-    return DgaDocument(dga, tuple(marked), roles)
+    return DgaDocument(dga, tuple(marked), MappingProxyType(roles))
 
 
 def serialize_dga(doc: DgaDocument | Dga) -> str:
@@ -499,6 +498,8 @@ def parse_tree_config(text: str) -> PearlyTreeConfig:
             reader.issue(lineno, "usage: edge <srcDisk> <dstDisk> <slot>")
         else:
             edges.append((int(args[1]), int(args[2]), int(args[3])))
+    if not (disk_lines or edges or reader.issues):  # no line can name an edge generator
+        reader.issue(0, "a tree needs at least one disk line")
     disks = _resolve_disks(reader, disk_lines)
     return _build_config(reader, PearlyTreeConfig, tuple(disks), tuple(edges))
 

@@ -12,8 +12,10 @@ family on purpose regenerates the committed file this way and names the
 family in CHANGES.md.  ``--against PATH`` computes the digests of this
 checkout's ``src`` and of ``PATH/src`` (a checkout made with ``git archive``
 or ``git clone``), each in a child process, prints whether each family is
-the same, and exits 1 if any differs, 0 if none does, and 2 when PATH holds
-no ``src/cedga``.  ``test_same_results.py`` checks the first four families
+the same, then both checkouts' ``src`` line counts (what ``cat
+src/cedga/*.py src/cedga/corpus/*.py | wc -l`` prints), and exits 1 if any
+family differs, 0 if none does, and 2 when PATH holds no ``src/cedga``.
+``test_same_results.py`` checks the first four families
 against the committed digests in tier-1, in about 2 s together; ``bounds``
 and ``instances`` take about 3 minutes and 7 s on a 2-vCPU machine, so only
 the first form and ``--against`` compute them.
@@ -49,6 +51,7 @@ The families:
 from __future__ import annotations
 
 import contextlib
+import glob
 import hashlib
 import io
 import itertools
@@ -214,6 +217,16 @@ def digests_of(src: str) -> dict[str, str]:
     return report["digests"]
 
 
+def src_lines(src: str) -> int:
+    """The lines of the package's and the corpus package's modules under ``src``."""
+    total = 0
+    for path in glob.glob(os.path.join(src, "cedga", "*.py")) + glob.glob(
+            os.path.join(src, "cedga", "corpus", "*.py")):
+        with open(path, "rb") as handle:
+            total += handle.read().count(b"\n")
+    return total
+
+
 def main(argv: list[str]) -> int:
     if argv == ["--child"]:
         import cedga
@@ -231,10 +244,12 @@ def main(argv: list[str]) -> int:
     if not os.path.isdir(os.path.join(other, "cedga")):
         print(f"no cedga package under {other}", file=sys.stderr)
         return 2
-    ours, theirs = digests_of(os.path.join(ROOT, "src")), digests_of(other)
+    here = os.path.join(ROOT, "src")
+    ours, theirs = digests_of(here), digests_of(other)
     differ = [family for family in FAMILIES if ours[family] != theirs[family]]
     for family in FAMILIES:
         print(f"{family}: {'differs' if family in differ else 'same'}")
+    print(f"src lines: {src_lines(here)} here, {src_lines(other)} at {argv[1]}")
     return 1 if differ else 0
 
 

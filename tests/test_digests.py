@@ -29,7 +29,7 @@ PARSERS = [
 # tokens a mutated line may take: edge values for every field of every directive
 ODD_TOKENS = ["0", "-1", "3", "1/0", "2/4", "-1/2", "x", "x1", "=", ":", "dp+", "mixed",
               "bottom:", "top:", "9" * 5000, "#", "field", "gen", "d", "count", "strip"]
-PARSER_DIGEST = "fd684f681a2517948d009d2ecfa65db1cf7b994fff3627162a5d1499179b33ed"
+PARSER_DIGEST = "71d27f68c3cb4ca7f765f2aa0d7dfc0b36a36dba1ce17bd61a651b36546de580"
 TABLE_DIGEST = "b0875c068018afbcd910d10fbe36e3d40e449212b26087ac853ad3138b7aca75"
 
 

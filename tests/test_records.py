@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from cedga import (Augmentation, BrokenTrajectoryConfig, ChordRole, CounterexampleReport, Dga,
-                   DiskComponent, Generator, GeneratorKind, InputError, PearlyTreeConfig,
-                   RejectedEntry, StripComponent, SurgeryCertificate, TrajectoryLedger,
-                   TrajectorySearchBounds, TrajectoryVerdict, TreeLedger, TreeSearchBounds,
-                   TreeVerdict, ValidationReport)
+                   DiskComponent, DiskCountTable, Generator, GeneratorKind, InputError,
+                   PearlyTreeConfig, RejectedEntry, StripComponent, StripCountTable,
+                   SurgeryCertificate, TrajectoryLedger, TrajectorySearchBounds,
+                   TrajectoryVerdict, TreeLedger, TreeSearchBounds, TreeVerdict,
+                   ValidationReport, construct_surgery_augmentation, random_surgery_instance)
 from cedga.dga import Violation
-from cedga.textio import DgaDocument, ParseIssue
+from cedga.textio import DgaDocument, ParseIssue, parse_dga, serialize_dga
 
 DP_POS, DP_NEG = GeneratorKind.DOUBLE_POINT_POS, GeneratorKind.DOUBLE_POINT_NEG
 
@@ -123,14 +124,34 @@ def test_frozen_records_refuse_assignment():
             rec.extra = 1
 
 
-def test_documents_never_share_roles():
-    dga = Dga.build(2, gens=[("x", 0, 1)])
-    first, second = DgaDocument(dga), DgaDocument(dga)
-    assert first.marked == () and first.roles == {}
-    first.roles["x"] = ChordRole("a", 1)
-    assert second.roles == {} and DgaDocument(dga).roles == {}
-    roles = {"x": ChordRole("a", 1)}
-    assert DgaDocument(dga, ("x",), roles).roles is roles
+def test_public_writes_raise():
+    # a write to the generators would leave the derived scaled actions stale
+    d = Dga.build(2, gens=[("x", 0, 1), ("y", -1, 3)], diffs={"y": [(1, ("x",))]})
+    assert d.word_action(("x",)) == 1
+    with pytest.raises(TypeError):
+        d.generators["x"] = Generator("x", 0, 5)
+    with pytest.raises(TypeError):
+        del d.generators["x"]
+    assert d.generator("x").action == 1 and d.validate_action().ok
+    S = random_surgery_instance(2, max_chords_per_pair=1, seed=3)
+    doc = parse_dga(serialize_dga(DgaDocument(S.dga, (), S.roles)))
+    assert doc.roles == S.roles and doc.roles
+    default = DgaDocument(d)
+    for roles in (S.roles, doc.roles, default.roles):
+        with pytest.raises(TypeError):
+            roles["x"] = ChordRole("a", 1)
+    assert default.marked == () and DgaDocument(d).roles == {}
+
+    dp = GeneratorKind.DOUBLE_POINT_POS
+    table = DiskCountTable.build(2, [Generator("x", 1, 1, dp), Generator("y", 2, 3, dp)],
+                                 [("y", ("x", "x"), 1)])
+    strips = StripCountTable.build(2, [Generator("q", 0, 1, GeneratorKind.MIXED_CHORD)],
+                                   [Generator("x", 1, 1, dp)], [], [])
+    cert = construct_surgery_augmentation(S, Augmentation(S.dga.p, {}))
+    for rec in (table, strips, cert, doc):
+        for field in type(rec)._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, field, getattr(rec, field))
 
 
 def test_certificate_ok_needs_clean_reports_and_no_flags():

@@ -545,6 +545,10 @@ def test_certificate_recheck_shares_no_code_with_the_kernel():
     assert kernel not in reached and "_extension_plan" not in attrs
     assert "poly.weighted_series" in reached
     assert kernel not in _reachable("poly.weighted_series")[0]
+    # the bridge identity's augmentation side reaches the kernel, never the series
+    reached = _reachable("augment.Augmentation.evaluate", "bridge.eps_from_b",
+                         "bridge._derived_differential")[0]
+    assert kernel in reached and "poly.weighted_series" not in reached
     # the analysis does see the construction's kernel and plan
     reached, attrs = _reachable("surgery.construct_surgery_augmentation")
     assert kernel in reached and "_extension_plan" in attrs

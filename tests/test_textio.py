@@ -413,7 +413,7 @@ def test_diskless_tree_has_no_text_form():
     assert str(exc.value) == "the tree format has no text form for a diskless tree"
     with pytest.raises(DocumentError) as exc:
         parse_tree_config("gen x 1 1/1 dp+\n")
-    assert str(exc.value) == "document: a diskless tree needs its edge generator"
+    assert str(exc.value) == "document: a tree needs at least one disk line"
 
 
 @pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
